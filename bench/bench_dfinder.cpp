@@ -57,29 +57,6 @@ void BM_MonolithicPhilosophers(benchmark::State& state) {
 }
 BENCHMARK(BM_MonolithicPhilosophers)->DenseRange(2, 12, 2)->Unit(benchmark::kMillisecond);
 
-/// The compositional check with the abstract-interpretation feed
-/// (strengthenWithAnalysis, applied by checkDeadlockFreedom while
-/// analysis is enabled) on (arg 1) vs off (arg 0). This family's guards
-/// are control-based, so the feed prunes nothing here — the point tracks
-/// that computing typeIntervals per distinct type stays a negligible
-/// fraction of the SAT pipeline.
-void BM_DFinderPhilosophersAnalyzedVsUnanalyzed(benchmark::State& state) {
-  const System sys = models::philosophersAtomic(8);
-  const bool saved = expr::analysisEnabled();
-  expr::setAnalysisEnabled(state.range(0) != 0);
-  for (auto _ : state) {
-    const auto r = verify::checkDeadlockFreedom(sys);
-    if (r.verdict != verify::DFinderVerdict::kDeadlockFree) state.SkipWithError("not certified");
-    benchmark::DoNotOptimize(r);
-  }
-  expr::setAnalysisEnabled(saved);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DFinderPhilosophersAnalyzedVsUnanalyzed)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_DFinderGasStation(benchmark::State& state) {
   const int customers = static_cast<int>(state.range(0));
   const System sys = models::gasStation(2, customers);

@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "analyze/analyze.hpp"
 #include "expr/compile.hpp"
 #include "expr/expr.hpp"
 
@@ -117,35 +116,6 @@ const SlotMap& localSlots() {
   return slots;
 }
 
-void BM_GuardedCommandUnfused(benchmark::State& state) {
-  // The pre-fusion dispatch: one guard program, then one program per
-  // action, each with its own run() entry and its own evaluation of the
-  // shared subexpression.
-  const ExprProgram guard = compileLocal(commandGuard());
-  struct Compiled {
-    int target;
-    ExprProgram value;
-  };
-  std::vector<Compiled> actions;
-  std::vector<Assign> block = actionBlock();
-  block[0].value = sharedMix();  // action 0 recomputes the guard's arithmetic
-  for (const Assign& a : block) {
-    actions.push_back(Compiled{a.target.index, compileLocal(a.value)});
-  }
-  std::vector<Value> vars = makeFrame();
-  for (auto _ : state) {
-    if (guard.run(vars) != 0) {
-      for (const Compiled& a : actions) {
-        vars[static_cast<std::size_t>(a.target)] = a.value.run(vars);
-      }
-    }
-    vars[0] = (vars[0] ^ 1) & 0xff;
-    benchmark::DoNotOptimize(vars.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GuardedCommandUnfused);
-
 void BM_GuardedCommandFused(benchmark::State& state) {
   // The same guarded command as one fused program: a single dispatch,
   // conditional skip over the action suffix, shared arithmetic computed
@@ -162,81 +132,6 @@ void BM_GuardedCommandFused(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GuardedCommandFused);
-
-/// A division-heavy expression whose divisors are all non-zero literals —
-/// the shape the abstract interpreter proves safe. Arg 1 runs the program
-/// after relaxSafeDivChecks rewrote every site to its unchecked opcode
-/// (no zero/overflow branches); arg 0 is the checked baseline.
-void BM_DivisionCheckedVsRelaxed(benchmark::State& state) {
-  const Expr e = (v(0) / Expr::lit(7) + v(1) % Expr::lit(13)) * Expr::lit(3) +
-                 (v(2) / Expr::lit(5)) % Expr::lit(11) - v(3) / Expr::lit(2) +
-                 (v(4) % Expr::lit(17)) * (v(5) / Expr::lit(3));
-  ExprProgram p = compileLocal(e);
-  if (state.range(0) != 0) {
-    const std::vector<cbip::analyze::Interval> env(8, cbip::analyze::Interval::top());
-    cbip::analyze::relaxSafeDivChecks(p, env);
-  }
-  std::vector<Value> vars = makeFrame();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p.run(vars));
-    vars[0] ^= 1;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DivisionCheckedVsRelaxed)->Arg(0)->Arg(1);
-
-/// The two VM dispatch cores on identical bytecode: arg 0 runs the
-/// portable switch interpreter, arg 1 the computed-goto direct-threaded
-/// core (on toolchains without computed goto both args measure the
-/// switch). The workload interleaves a guard and a fused guarded command
-/// — the two program shapes the engines dispatch per step. KEY_RATIO in
-/// compare_benches.py; the ISSUE-7 target is >= 1.15x threaded/switch.
-void BM_DispatchThreadedVsSwitch(benchmark::State& state) {
-  const bool saved = threadedDispatchEnabled();
-  setThreadedDispatchEnabled(state.range(0) != 0);
-  const ExprProgram guard = compileLocal(guardExpr());
-  const ExprProgram wide = compileLocal(wideGuard(16));
-  std::vector<Assign> block = actionBlock();
-  block[0].value = sharedMix();
-  const ExprProgram fused = compileFused(commandGuard(), block, localSlots());
-  std::vector<Value> vars = makeFrame();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(guard.run(std::span<const Value>(vars), 0));
-    benchmark::DoNotOptimize(wide.run(std::span<const Value>(vars), 0));
-    benchmark::DoNotOptimize(fused.run(std::span<Value>(vars), 0));
-    vars[0] = (vars[0] ^ 1) & 0xff;
-  }
-  state.SetItemsProcessed(state.iterations() * 3);
-  setThreadedDispatchEnabled(saved);
-}
-BENCHMARK(BM_DispatchThreadedVsSwitch)->Arg(0)->Arg(1);
-
-/// runBatch over a long run of one guard program at many frame bases —
-/// the scanEnabled shape for wide same-typed connectors. Arg 0 evaluates
-/// op-by-op on the switch core (CBIP_NO_THREADED semantics); arg 1 takes
-/// the accelerated path, where the run executes through the strip-mined
-/// block executor on the jump-free batch form.
-void BM_BatchBlockedVsScalar(benchmark::State& state) {
-  const bool saved = threadedDispatchEnabled();
-  setThreadedDispatchEnabled(state.range(0) != 0);
-  const ExprProgram guard = compileLocal(guardExpr());
-  constexpr int kBases = 64;
-  std::vector<Value> frame(8 * kBases);
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    frame[i] = makeFrame()[i % 8] + static_cast<Value>(i / 8);
-  }
-  std::vector<BatchOp> ops;
-  for (int b = 0; b < kBases; ++b) ops.push_back(BatchOp{&guard, b * 8});
-  std::vector<Value> out(ops.size());
-  for (auto _ : state) {
-    ExprProgram::runBatch(ops, frame, out);
-    benchmark::DoNotOptimize(out.data());
-    frame[0] ^= 1;
-  }
-  state.SetItemsProcessed(state.iterations() * kBases);
-  setThreadedDispatchEnabled(saved);
-}
-BENCHMARK(BM_BatchBlockedVsScalar)->Arg(0)->Arg(1);
 
 void BM_CompileOnce(benchmark::State& state) {
   // The one-time lowering cost amortized away by the per-step savings.

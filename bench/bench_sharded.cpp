@@ -82,17 +82,14 @@ void BM_SequentialEngine256(benchmark::State& state) {
 BENCHMARK(BM_SequentialEngine256)->Unit(benchmark::kMillisecond);
 
 /// Enabled-set-scan throughput over shard-local frames: scans every
-/// connector of the 4-shard partition, batched (arg = 1, the zero-gather
-/// scanEnabled variant — transition and connector guards run
-/// frame-base-relative against the live shard frame in one
-/// ExprProgram::runBatch pass) vs scalar (arg = 0). items/s = connector
-/// scans per second.
+/// connector of the 4-shard partition through the zero-gather batched
+/// scan (transition and connector guards run frame-base-relative against
+/// the live shard frame in one ExprProgram::runBatch pass). items/s =
+/// connector scans per second.
 void BM_ShardedScan256(benchmark::State& state) {
   const System sys = models::philosophersAtomic(kPhilosophers);
   shard::ShardedSystem ss(
       sys, shard::partitionSystem(sys, shard::PartitionOptions{4, 1.125, {}}));
-  const bool saved = batchScanEnabled();
-  setBatchScanEnabled(state.range(0) != 0);
   ss.ensureCompiled();
   const shard::ShardedState st = ss.initialState();
   std::vector<EnabledInteraction> out;
@@ -103,10 +100,9 @@ void BM_ShardedScan256(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(out.size());
   }
-  setBatchScanEnabled(saved);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(sys.connectorCount()));
 }
-BENCHMARK(BM_ShardedScan256)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShardedScan256)->Unit(benchmark::kMillisecond);
 
 void BM_Partition256(benchmark::State& state) {
   const System sys = models::philosophersAtomic(kPhilosophers);

@@ -8,8 +8,9 @@ Both files are the merged format emitted by bench/run_benches.sh
 ({"bench_engine": {...}, "bench_sharded": {...}, "bench_expr": {...},
 "bench_dfinder": {...}}). Two tiers of checks:
 
-* Ratio gates (always enforced): same-run A/B ratios — the batched scan
-  over the scalar scan, the compiled engine over the interpreted one.
+* Ratio gates (always enforced): same-run A/B ratios — the compiled
+  engine over the interpreted one, the adaptive sharded scheduler over
+  the static one, the fast D-Finder pipeline over the legacy one.
   Both sides of each ratio come from one process on one machine, so the
   comparison is meaningful even when the committed baseline was recorded
   on different hardware than the CI runner. A ratio regressing by more
@@ -33,29 +34,16 @@ import os
 import sys
 
 # Same-run A/B pairs: (suite, numerator benchmark, denominator benchmark).
-# Each captures the batched-over-scalar (or compiled-over-interpreted)
-# speedup this repo's PRs optimize for, independent of the machine.
+# Each captures a layer's speedup over the one it is measured against
+# (compiled over interpreted, adaptive over static, fast over legacy),
+# independent of the machine.
 KEY_RATIOS = [
-    ("bench_engine", "BM_EnabledScan/128/1", "BM_EnabledScan/128/0"),
-    ("bench_engine", "BM_EnabledScan/256/1", "BM_EnabledScan/256/0"),
-    ("bench_engine", "BM_EnabledScanDataHeavy/256/1", "BM_EnabledScanDataHeavy/256/0"),
-    ("bench_sharded", "BM_ShardedScan256/1", "BM_ShardedScan256/0"),
     ("bench_sharded", "BM_ShardedSkewed/4096/1/real_time",
      "BM_ShardedSkewed/4096/0/real_time"),
     ("bench_sharded", "BM_ShardedSkewed/100000/1/real_time",
      "BM_ShardedSkewed/100000/0/real_time"),
     ("bench_engine", "BM_SequentialEngineCompiledVsInterpreted/1",
      "BM_SequentialEngineCompiledVsInterpreted/0"),
-    ("bench_engine", "BM_SequentialEngineFusedVsUnfused/1",
-     "BM_SequentialEngineFusedVsUnfused/0"),
-    ("bench_engine", "BM_SequentialEngineAnalyzedVsUnanalyzed/1",
-     "BM_SequentialEngineAnalyzedVsUnanalyzed/0"),
-    ("bench_engine", "BM_SequentialEngineThreadedVsSwitch/1",
-     "BM_SequentialEngineThreadedVsSwitch/0"),
-    ("bench_expr", "BM_DispatchThreadedVsSwitch/1", "BM_DispatchThreadedVsSwitch/0"),
-    ("bench_expr", "BM_BatchBlockedVsScalar/1", "BM_BatchBlockedVsScalar/0"),
-    ("bench_dfinder", "BM_DFinderPhilosophersAnalyzedVsUnanalyzed/1",
-     "BM_DFinderPhilosophersAnalyzedVsUnanalyzed/0"),
     ("bench_dfinder", "BM_DFinderPhilosophers256PipelineVsLegacy/1/real_time",
      "BM_DFinderPhilosophers256PipelineVsLegacy/0/real_time"),
     ("bench_dfinder", "BM_DFinderTokenRing256PipelineVsLegacy/1/real_time",
@@ -89,7 +77,7 @@ KEY_RATIO_FLOORS = [
 # Absolute throughput counters, only comparable on matching context.
 KEY_COUNTERS = [
     ("bench_engine", "BM_SequentialEngine/0"),
-    ("bench_engine", "BM_EnabledScan/256/1"),
+    ("bench_engine", "BM_EnabledScan/256"),
     ("bench_sharded", "BM_SequentialEngine256"),
     ("bench_sharded", "BM_ShardedEngine256/4/real_time"),
     ("bench_sharded", "BM_ShardedSkewed/100000/1/real_time"),
@@ -127,10 +115,9 @@ def report_obs(base_obs, new_obs):
 
     derived = [
         ("batch-scan hit rate",
-         lambda c: rate(c, "scan.batch.calls", "scan.scalar.calls",
-                        "scan.interp.calls")),
+         lambda c: rate(c, "scan.batch.calls", "scan.interp.calls")),
         ("sharded batch-scan hit rate",
-         lambda c: rate(c, "shard.scan.batch.calls", "shard.scan.scalar.calls")),
+         lambda c: rate(c, "shard.scan.batch.calls", "shard.scan.interp.calls")),
         ("tryfire hit rate",
          lambda c: (c.get("vm.tryfire.hits", 0) / c["vm.tryfire.calls"]
                     if c.get("vm.tryfire.calls") else None)),

@@ -488,25 +488,10 @@ ProgramFacts analyzeProgram(const expr::ExprProgram& p, std::span<const Interval
         s.stack.pop_back();
         const Interval a = s.stack.back();
         const DivFacts d = ins.op == OpCode::kDiv ? absDiv(a, b) : absMod(a, b);
-        out.divSites.push_back(DivSite{pc, d.mayRaise, d.mustRaise});
         if (d.mayRaise) out.mayRaise = true;
         // No abstract state flows past a guaranteed raise.
         if (d.mustRaise) break;
         s.stack.back() = d.result;
-        propagate(pc + 1, std::move(s));
-        break;
-      }
-      case OpCode::kDivUnchecked:
-      case OpCode::kModUnchecked: {
-        // Already relaxed by an earlier analysis pass: the proof that the
-        // site never raises was done then, so it is neither a raise
-        // source nor a site to report again (idempotence).
-        if (!stackHas(2)) break;
-        const Interval b = s.stack.back();
-        s.stack.pop_back();
-        const Interval a = s.stack.back();
-        const DivFacts d = ins.op == OpCode::kDivUnchecked ? absDiv(a, b) : absMod(a, b);
-        s.stack.back() = d.result.isBottom() ? Interval::top() : d.result;
         propagate(pc + 1, std::move(s));
         break;
       }
@@ -584,27 +569,6 @@ ProgramFacts analyzeProgram(const expr::ExprProgram& p, std::span<const Interval
   return out;
 }
 
-std::size_t relaxSafeDivChecks(expr::ExprProgram& p, std::span<const Interval> slots) {
-  if (p.empty()) return 0;
-  const ProgramFacts facts = analyzeProgram(p, slots);
-  std::size_t relaxed = 0;
-  for (const DivSite& site : facts.divSites) {
-    if (!site.mayRaise) {
-      // The only sanctioned mutation of a finalized program: besides
-      // swapping the opcode it rebuilds the cached direct-threaded form,
-      // so a program that already executed (warm engine caches, lazy
-      // connector builds) can never dispatch through a stale checked
-      // handler. The eager batch form deliberately keeps its checked
-      // division — the proof says the check never fires, so relaxing it
-      // there buys nothing and the block executor stays UB-free even
-      // against stores the analysis never saw.
-      p.relaxDivCheck(site.pc);
-      ++relaxed;
-    }
-  }
-  return relaxed;
-}
-
 std::vector<Interval> typeIntervals(const AtomicType& type) {
   const std::size_t n = type.variableCount();
   std::vector<Interval> env(n);
@@ -651,36 +615,6 @@ std::vector<Interval> typeIntervals(const AtomicType& type) {
     if (!changed) break;
   }
   return env;
-}
-
-void optimizeTransition(CompiledTransition& ct, std::size_t variableCount) {
-  // Execution-side environment: all-top component variables. Hosts and
-  // the distributed runtime mutate GlobalState directly, so reachability
-  // facts (typeIntervals) must NOT feed execution pruning — only
-  // literal/operator arithmetic may.
-  const std::vector<Interval> top(variableCount, Interval::top());
-  if (!ct.guard.empty()) {
-    const ProgramFacts g = analyzeProgram(ct.guard, top);
-    if (!g.mayRaise && g.value == Interval::singleton(0)) {
-      // Dead transition: both guard forms collapse to the constant-0
-      // program (never the empty program — empty means trivially true).
-      ct.guard = expr::ExprProgram::constant(0);
-      ct.fused = expr::ExprProgram::constant(0);
-      return;
-    }
-    if (!g.mayRaise && !g.value.isBottom() && !g.value.contains(0)) {
-      // Always-true guard: the empty program is the trivially-true
-      // convention, and the fused form drops its guard prefix — which is
-      // exactly the action block (or nothing: a bare location move).
-      ct.guard = expr::ExprProgram();
-      ct.fused = ct.actionBlock;
-    }
-  }
-  const std::span<const Interval> env(top);
-  relaxSafeDivChecks(ct.guard, env);
-  for (CompiledTransition::Action& a : ct.actions) relaxSafeDivChecks(a.value, env);
-  relaxSafeDivChecks(ct.fused, env);
-  relaxSafeDivChecks(ct.actionBlock, env);
 }
 
 }  // namespace cbip::analyze

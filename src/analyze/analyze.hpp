@@ -16,31 +16,21 @@
 // runtime failure. A single in-order pass with joins at jump targets is
 // therefore a *complete* fixpoint, not an approximation of one.
 //
-// Three consumers:
+// Two consumers:
 //   * lint (src/analyze/lint.hpp) — always-false / always-true guards,
 //     guaranteed-EvalError sites, connector data-flow diagnostics;
-//   * build-time pruning (AtomicType::compileIfNeeded,
-//     CompiledConnector::build) — a guard proven constant folds to a
-//     constant program, a kDiv/kMod proven non-raising relaxes to its
-//     unchecked opcode (relaxSafeDivChecks). Gated by
-//     expr::analysisEnabled() / CBIP_NO_ANALYZE;
 //   * the D-Finder feed (src/verify/dfinder.cpp) — transitions whose
 //     guard is provably false under typeIntervals() are removed from the
 //     deadlock-condition sources.
+// Execution never consumes analysis facts: the engines run the programs
+// exactly as compiled, so the analyzer can never change a trace.
 //
-// Soundness contract — two environments, deliberately different:
-//   * Execution-side pruning uses an all-top environment for component
-//     variables: tests, srbip message application and host code mutate
-//     GlobalState directly, so *no* assumption about reachable variable
-//     values is safe there. Facts then derive only from literals and
-//     range-clamping operators (%, min, max, abs, comparisons), which is
-//     still enough to relax literal-divisor checks and kill
-//     arithmetically impossible guards.
-//   * typeIntervals() seeds from declared initial values and closes over
-//     the type's own transitions — the same "reachable when the
-//     component runs in isolation under the engine" contract as the
-//     verifier's componentInvariant. Only lint and the D-Finder feed
-//     consume it.
+// Environment contract: typeIntervals() seeds from declared initial
+// values and closes over the type's own transitions — the same
+// "reachable when the component runs in isolation under the engine"
+// contract as the verifier's componentInvariant. It is NOT sound against
+// host code, tests or the srbip runtime mutating GlobalState directly,
+// which is one more reason its facts never steer execution.
 #pragma once
 
 #include <cstddef>
@@ -144,16 +134,6 @@ ExprFacts analyzeExpr(const expr::Expr& e, const IntervalEnv& env);
 /// references outside `slots` read top.
 ExprFacts analyzeLocal(const expr::Expr& e, std::span<const Interval> slots);
 
-/// One reachable kDiv/kMod instruction in a program, with the EvalError
-/// facts that held at its operands. A site with !mayRaise is provably
-/// safe to relax; a site with mustRaise raises on every evaluation that
-/// reaches it.
-struct DivSite {
-  std::size_t pc = 0;
-  bool mayRaise = false;
-  bool mustRaise = false;
-};
-
 /// Facts about one full ExprProgram evaluation over an entry frame
 /// described by `slots` (see analyzeProgram).
 struct ProgramFacts {
@@ -164,9 +144,6 @@ struct ProgramFacts {
   /// True when no execution reaches the exit — every path hits a
   /// guaranteed-raising division.
   bool mustRaise = false;
-  /// Reachable checked-division sites in program order (relaxed
-  /// kDivUnchecked/kModUnchecked sites are not re-reported).
-  std::vector<DivSite> divSites;
   /// Per-slot intervals at program exit (kStore applied); empty when the
   /// exit is unreachable. Size matches the input span.
   std::vector<Interval> exitSlots;
@@ -183,14 +160,8 @@ struct ProgramFacts {
 /// jumps refine (a [0,0] operand only takes its zero edge). On any
 /// structural inconsistency (foreign bytecode, out-of-range slot) the
 /// result degrades soundly: top value, mayRaise iff the program holds a
-/// checked division, no sites.
+/// division.
 ProgramFacts analyzeProgram(const expr::ExprProgram& p, std::span<const Interval> slots);
-
-/// Rewrites every checked division site of `p` that analyzeProgram
-/// proves non-raising under `slots` into its unchecked twin; returns how
-/// many sites were relaxed. Idempotent — already-relaxed sites are not
-/// sites any more.
-std::size_t relaxSafeDivChecks(expr::ExprProgram& p, std::span<const Interval> slots);
 
 /// Per-variable intervals covering every value the variable can hold
 /// when instances of `type` run in isolation under the engine: exported
@@ -200,19 +171,7 @@ std::size_t relaxSafeDivChecks(expr::ExprProgram& p, std::span<const Interval> s
 /// guard is provably false or provably raising under the current facts
 /// contribute nothing). Same contract as the verifier's
 /// componentInvariant — NOT sound against host code mutating GlobalState
-/// directly, which is why execution-side pruning never consumes this.
+/// directly (see the file comment).
 std::vector<Interval> typeIntervals(const AtomicType& type);
-
-/// Build-time pruning of one compiled transition under the all-top
-/// (mutation-proof) environment:
-///   * guard provably false and non-raising  -> guard and fused both
-///     become the constant-0 program (the transition is dead);
-///   * guard provably true and non-raising   -> guard empties (the
-///     trivially-true convention) and fused drops its guard prefix;
-///   * every surviving program has its provably-safe division checks
-///     relaxed.
-/// Caller (AtomicType::compileIfNeeded) gates this behind
-/// expr::analysisEnabled().
-void optimizeTransition(CompiledTransition& ct, std::size_t variableCount);
 
 }  // namespace cbip::analyze

@@ -28,9 +28,8 @@
 //
 // Diagnostics carry provenance ("atom Fork, transition #2
 // (free --take--> taken)") so the cbip-lint CLI can print actionable
-// locations. The linter never mutates the model and is independent of
-// the build-time pruning path — it compiles nothing and runs entirely on
-// the symbolic side.
+// locations. The linter never mutates the model — it compiles nothing
+// and runs entirely on the symbolic side.
 #pragma once
 
 #include <string>

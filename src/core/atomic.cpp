@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "analyze/analyze.hpp"
 #include "obs/obs.hpp"
 #include "util/require.hpp"
 
@@ -129,36 +128,20 @@ void AtomicType::compileIfNeeded() const {
   };
   compiled_.clear();
   compiled_.reserve(transitions_.size());
-  const bool doAnalyze = expr::analysisEnabled();
   for (const Transition& t : transitions_) {
     CompiledTransition ct;
     ct.from = t.from;
     ct.to = t.to;
     if (!t.guard.isTrue()) ct.guard = expr::compile(t.guard, slots);
-    ct.actions.reserve(t.actions.size());
-    for (const expr::Assign& a : t.actions) {
-      require(a.target.scope == 0 && a.target.index >= 0 &&
-                  static_cast<std::size_t>(a.target.index) < variables_.size(),
-              name_ + ": action target out of range in compiled expression");
-      ct.actions.push_back(
-          CompiledTransition::Action{a.target.index, expr::compile(a.value, slots)});
-    }
-    // Fused forms are built unconditionally (the fusion switch is a
-    // dispatch-time decision, so toggling it never needs a rebuild). A
-    // transition with a trivial guard and no actions keeps both empty:
-    // its dispatch is a bare location move.
+    // A transition with a trivial guard and no actions keeps both fused
+    // forms empty: its dispatch is a bare location move. Action targets
+    // are range-checked through `slots` like every read.
     if (!t.guard.isTrue() || !t.actions.empty()) {
       ct.fused = expr::compileFused(t.guard, t.actions, slots);
     }
     if (!t.actions.empty()) {
       ct.actionBlock = expr::compileFused(Expr::top(), t.actions, slots);
     }
-    // Analysis-guided pruning (src/analyze): provably constant guards
-    // fold to constant programs, provably safe division checks relax.
-    // Build-time and under the same mutex, so the escape hatch
-    // (CBIP_NO_ANALYZE / setAnalysisEnabled) only affects types compiled
-    // after the toggle — exactly like the compilation switch.
-    if (doAnalyze) analyze::optimizeTransition(ct, variables_.size());
     compiled_.push_back(std::move(ct));
   }
   compiledBuilt_.store(true, std::memory_order_release);
@@ -348,19 +331,10 @@ void fire(const AtomicType& type, AtomicState& state, int ti) {
   if (state.vars.size() < type.variableCount()) {
     throw EvalError(type.name() + ": state has fewer variables than the type");
   }
-  if (expr::fusionEnabled()) {
-    // The whole action block is one dispatch; the frame *is* the live
-    // variable vector, so every store lands in place (sequential
-    // assignment semantics, shared subexpressions computed once).
-    if (!ct.actionBlock.empty()) {
-      ct.actionBlock.run(std::span<Value>(state.vars), 0);
-    }
-  } else {
-    // Unfused escape hatch: one program dispatch per action.
-    for (const CompiledTransition::Action& a : ct.actions) {
-      state.vars[static_cast<std::size_t>(a.target)] = a.value.run(state.vars);
-    }
-  }
+  // The whole action block is one dispatch; the frame *is* the live
+  // variable vector, so every store lands in place (sequential assignment
+  // semantics, shared subexpressions computed once).
+  if (!ct.actionBlock.empty()) ct.actionBlock.run(std::span<Value>(state.vars), 0);
   state.location = ct.to;
 }
 
@@ -392,18 +366,8 @@ bool tryFire(const AtomicType& type, AtomicState& state, int ti) {
   if (state.vars.size() < type.variableCount()) {
     throw EvalError(type.name() + ": state has fewer variables than the type");
   }
-  if (expr::fusionEnabled()) {
-    // Trivial guard, no actions: the dispatch is a bare location move.
-    if (!ct.fused.empty() && ct.fused.run(std::span<Value>(state.vars), 0) == 0) return false;
-    state.location = ct.to;
-    g_tryFireHits.add();
-    return true;
-  }
-  // Unfused escape hatch: guard dispatch, then one dispatch per action.
-  if (!ct.guard.empty() && ct.guard.run(state.vars) == 0) return false;
-  for (const CompiledTransition::Action& a : ct.actions) {
-    state.vars[static_cast<std::size_t>(a.target)] = a.value.run(state.vars);
-  }
+  // Trivial guard, no actions: the dispatch is a bare location move.
+  if (!ct.fused.empty() && ct.fused.run(std::span<Value>(state.vars), 0) == 0) return false;
   state.location = ct.to;
   g_tryFireHits.add();
   return true;

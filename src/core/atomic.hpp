@@ -57,8 +57,7 @@ struct Transition {
 /// form (see expr/compile.hpp).
 ///
 /// Three program shapes serve three dispatch sites:
-///   * `guard` — read-only guard program for enabled-set scans (and the
-///     CBIP_NO_FUSE escape hatch);
+///   * `guard` — read-only guard program for enabled-set scans;
 ///   * `fused` — the whole guarded command in one program (guard prefix,
 ///     conditional skip, action suffix, CSE across the boundary); tryFire
 ///     runs it as a single dispatch;
@@ -68,12 +67,7 @@ struct Transition {
 /// `from`/`to` mirror the symbolic transition so the hot dispatches never
 /// touch the Expr-tree side at all.
 struct CompiledTransition {
-  expr::ExprProgram guard;  // empty when the guard is trivially true
-  struct Action {
-    int target = 0;
-    expr::ExprProgram value;
-  };
-  std::vector<Action> actions;    // unfused per-action programs (escape hatch)
+  expr::ExprProgram guard;        // empty when the guard is trivially true
   expr::ExprProgram fused;        // empty iff guard trivially true and no actions
   expr::ExprProgram actionBlock;  // empty when the transition has no actions
   int from = 0;
@@ -195,9 +189,9 @@ void enabledTransitions(const AtomicType& type, const AtomicState& state, int po
 /// True iff some transition labelled `port` is enabled in `state`.
 bool portEnabled(const AtomicType& type, const AtomicState& state, int port);
 
-/// Fires transition `ti` (assumed enabled): runs actions (compiled unless
-/// disabled; one fused action-block dispatch unless fusion is disabled),
-/// moves location.
+/// Fires transition `ti` (assumed enabled): runs actions (one action-block
+/// dispatch, or the interpreter when compilation is disabled), moves
+/// location.
 void fire(const AtomicType& type, AtomicState& state, int ti);
 
 /// Interpreted variant (see the guardHolds overloads).
@@ -205,11 +199,10 @@ void fire(const AtomicType& type, AtomicState& state, const Transition& t);
 
 /// Guard-then-fire as one operation: evaluates transition `ti`'s guard in
 /// `state` and, when it holds, fires the transition; returns whether it
-/// fired. On the compiled path with fusion enabled this is a *single*
-/// dispatch of the fused guard+action program (shared subexpressions
-/// computed once); the unfused and interpreted paths run guard and
-/// actions separately, bit-identically. `state.location` must be the
-/// transition's source location.
+/// fired. On the compiled path this is a *single* dispatch of the fused
+/// guard+action program (shared subexpressions computed once); the
+/// interpreter runs guard and actions separately, bit-identically.
+/// `state.location` must be the transition's source location.
 bool tryFire(const AtomicType& type, AtomicState& state, int ti);
 
 /// Runs enabled internal (tau) transitions to quiescence, choosing the

@@ -1,31 +1,11 @@
 #include "core/compiled.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
-#include "analyze/analyze.hpp"
 #include "core/system.hpp"
 #include "util/require.hpp"
 
 namespace cbip {
-
-namespace {
-
-std::atomic<bool>& batchScanFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CBIP_NO_BATCH_SCAN");
-    const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-    return !disabled;
-  }();
-  return flag;
-}
-
-}  // namespace
-
-bool batchScanEnabled() { return batchScanFlag().load(std::memory_order_relaxed); }
-
-void setBatchScanEnabled(bool on) { batchScanFlag().store(on, std::memory_order_relaxed); }
 
 CompiledConnector::CompiledConnector(const System& system, const Connector& connector) {
   build(system, connector, nullptr);
@@ -78,12 +58,12 @@ void CompiledConnector::build(const System& system, const Connector& connector,
     return endBase[static_cast<std::size_t>(r.scope)] + r.index;
   };
 
-  if (!connector.guard().isTrue()) guard_ = expr::compile(connector.guard(), slots);
-  ups_.reserve(connector.ups().size());
+  if (place != nullptr && !connector.guard().isTrue()) {
+    guard_ = expr::compile(connector.guard(), slots);
+  }
   for (const expr::Assign& up : connector.ups()) {
     require(up.target.scope == expr::kConnectorScope,
             "connector '" + connector.name() + "': up target is not a connector variable");
-    ups_.push_back(Up{slots(up.target), expr::compile(up.value, slots)});
   }
   // The up block always executes as a whole, so it fuses into one program
   // (downs do not: their execution set depends on the interaction mask).
@@ -103,42 +83,6 @@ void CompiledConnector::build(const System& system, const Connector& connector,
       down.offset = p.base + var;
     }
     downs_.push_back(std::move(down));
-  }
-
-  // Analysis-guided pruning (src/analyze), the connector-side mirror of
-  // the transition pass in AtomicType::compileIfNeeded. The entry frame
-  // at guard time: end-export slots hold component variables, which host
-  // code and the distributed runtime may have set to anything — top;
-  // connector-variable slots were just zeroed by gather — exactly [0, 0].
-  if (expr::analysisEnabled()) {
-    std::vector<analyze::Interval> env(static_cast<std::size_t>(frameSize_),
-                                       analyze::Interval::top());
-    for (std::size_t s = loads_.size(); s < env.size(); ++s) {
-      env[s] = analyze::Interval::singleton(0);
-    }
-    if (!guard_.empty()) {
-      const analyze::ProgramFacts g = analyze::analyzeProgram(guard_, env);
-      if (!g.mayRaise && g.value == analyze::Interval::singleton(0)) {
-        // Dead connector: the guard collapses to the constant-0 program
-        // (never empty — empty means trivially true to guardTrue()).
-        guard_ = expr::ExprProgram::constant(0);
-      } else if (!g.mayRaise && !g.value.isBottom() && !g.value.contains(0)) {
-        guard_ = expr::ExprProgram();
-      } else {
-        analyze::relaxSafeDivChecks(guard_, env);
-      }
-    }
-    analyze::relaxSafeDivChecks(upBlock_, env);
-    // The unfused up programs run sequentially over the live frame, so
-    // each sees the abstract results of the earlier ones; the resulting
-    // environment is what the down transfers evaluate under.
-    for (Up& u : ups_) {
-      analyze::relaxSafeDivChecks(u.value, env);
-      const analyze::ProgramFacts f = analyze::analyzeProgram(u.value, env);
-      env[static_cast<std::size_t>(u.targetSlot)] =
-          f.value.isBottom() ? analyze::Interval::top() : f.value;
-    }
-    for (Down& d : downs_) analyze::relaxSafeDivChecks(d.value, env);
   }
 
   // Scan form (classic build only — the sharded build serves cross-shard
@@ -177,23 +121,6 @@ void CompiledConnector::build(const System& system, const Connector& connector,
            port.exports[static_cast<std::size_t>(r.index)];
   };
   if (!connector.guard().isTrue()) scanGuard_ = expr::compile(connector.guard(), scanSlots);
-  // Same pruning for the scan-layout guard: full variable blocks are
-  // top, connector-variable slots (zeroed by gatherScan) are [0, 0].
-  if (expr::analysisEnabled() && !scanGuard_.empty()) {
-    std::vector<analyze::Interval> senv(static_cast<std::size_t>(scanFrameSize_),
-                                        analyze::Interval::top());
-    for (std::int32_t s = scanVarBase_; s < scanFrameSize_; ++s) {
-      senv[static_cast<std::size_t>(s)] = analyze::Interval::singleton(0);
-    }
-    const analyze::ProgramFacts g = analyze::analyzeProgram(scanGuard_, senv);
-    if (!g.mayRaise && g.value == analyze::Interval::singleton(0)) {
-      scanGuard_ = expr::ExprProgram::constant(0);
-    } else if (!g.mayRaise && !g.value.isBottom() && !g.value.contains(0)) {
-      scanGuard_ = expr::ExprProgram();
-    } else {
-      analyze::relaxSafeDivChecks(scanGuard_, senv);
-    }
-  }
 }
 
 void CompiledConnector::gather(const GlobalState& state, std::span<Value> frame) const {
@@ -207,13 +134,7 @@ void CompiledConnector::gather(const GlobalState& state, std::span<Value> frame)
 
 void CompiledConnector::transfer(GlobalState& state, std::span<Value> frame,
                                  InteractionMask mask) const {
-  if (expr::fusionEnabled()) {
-    if (!upBlock_.empty()) upBlock_.run(frame, 0);
-  } else {
-    for (const Up& u : ups_) {
-      frame[static_cast<std::size_t>(u.targetSlot)] = u.value.run(frame);
-    }
-  }
+  if (!upBlock_.empty()) upBlock_.run(frame, 0);
   for (const Down& d : downs_) {
     if ((mask & (InteractionMask{1} << static_cast<unsigned>(d.end))) == 0) continue;
     const Value v = d.value.run(frame);
@@ -234,13 +155,7 @@ void CompiledConnector::gather(std::span<const std::span<const Value>> frames,
 
 void CompiledConnector::transfer(std::span<const std::span<Value>> frames,
                                  std::span<Value> scratch, InteractionMask mask) const {
-  if (expr::fusionEnabled()) {
-    if (!upBlock_.empty()) upBlock_.run(scratch, 0);
-  } else {
-    for (const Up& u : ups_) {
-      scratch[static_cast<std::size_t>(u.targetSlot)] = u.value.run(scratch);
-    }
-  }
+  if (!upBlock_.empty()) upBlock_.run(scratch, 0);
   for (const Down& d : downs_) {
     if ((mask & (InteractionMask{1} << static_cast<unsigned>(d.end))) == 0) continue;
     const Value v = d.value.run(scratch);
@@ -313,7 +228,8 @@ bool CompiledConnector::scanEnabled(const System& system, const GlobalState& sta
   // Pass 3: the mask set, by bit operations over the cached masks. The
   // connector guard is pure over the current state, so its value is shared
   // by every mask; evaluate it lazily — at the first port-feasible mask,
-  // where the scalar path evaluates it — and at most once per scan.
+  // where the interpreter's scalar scan evaluates it — and at most once per
+  // scan.
   const std::size_t nMasks = masks_.size();
   s.maskBits.assign((nMasks + 63) / 64, 0);
   bool any = false;

@@ -9,8 +9,8 @@
 //   * a flat frame layout  [end0 exports..., end1 exports..., connector
 //     vars...] with a precomputed (instance, variable) load target per
 //     end-export slot, and
-//   * bytecode (expr::ExprProgram) for the guard and every up/down
-//     expression, addressing the frame directly.
+//   * bytecode (expr::ExprProgram) for the guard, the fused up block and
+//     every down expression, addressing the frame directly.
 // Executing a connector is then gather -> run programs -> write back, with
 // no virtual calls and no per-reference table walks.
 //
@@ -34,9 +34,8 @@
 // derives the enabled interaction masks with pure bit operations over the
 // build-time-cached feasible-mask list — replacing the scalar path's
 // per-end vector allocations, per-scan feasibleMasks() rebuild and
-// per-mask end loop. The scalar path stays available behind the
-// CBIP_NO_BATCH_SCAN escape hatch (setBatchScanEnabled); both paths, and
-// the interpreter, produce bit-identical enabled sets.
+// per-mask end loop. The interpreter's scalar scan (CBIP_NO_COMPILE)
+// produces bit-identical enabled sets.
 #pragma once
 
 #include <functional>
@@ -50,17 +49,6 @@ namespace cbip {
 
 class System;
 struct GlobalState;
-
-/// True when the engines' enabled-set refresh should use the batched scan
-/// (scanEnabled) instead of the scalar per-end/per-mask path; defaults to
-/// true unless the CBIP_NO_BATCH_SCAN environment variable is set to a
-/// non-empty value other than "0". Only consulted when compilation itself
-/// is enabled — the interpreter escape hatch has no batch form.
-bool batchScanEnabled();
-
-/// Overrides the batch-scan switch (differential tests and benchmarks
-/// toggle this to compare the two scan paths in one process).
-void setBatchScanEnabled(bool on);
 
 class CompiledConnector {
  public:
@@ -83,26 +71,25 @@ class CompiledConnector {
   /// End-export slots plus connector-local variable slots.
   std::size_t frameSize() const { return static_cast<std::size_t>(frameSize_); }
 
-  /// True when the guard is the literal 1 and never needs evaluation.
-  bool guardTrue() const { return guard_.empty(); }
-
   /// True when the connector moves data (has up or down transfers).
-  bool hasTransfer() const { return !ups_.empty() || !downs_.empty(); }
+  bool hasTransfer() const { return !upBlock_.empty() || !downs_.empty(); }
 
   /// Copies every end-export value from `state` into `frame` and zeroes
   /// the connector-variable slots. `frame.size()` must be `frameSize()`.
   void gather(const GlobalState& state, std::span<Value> frame) const;
 
-  /// Evaluates the guard against a gathered frame (requires !guardTrue()).
+  /// Evaluates the guard against a gathered frame (sharded build only — the
+  /// classic build evaluates its guard inside scanEnabled; requires a
+  /// non-trivial connector guard).
   Value evalGuard(std::span<const Value> frame) const { return guard_.run(frame); }
 
   /// Runs the up transfers, then the down transfers of participating ends,
   /// on `frame`; down results are written back into `state` immediately so
   /// the component sees them (and later downs read them from the frame,
-  /// mirroring the interpreter's sequential context exactly). With fusion
-  /// enabled (expr::fusionEnabled) the whole up block is one fused program
-  /// dispatch (shared subexpressions computed once); downs stay separate —
-  /// their execution set depends on the interaction mask.
+  /// mirroring the interpreter's sequential context exactly). The whole up
+  /// block is one fused program dispatch (shared subexpressions computed
+  /// once); downs stay separate — their execution set depends on the
+  /// interaction mask.
   void transfer(GlobalState& state, std::span<Value> frame, InteractionMask mask) const;
 
   /// Sharded-build counterpart of `gather`: copies every end-export value
@@ -140,17 +127,17 @@ class CompiledConnector {
   /// full variable block once into `s.frame`, evaluates all transition
   /// guards of all ends in one ExprProgram::runBatch pass (base-relative,
   /// one base per end) and the connector guard at most once (lazily, at
-  /// the first port-feasible mask, exactly where the scalar path evaluates
-  /// it), then fills `s.maskBits` (bit i set iff masks()[i] is enabled)
-  /// and `s.endEnabled` (per end, the enabled transition indices in
-  /// transition order). Returns true iff some mask is enabled. Guard
-  /// evaluation order — end-ascending, then transition order, then the
-  /// shared connector guard — matches the scalar path, so on well-formed
-  /// states (every component's variable vector covering its type) which
-  /// EvalError a doomed scan raises first is identical. On malformed
-  /// states the paths differ mechanically: the gather validates every
-  /// end's block size up front and throws, where the scalar path checks
-  /// per guard evaluation (and the classic export gather not at all).
+  /// the first port-feasible mask, exactly where the interpreter's scalar
+  /// scan evaluates it), then fills `s.maskBits` (bit i set iff masks()[i]
+  /// is enabled) and `s.endEnabled` (per end, the enabled transition
+  /// indices in transition order). Returns true iff some mask is enabled.
+  /// Guard evaluation order — end-ascending, then transition order, then
+  /// the shared connector guard — matches the interpreter's, so on
+  /// well-formed states (every component's variable vector covering its
+  /// type) a doomed scan raises at the same guard. On malformed states the
+  /// paths differ mechanically: the gather validates every end's block
+  /// size up front and throws, where the interpreter checks per variable
+  /// read.
   bool scanEnabled(const System& system, const GlobalState& state, ScanScratch& s) const;
 
  private:
@@ -160,10 +147,6 @@ class CompiledConnector {
     int var = 0;       // classic build: index into the instance's variables
     int frame = -1;    // sharded build: involved-shard frame ordinal
     int offset = 0;    // sharded build: offset into that frame
-  };
-  struct Up {
-    int targetSlot = 0;
-    expr::ExprProgram value;
   };
   struct Down {
     int end = 0;  // participation bit
@@ -191,8 +174,7 @@ class CompiledConnector {
 
   std::int32_t frameSize_ = 0;
   std::vector<Load> loads_;
-  expr::ExprProgram guard_;  // empty when trivially true
-  std::vector<Up> ups_;
+  expr::ExprProgram guard_;  // sharded build only; empty when trivially true
   expr::ExprProgram upBlock_;  // all ups fused into one program (empty when no ups)
   std::vector<Down> downs_;
 

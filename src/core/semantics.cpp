@@ -13,9 +13,8 @@ namespace {
 
 // Telemetry (src/obs): which scan path served each connector refresh, and
 // how large the incremental cache's per-step dirty sets run. Counts only,
-// never steers — enabled sets are bit-identical on every path.
+// never steers — enabled sets are bit-identical on both paths.
 const obs::Counter g_scanBatch("scan.batch.calls");
-const obs::Counter g_scanScalar("scan.scalar.calls");
 const obs::Counter g_scanInterp("scan.interp.calls");
 const obs::Counter g_cacheUpdates("cache.updates");
 const obs::Counter g_cacheRecomputes("cache.recomputes");
@@ -78,7 +77,7 @@ bool maskSubset(InteractionMask a, InteractionMask b) {  // a strictly inside b
 void appendConnectorInteractions(const System& system, const GlobalState& state,
                                  std::size_t ci, std::vector<EnabledInteraction>& out) {
   const Connector& c = system.connector(ci);
-  if (expr::compilationEnabled() && batchScanEnabled()) {
+  if (expr::compilationEnabled()) {
     g_scanBatch.add();
     // Batched scan: one gathered frame, every transition guard in one
     // bytecode pass, mask set by bit operations over the cached feasible
@@ -105,8 +104,9 @@ void appendConnectorInteractions(const System& system, const GlobalState& state,
     }
     return;
   }
-  (expr::compilationEnabled() ? g_scanScalar : g_scanInterp).add();
-  // Per-end enabled transitions, computed once per connector.
+  // Interpreter (the semantic oracle): per-end enabled transitions,
+  // computed once per connector.
+  g_scanInterp.add();
   std::vector<std::vector<int>> endEnabled(c.endCount());
   for (std::size_t e = 0; e < c.endCount(); ++e) {
     const PortRef& p = c.end(e).port;
@@ -115,25 +115,15 @@ void appendConnectorInteractions(const System& system, const GlobalState& state,
         type, state.components[static_cast<std::size_t>(p.instance)], p.port);
   }
   // The guard is pure over the current state, so its value is shared by
-  // every mask; evaluate lazily (only when some mask is port-enabled, as
-  // the interpreter would) and at most once per scan.
+  // every mask; evaluate lazily (only when some mask is port-enabled) and
+  // at most once per scan.
   std::optional<bool> guardOk;
   const auto guardHolds = [&]() {
     if (!guardOk.has_value()) {
-      if (expr::compilationEnabled()) {
-        const CompiledConnector& cc = system.compiled().connector(ci);
-        // Scratch reused across calls: guard checks dominate the connector
-        // scan and must not allocate per interaction.
-        static thread_local std::vector<Value> frame;
-        frame.resize(cc.frameSize());
-        cc.gather(state, frame);
-        guardOk = cc.evalGuard(frame) != 0;
-      } else {
-        auto& mutableState = const_cast<GlobalState&>(state);
-        std::vector<Value> noVars;
-        InteractionContext ctx(system, c, mutableState, noVars);
-        guardOk = c.guard().eval(ctx) != 0;
-      }
+      auto& mutableState = const_cast<GlobalState&>(state);
+      std::vector<Value> noVars;
+      InteractionContext ctx(system, c, mutableState, noVars);
+      guardOk = c.guard().eval(ctx) != 0;
     }
     return *guardOk;
   };

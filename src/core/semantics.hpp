@@ -103,8 +103,8 @@ std::vector<EnabledInteraction> applyPriorities(const System& system, const Glob
 /// enabled transition the i-th participating component fires (index into
 /// `interaction.choices[i]`). Runs the connector guard+up+down data
 /// transfer, fires the transitions (one fused action-block dispatch per
-/// participant unless fusion is disabled — the guard was already
-/// established at scan time, on the pre-transfer frame), then runs
+/// participant — the guard was already established at scan time, on the
+/// pre-transfer frame), then runs
 /// internal (tau) steps of the involved components to quiescence (one
 /// fused tryFire dispatch per candidate; see runInternal).
 void execute(const System& system, GlobalState& state, const EnabledInteraction& interaction,

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -35,10 +36,21 @@ class Worker {
     thread_ = std::jthread([this](std::stop_token st) { loop(st); });
   }
 
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
+  /// Stops the thread and joins it (after any in-flight command) — also
+  /// when the engine unwinds from an EvalError mid-run.
+  ~Worker() { stop(); }
+
   /// Snapshot of the worker's state; only called by the engine when no
-  /// command is in flight for this worker.
+  /// command is in flight for this worker. Rethrows the exception the
+  /// last command raised (an EvalError in an action or a tau divergence),
+  /// so it surfaces from MultiThreadEngine::run instead of escaping the
+  /// worker thread.
   AtomicState snapshot() {
     const std::scoped_lock lock(mutex_);
+    if (error_) std::rethrow_exception(error_);
     return state_;
   }
 
@@ -58,7 +70,12 @@ class Worker {
   }
 
   void stop() {
-    thread_.request_stop();
+    {
+      // Under the lock, so the worker cannot test its wait predicate
+      // between the request and the notify and miss both.
+      const std::scoped_lock lock(mutex_);
+      thread_.request_stop();
+    }
     cv_.notify_all();
   }
 
@@ -76,14 +93,25 @@ class Worker {
         busy_ = true;
         work = state_;
       }
-      // Execute outside the lock: this is the parallel section.
-      work.vars = std::move(cmd.varsAfterDown);
-      fire(*type_, work, cmd.transition);
-      runInternal(*type_, work);
-      spin();
+      // Execute outside the lock: this is the parallel section. An
+      // exception is parked for snapshot() to rethrow on the engine
+      // thread; the state keeps its pre-command value.
+      std::exception_ptr error;
+      try {
+        work.vars = std::move(cmd.varsAfterDown);
+        fire(*type_, work, cmd.transition);
+        runInternal(*type_, work);
+        spin();
+      } catch (...) {
+        error = std::current_exception();
+      }
       {
         const std::scoped_lock lock(mutex_);
-        state_ = std::move(work);
+        if (error) {
+          error_ = error;
+        } else {
+          state_ = std::move(work);
+        }
         busy_ = false;
       }
       cv_.notify_all();
@@ -102,6 +130,7 @@ class Worker {
   std::condition_variable cv_;
   std::optional<ExecuteCommand> command_;
   bool busy_ = false;
+  std::exception_ptr error_;
   std::jthread thread_;
 };
 
@@ -240,7 +269,8 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
       ++executed;
     }
 
-    // Barrier: wait for all dispatched workers, then refresh their states.
+    // Barrier: wait for all dispatched workers, then refresh their states
+    // (rethrowing the first failure in dispatch order).
     for (int inst : dispatched) workers[static_cast<std::size_t>(inst)]->wait();
     for (int inst : dispatched) {
       snapshot.components[static_cast<std::size_t>(inst)] =
@@ -250,7 +280,7 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
     if (cache) cache->update(snapshot, dispatched);
   }
 
-  for (auto& w : workers) w->stop();
+  workers.clear();  // stops and joins every worker thread
   result.steps = executed;
   result.finalState = std::move(snapshot);
   stats_.steps = executed;

@@ -27,33 +27,6 @@ std::atomic<bool>& compileFlag() {
   return flag;
 }
 
-std::atomic<bool>& fuseFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CBIP_NO_FUSE");
-    const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-    return !disabled;
-  }();
-  return flag;
-}
-
-std::atomic<bool>& analyzeFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CBIP_NO_ANALYZE");
-    const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-    return !disabled;
-  }();
-  return flag;
-}
-
-std::atomic<bool>& threadedFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CBIP_NO_THREADED");
-    const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-    return !disabled;
-  }();
-  return flag;
-}
-
 /// Stack slots evaluation needs for `e` (an upper bound once folding
 /// shrinks the program; postfix needs max(lhs, 1 + rhs) for binaries).
 int stackNeed(const Expr& e) {
@@ -658,7 +631,7 @@ Value ExprProgram::run(std::span<const Value> frame, std::int32_t base) const {
     stack = heapBuf.data();
   }
 #if CBIP_HAS_COMPUTED_GOTO
-  if (!threaded_.empty() && threadedDispatchEnabled()) return execThreaded(frame, base, stack);
+  if (!threaded_.empty()) return execThreaded(frame, base, stack);
 #endif
   return exec(frame, base, stack);
 }
@@ -673,7 +646,7 @@ Value ExprProgram::run(std::span<Value> frame, std::int32_t base) const {
     stack = heapBuf.data();
   }
 #if CBIP_HAS_COMPUTED_GOTO
-  if (!threaded_.empty() && threadedDispatchEnabled()) return execThreaded(frame, base, stack);
+  if (!threaded_.empty()) return execThreaded(frame, base, stack);
 #endif
   return exec(frame, base, stack);
 }
@@ -696,7 +669,6 @@ void ExprProgram::runBatch(std::span<const BatchOp> ops, std::span<const Value> 
     heapBuf.resize(static_cast<std::size_t>(need));
     stack = heapBuf.data();
   }
-  const bool accelerated = threadedDispatchEnabled();
   // Lane-contiguous stacks for the block executor, sized for the widest
   // batch form in the batch (lazily, most batches never need it).
   std::vector<Value> laneBuf;
@@ -705,7 +677,7 @@ void ExprProgram::runBatch(std::span<const BatchOp> ops, std::span<const Value> 
   while (i < n) {
     const ExprProgram& p = *ops[i].program;
     std::size_t j = i + 1;
-    if (accelerated && p.hasBatchForm()) {
+    if (p.hasBatchForm()) {
       while (j < n && ops[j].program == &p) ++j;
       if (j - i >= kMinBlockRun) {
         // Strip-mine the run in blocks of up to kBatchLanes bases. An
@@ -736,7 +708,7 @@ void ExprProgram::runBatch(std::span<const BatchOp> ops, std::span<const Value> 
     g_batchScalarOps.add(j - i);
     for (; i < j; ++i) {
 #if CBIP_HAS_COMPUTED_GOTO
-      if (accelerated && !ops[i].program->threaded_.empty()) {
+      if (!ops[i].program->threaded_.empty()) {
         out[i] = ops[i].program->execThreaded(frame, ops[i].base, stack);
         continue;
       }
@@ -875,12 +847,6 @@ Value ExprProgram::exec(std::span<const Value> frame, std::int32_t base, Value* 
         requireEval(!divOverflows(stack[sp - 1], stack[sp]), "integer overflow in modulo");
         stack[sp - 1] %= stack[sp];
         break;
-      // The unchecked twins exist only downstream of an analysis proof
-      // that the divisor excludes 0 and the INT64_MIN / -1 corner cannot
-      // occur (relaxDivCheck); the elided requireEval calls are the whole
-      // point of the relaxation.
-      case OpCode::kDivUnchecked: --sp; stack[sp - 1] /= stack[sp]; break;
-      case OpCode::kModUnchecked: --sp; stack[sp - 1] %= stack[sp]; break;
       case OpCode::kMin:
         --sp;
         if (stack[sp] < stack[sp - 1]) stack[sp - 1] = stack[sp];
@@ -947,7 +913,6 @@ Value ExprProgram::execThreaded(std::span<const Value> frame, std::int32_t base,
       &&L_Neg, &&L_Abs, &&L_Not,
       &&L_Jump, &&L_JumpIfZero, &&L_JumpIfNonZero,
       &&L_Store, &&L_Tee, &&L_LoadTmp,
-      &&L_DivUnchecked, &&L_ModUnchecked,
       &&L_AndB, &&L_OrB, &&L_Select,
       &&L_Halt};
   if (labelsOut != nullptr) {
@@ -1087,16 +1052,6 @@ L_LoadTmp:
   stack[sp++] = temps[ip->arg];
   ++ip;
   CBIP_NEXT();
-L_DivUnchecked:
-  --sp;
-  stack[sp - 1] /= stack[sp];
-  ++ip;
-  CBIP_NEXT();
-L_ModUnchecked:
-  --sp;
-  stack[sp - 1] %= stack[sp];
-  ++ip;
-  CBIP_NEXT();
 L_AndB:
   --sp;
   stack[sp - 1] = (stack[sp - 1] != 0 && stack[sp] != 0) ? 1 : 0;
@@ -1132,48 +1087,6 @@ void ExprProgram::finalize() {
   // to the program end), and sequential fall-off lands here too.
   threaded_.push_back(ThreadedInstr{labels[kOpCodeCount], 0, 0});
 #endif
-}
-
-bool ExprProgram::threadedInSync() const {
-#if CBIP_HAS_COMPUTED_GOTO
-  const void* const* labels = nullptr;
-  execThreaded({}, 0, nullptr, &labels);
-  if (threaded_.size() != code_.size() + 1) return false;
-  for (std::size_t i = 0; i < code_.size(); ++i) {
-    if (threaded_[i].label != labels[static_cast<int>(code_[i].op)] ||
-        threaded_[i].arg != code_[i].arg || threaded_[i].imm != code_[i].imm) {
-      return false;
-    }
-  }
-  return threaded_.back().label == labels[kOpCodeCount];
-#else
-  return true;
-#endif
-}
-
-ExprProgram ExprProgram::constant(Value v) {
-  ExprProgram p;
-  p.code_.push_back(Instr{OpCode::kPush, 0, v});
-  p.maxStack_ = 1;
-  p.finalize();
-  return p;
-}
-
-void ExprProgram::relaxDivCheck(std::size_t pc) {
-  require(pc < code_.size(), "relaxDivCheck: pc out of range");
-  Instr& in = code_[pc];
-  if (in.op == OpCode::kDiv) {
-    in.op = OpCode::kDivUnchecked;
-  } else if (in.op == OpCode::kMod) {
-    in.op = OpCode::kModUnchecked;
-  } else {
-    require(false, "relaxDivCheck: pc does not hold a checked division");
-  }
-  // Post-finalization mutation: the cached threaded form would otherwise
-  // keep dispatching to the checked handler. The batch form keeps its
-  // checked division on purpose — the relaxation proof says those checks
-  // never fire, so the block path stays bit-identical without a rebuild.
-  finalize();
 }
 
 ExprProgram compile(const Expr& e, const SlotMap& slots) {
@@ -1217,17 +1130,5 @@ ExprProgram compileFused(const Expr& guard, std::span<const Assign> actions,
 bool compilationEnabled() { return compileFlag().load(std::memory_order_relaxed); }
 
 void setCompilationEnabled(bool on) { compileFlag().store(on, std::memory_order_relaxed); }
-
-bool fusionEnabled() { return fuseFlag().load(std::memory_order_relaxed); }
-
-void setFusionEnabled(bool on) { fuseFlag().store(on, std::memory_order_relaxed); }
-
-bool analysisEnabled() { return analyzeFlag().load(std::memory_order_relaxed); }
-
-void setAnalysisEnabled(bool on) { analyzeFlag().store(on, std::memory_order_relaxed); }
-
-bool threadedDispatchEnabled() { return threadedFlag().load(std::memory_order_relaxed); }
-
-void setThreadedDispatchEnabled(bool on) { threadedFlag().store(on, std::memory_order_relaxed); }
 
 }  // namespace cbip::expr

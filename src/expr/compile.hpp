@@ -25,8 +25,9 @@
 //
 // The escape hatch: setting the CBIP_NO_COMPILE environment variable (or
 // calling setCompilationEnabled(false)) routes every execution-layer
-// evaluation back through the tree-walking interpreter. Traces must be
-// bit-identical either way; the differential tests rely on this switch.
+// evaluation back through the tree-walking interpreter, the one semantic
+// oracle. Traces must be bit-identical either way; the differential tests
+// rely on this switch.
 //
 // Fused guarded commands: a transition's guard and its action block are
 // one semantic unit, so compileFused() lowers them into a *single*
@@ -40,24 +41,22 @@
 // (value or EvalError) is a deterministic function of its operand values,
 // so a reuse whose defining occurrence succeeded cannot have raised.
 // Guard-then-fire call sites collapse to one dispatch of the fused
-// program; CBIP_NO_FUSE (or setFusionEnabled(false)) restores the
-// separate guard-program + per-action-program dispatches, bit-identically.
+// program.
 //
-// Execution cores: every program carries two interchangeable evaluation
-// cores — the portable switch interpreter (exec) and, on GCC/Clang, a
-// computed-goto direct-threaded core (execThreaded) built at finalization
-// by translating each opcode into the address of its handler label, so
-// per-instruction dispatch is one indirect goto instead of a bounds-checked
-// switch. Guards compile with truelist/falselist backpatching: a
+// Execution cores: on GCC/Clang every program runs on a computed-goto
+// direct-threaded core (execThreaded) built at finalization by
+// translating each opcode into the address of its handler label, so
+// per-instruction dispatch is one indirect goto instead of a
+// bounds-checked switch; the portable switch interpreter (exec) serves
+// toolchains without computed goto and the CBIP_FORCE_SWITCH_DISPATCH
+// build. Guards compile with truelist/falselist backpatching: a
 // short-circuit && / || chain emits conditional jumps wired directly to
 // their ultimate targets (the action suffix, the FAIL label, the 0/1
 // materialization) instead of materializing and re-testing a boolean at
 // every nesting level. runBatch additionally strip-mines runs of the same
 // guard program over many frame bases through a jump-free eager "batch
-// form" (see runBatch). CBIP_NO_THREADED (or
-// setThreadedDispatchEnabled(false)) routes everything back through the
-// switch core, op by op — traces, results and first-EvalError order are
-// bit-identical on every combination of cores.
+// form" (see runBatch). Results and traces are bit-identical on both
+// cores, with and without the block executor.
 #pragma once
 
 #include <cstdint>
@@ -103,13 +102,6 @@ enum class OpCode : std::uint8_t {
   kStore,    // pop v; frame[base + arg] := v (requires the mutable-frame run)
   kTee,      // temp[arg] := stack top (no pop) — parks a CSE value
   kLoadTmp,  // push temp[arg]
-  // Analysis-relaxed division (src/analyze): kDiv/kMod with the
-  // zero-divisor and INT64_MIN / -1 checks elided. Only ever produced by
-  // ExprProgram::relaxDivCheck after the abstract interpreter proved the
-  // site can never raise; executing one with a zero divisor is UB (which
-  // is exactly what the sanitizer CI legs would catch on an analyzer bug).
-  kDivUnchecked,
-  kModUnchecked,
   // Batch-form only (never in code_): eager boolean connectives and
   // select, the if-converted twins of the short-circuit jumps. They are
   // only emitted for operands the compiler proved side-effect- and
@@ -192,33 +184,10 @@ class ExprProgram {
   int maxStack() const { return maxStack_; }
   int tempCount() const { return tempCount_; }
 
-  /// The single-instruction program `Push v`. The analysis layer stamps a
-  /// guard proven constant out with one of these (never an *empty*
-  /// program: empty means trivially true to every dispatch site).
-  static ExprProgram constant(Value v);
-
-  /// Replaces the kDiv/kMod at `pc` with its unchecked twin (see the
-  /// OpCode comment). Caller contract: the abstract interpreter proved
-  /// the site can never raise — this is the only sanctioned mutation of a
-  /// built program, used by analyze::relaxSafeDivChecks. Rebuilds the
-  /// cached threaded form (the mutation would otherwise leave a stale
-  /// label dispatching the checked handler). Throws ModelError when `pc`
-  /// does not hold a checked division.
-  void relaxDivCheck(std::size_t pc);
-
-  /// True when the cached direct-threaded form mirrors code_ — same
-  /// length plus the halt sentinel, each instruction carrying the handler
-  /// label of its opcode. Trivially true on builds without computed goto.
-  /// Exists for the post-finalization-mutator regression tests; execution
-  /// never consults it (finalization keeps the form in sync by
-  /// construction).
-  bool threadedInSync() const;
-
   /// True when the program has a jump-free eager batch form that the
   /// strip-mined block executor can run over many frame bases at once
   /// (built by compile() when every conditionally-evaluated operand is
-  /// provably raise-free; fused and analysis-stamped programs never have
-  /// one).
+  /// provably raise-free; fused programs never have one).
   bool hasBatchForm() const { return !batch_.empty(); }
 
   /// Batch evaluation over one shared frame: `out[i] =
@@ -279,9 +248,9 @@ class ExprProgram {
                  std::span<Value> out) const;
 
   /// Builds the execution-ready forms from code_ (threaded translation;
-  /// called at the end of compilation and after every sanctioned
-  /// post-finalization mutation). Single-threaded like all program
-  /// construction — engines only run finalized programs.
+  /// called once, at the end of compilation). Single-threaded like all
+  /// program construction — engines only run finalized programs, which
+  /// are never mutated afterwards.
   void finalize();
 
   std::vector<Instr> code_;
@@ -320,31 +289,6 @@ ExprProgram compileLocal(const Expr& e);
 ExprProgram compileFused(const Expr& guard, std::span<const Assign> actions,
                          const SlotMap& slots);
 
-/// True when run()/runBatch() may use the accelerated VM cores — the
-/// direct-threaded dispatch loop and the block-parallel batch executor;
-/// defaults to true unless the CBIP_NO_THREADED environment variable is
-/// set to a non-empty value other than "0". When false (or on toolchains
-/// without computed goto, for the threaded half) every evaluation routes
-/// through the portable switch interpreter, op by op, bit-identically:
-/// this is the VM-dispatch escape hatch the differential tests toggle.
-bool threadedDispatchEnabled();
-
-/// Overrides the threaded-dispatch switch (differential tests and
-/// benchmarks toggle this to compare the threaded and switch cores in
-/// one process).
-void setThreadedDispatchEnabled(bool on);
-
-/// True when the execution layer should dispatch fused guard+action
-/// programs; defaults to true unless the CBIP_NO_FUSE environment
-/// variable is set to a non-empty value other than "0". Only consulted
-/// when compilation itself is enabled — the interpreter escape hatch has
-/// no fused form.
-bool fusionEnabled();
-
-/// Overrides the fusion switch (differential tests and benchmarks toggle
-/// this to compare the fused and unfused dispatch paths in one process).
-void setFusionEnabled(bool on);
-
 /// True when the execution layer should evaluate compiled programs;
 /// defaults to true unless the CBIP_NO_COMPILE environment variable is set
 /// to a non-empty value other than "0".
@@ -353,19 +297,5 @@ bool compilationEnabled();
 /// Overrides the compilation switch (differential tests and benchmarks
 /// toggle this to compare the two evaluation paths in one process).
 void setCompilationEnabled(bool on);
-
-/// True when the build layer should run the abstract interpreter over
-/// freshly compiled programs and apply analysis-guided pruning (guard
-/// constant-folding, division-check relaxation — see src/analyze);
-/// defaults to true unless the CBIP_NO_ANALYZE environment variable is
-/// set to a non-empty value other than "0". Consulted at *build* time
-/// (AtomicType::compileIfNeeded, CompiledConnector::build, the D-Finder
-/// guard-feasibility feed), not per dispatch: toggling it affects
-/// programs compiled afterwards.
-bool analysisEnabled();
-
-/// Overrides the analysis switch (differential tests and benchmarks
-/// toggle this to compare analyzed and unanalyzed builds in one process).
-void setAnalysisEnabled(bool on);
 
 }  // namespace cbip::expr

@@ -36,8 +36,8 @@ const obs::Counter g_rebalanceDecisions("engine.sharded.rebalance.decisions");
 const obs::Counter g_rebalanceMoved("engine.sharded.rebalance.moved");
 const obs::Counter g_stealEvents("engine.sharded.steal.events");
 
-/// CBIP_NO_REBALANCE escape hatch (same pattern as the expr/compile
-/// flags): adaptive scheduling defaults to on; the env var (any value but
+/// CBIP_NO_REBALANCE escape hatch (same pattern as CBIP_NO_COMPILE in
+/// expr/compile): adaptive scheduling defaults to on; the env var (any value but
 /// "0") or setRebalancingEnabled(false) restores the static-partition
 /// scheduler bit for bit.
 std::atomic<bool>& rebalanceFlag() {

@@ -137,7 +137,7 @@ struct ShardedOptions : EngineOptions {
 };
 
 /// Global escape hatch for the adaptive layer (rebalancing + stealing),
-/// same discipline as CBIP_NO_FUSE et al.: defaults to on unless the
+/// same discipline as CBIP_NO_COMPILE: defaults to on unless the
 /// CBIP_NO_REBALANCE environment variable is set (any value but "0");
 /// setRebalancingEnabled() overrides at runtime. With the hatch off the
 /// engine is bit-identical to the static-partition scheduler regardless

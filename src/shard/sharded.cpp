@@ -16,7 +16,7 @@ namespace {
 const obs::Counter g_tryFireCalls("shard.tryfire.calls");
 const obs::Counter g_tryFireHits("shard.tryfire.hits");
 const obs::Counter g_scanBatch("shard.scan.batch.calls");
-const obs::Counter g_scanScalar("shard.scan.scalar.calls");
+const obs::Counter g_scanInterp("shard.scan.interp.calls");
 
 /// Evaluation context for a component's local expressions against its
 /// variable block inside a shard frame (interpreted escape-hatch twin of
@@ -106,8 +106,8 @@ class ShardInteractionContext final : public expr::EvalContext {
 /// masks and materializes one EnabledInteraction per enabled mask. The
 /// connector guard is pure over the current state (its value is shared by
 /// every mask), so `guardHolds` is invoked lazily — at the first
-/// port-feasible mask, where the scalar path evaluates it — and at most
-/// once; a false guard rejects every mask.
+/// port-feasible mask, where the interpreter's scalar scan evaluates it —
+/// and at most once; a false guard rejects every mask.
 template <typename GuardHolds>
 void appendScannedMasks(const Connector& c, int ci, const std::vector<InteractionMask>& masks,
                         const CompiledConnector::ScanScratch& s,
@@ -236,11 +236,9 @@ void ShardedSystem::compileLocal(int ci) {
   };
   lp.guard = expr::ExprProgram();
   if (!c.guard().isTrue()) lp.guard = expr::compile(c.guard(), slots);
-  lp.ups.clear();
   for (const expr::Assign& up : c.ups()) {
     require(up.target.scope == expr::kConnectorScope,
             "connector '" + c.name() + "': up target is not a connector variable");
-    lp.ups.push_back(LocalProgram::UpOp{slots(up.target), expr::compile(up.value, slots)});
   }
   lp.upBlock = expr::ExprProgram();
   if (!c.ups().empty()) lp.upBlock = expr::compileFused(Expr::top(), c.ups(), slots);
@@ -483,18 +481,9 @@ void ShardedSystem::fireAt(ShardedState& state, int instance, int ti) const {
     if (ct.from != location) {
       throw ModelError(type.name() + ": firing transition from wrong location");
     }
-    if (expr::fusionEnabled()) {
-      // One dispatch for the whole action block, frame-base-relative on
-      // the live shard frame (stores land in place: sequential semantics).
-      if (!ct.actionBlock.empty()) ct.actionBlock.run(std::span<Value>(frame), base);
-    } else {
-      // Unfused escape hatch: each action sees earlier writes because the
-      // frame region *is* the live variable block.
-      for (const CompiledTransition::Action& a : ct.actions) {
-        frame[static_cast<std::size_t>(base + a.target)] =
-            a.value.run(std::span<const Value>(frame), base);
-      }
-    }
+    // One dispatch for the whole action block, frame-base-relative on the
+    // live shard frame (stores land in place: sequential semantics).
+    if (!ct.actionBlock.empty()) ct.actionBlock.run(std::span<Value>(frame), base);
     location = ct.to;
     return;
   }
@@ -511,7 +500,7 @@ bool ShardedSystem::tryFireAt(ShardedState& state, int instance, int ti) const {
   int& location = state.locations[static_cast<std::size_t>(instance)];
   std::vector<Value>& frame = state.frames[static_cast<std::size_t>(shardOf(instance))];
   const int base = frameBase_[static_cast<std::size_t>(instance)];
-  if (expr::compilationEnabled() && expr::fusionEnabled()) {
+  if (expr::compilationEnabled()) {
     const CompiledTransition& ct = type.compiledTransition(ti);
     if (ct.from != location) {
       throw ModelError(type.name() + ": firing transition from wrong location");
@@ -521,8 +510,8 @@ bool ShardedSystem::tryFireAt(ShardedState& state, int instance, int ti) const {
     g_tryFireHits.add();
     return true;
   }
-  // Unfused / interpreted twins: separate guard check, then fireAt, with
-  // the same location-check-first order as the fused dispatch.
+  // Interpreted twin: separate guard check, then fireAt, with the same
+  // location-check-first order as the fused dispatch.
   const Transition& t = type.transition(ti);
   if (t.from != location) {
     throw ModelError(type.name() + ": firing transition from wrong location");
@@ -555,10 +544,10 @@ void ShardedSystem::runInternalAt(ShardedState& state, int instance, int maxStep
 void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int ci,
                                                 std::vector<EnabledInteraction>& out) const {
   const Connector& c = system_->connector(static_cast<std::size_t>(ci));
-  if (expr::compilationEnabled() && batchScanEnabled()) {
+  if (expr::compilationEnabled()) {
     g_scanBatch.add();
-    // Batched scan twin of the compiled scalar path below: per-end enabled
-    // transitions into reusable scratch, then the mask set by bit
+    // Batched scan twin of the interpreter's scalar path below: per-end
+    // enabled transitions into reusable scratch, then the mask set by bit
     // operations over the masks cached at construction. Shard-local
     // connectors take the zero-gather form — their transition guards and
     // connector guard run frame-base-relative against the home shard's
@@ -566,7 +555,8 @@ void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int c
     // gathered frame); cross-shard connectors keep the classic gather for
     // the connector guard only. Evaluation order (end-ascending, then
     // transition order, then the lazily-evaluated shared guard) matches
-    // the scalar path, so the first EvalError of a doomed scan agrees.
+    // the interpreter's, so a doomed scan raises exactly when the
+    // interpreter's does.
     // Inside runBatch the ops dispatch through the threaded VM core, and
     // a run of >= kMinBlockRun consecutive ops sharing one guard program
     // (same type, same end order) additionally takes the block-parallel
@@ -632,7 +622,9 @@ void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int c
     }
     return;
   }
-  g_scanScalar.add();
+  // Interpreter (the semantic oracle), mirroring the reference
+  // appendConnectorInteractions expression for expression.
+  g_scanInterp.add();
   std::vector<std::vector<int>> endEnabled(c.endCount());
   for (std::size_t e = 0; e < c.endCount(); ++e) {
     enabledTransitionsAt(state, c.end(e).port.instance, c.end(e).port.port, endEnabled[e]);
@@ -642,33 +634,12 @@ void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int c
   std::optional<bool> guardOk;
   const auto guardHolds = [&]() {
     if (!guardOk.has_value()) {
-      if (expr::compilationEnabled()) {
-        requireEval(compiledBuilt_, "ShardedSystem: ensureCompiled() has not run");
-        const int xi = crossIndex_[static_cast<std::size_t>(ci)];
-        if (xi < 0) {
-          // Shard-local: the guard program addresses the shard frame
-          // directly — no gather at all.
-          const LocalProgram& lp = localPrograms_[static_cast<std::size_t>(ci)];
-          guardOk =
-              lp.guard.run(state.frames[static_cast<std::size_t>(lp.homeShard)]) != 0;
-        } else {
-          const CrossConnector& x = cross_[static_cast<std::size_t>(xi)];
-          static thread_local std::vector<Value> scratch;
-          static thread_local std::vector<std::span<const Value>> frames;
-          scratch.resize(x.compiled->frameSize());
-          frames.clear();
-          for (int s : x.shards) frames.push_back(state.frames[static_cast<std::size_t>(s)]);
-          x.compiled->gather(frames, scratch);
-          guardOk = x.compiled->evalGuard(scratch) != 0;
-        }
-      } else {
-        // Mirror the interpreter exactly, including its empty
-        // connector-variable vector during guard evaluation.
-        auto& mutableState = const_cast<ShardedState&>(state);
-        std::vector<Value> noVars;
-        ShardInteractionContext ctx(*this, c, mutableState, noVars);
-        guardOk = c.guard().eval(ctx) != 0;
-      }
+      // Including the interpreter's empty connector-variable vector
+      // during guard evaluation.
+      auto& mutableState = const_cast<ShardedState&>(state);
+      std::vector<Value> noVars;
+      ShardInteractionContext ctx(*this, c, mutableState, noVars);
+      guardOk = c.guard().eval(ctx) != 0;
     }
     return *guardOk;
   };
@@ -703,19 +674,13 @@ void ShardedSystem::connectorTransfer(ShardedState& state,
     const int xi = crossIndex_[static_cast<std::size_t>(ci)];
     if (xi < 0) {
       const LocalProgram& lp = localPrograms_[static_cast<std::size_t>(ci)];
-      if (lp.ups.empty() && lp.downs.empty()) return;
+      if (lp.upBlock.empty() && lp.downs.empty()) return;
       std::vector<Value>& frame = state.frames[static_cast<std::size_t>(lp.homeShard)];
       // Fresh-zero connector variables (interpreter semantics), then run
-      // ups and participating downs in place on the live frame. With
-      // fusion enabled the whole up block is one program dispatch.
+      // the up block (one program dispatch) and participating downs in
+      // place on the live frame.
       std::fill(frame.begin() + lp.varBase, frame.begin() + lp.varBase + lp.varCount, 0);
-      if (expr::fusionEnabled()) {
-        if (!lp.upBlock.empty()) lp.upBlock.run(std::span<Value>(frame), 0);
-      } else {
-        for (const LocalProgram::UpOp& u : lp.ups) {
-          frame[static_cast<std::size_t>(u.slot)] = u.value.run(frame);
-        }
-      }
+      if (!lp.upBlock.empty()) lp.upBlock.run(std::span<Value>(frame), 0);
       for (const LocalProgram::DownOp& d : lp.downs) {
         if ((interaction.mask & (InteractionMask{1} << static_cast<unsigned>(d.end))) == 0) {
           continue;

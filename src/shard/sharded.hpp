@@ -72,16 +72,11 @@ class ShardedSystem {
   struct LocalProgram {
     int connector = -1;
     expr::ExprProgram guard;  // empty when trivially true
-    struct UpOp {
-      int slot = 0;
-      expr::ExprProgram value;
-    };
     struct DownOp {
       int end = 0;  // participation bit
       int slot = 0;
       expr::ExprProgram value;
     };
-    std::vector<UpOp> ups;
     expr::ExprProgram upBlock;  // all ups fused into one program (empty when no ups)
     std::vector<DownOp> downs;
     int homeShard = 0;
@@ -145,8 +140,8 @@ class ShardedSystem {
                             std::vector<int>& out) const;
   void fireAt(ShardedState& state, int instance, int ti) const;
   /// Guard-then-fire as one operation on the shard frame (the twin of the
-  /// global tryFire): with fusion enabled, a single frame-base-relative
-  /// dispatch of the transition's fused guard+action program.
+  /// global tryFire): a single frame-base-relative dispatch of the
+  /// transition's fused guard+action program.
   bool tryFireAt(ShardedState& state, int instance, int ti) const;
   void runInternalAt(ShardedState& state, int instance, int maxSteps = 10'000) const;
 

@@ -678,7 +678,7 @@ std::vector<ComponentInvariant> componentInvariants(const System& system,
   }
   // The abstract-interpretation feed runs before the interaction net is
   // built so provably-dead guards vanish from both DIS and the net.
-  if (expr::analysisEnabled()) g_guardsPruned.add(strengthenWithAnalysis(system, invariants));
+  g_guardsPruned.add(strengthenWithAnalysis(system, invariants));
   return invariants;
 }
 
@@ -690,7 +690,7 @@ DFinderResult checkDeadlockFreedom(const System& system, const DFinderOptions& o
     for (std::size_t i = 0; i < system.instanceCount(); ++i) {
       invs.push_back(componentInvariant(*system.instance(i).type, options.component));
     }
-    if (expr::analysisEnabled()) g_guardsPruned.add(strengthenWithAnalysis(system, invs));
+    g_guardsPruned.add(strengthenWithAnalysis(system, invs));
     return legacyCheckWith(system, std::move(invs), {});
   }
   return fastCheck(system, componentInvariants(system, options), {}, options, nullptr);

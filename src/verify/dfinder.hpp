@@ -98,17 +98,16 @@ struct DFinderResult {
 /// While compilation is enabled the facts come from analyzeProgram over
 /// the type's compiled guard bytecode; otherwise from analyzeExpr over
 /// the symbolic tree. Returns the number of guards newly proven
-/// infeasible. checkDeadlockFreedom applies this automatically while
-/// expr::analysisEnabled(); callers of checkDeadlockFreedomWith that
-/// build their own invariants may call it directly.
+/// infeasible. checkDeadlockFreedom applies this automatically; callers of
+/// checkDeadlockFreedomWith that build their own invariants may call it
+/// directly.
 std::size_t strengthenWithAnalysis(const System& system,
                                    std::vector<ComponentInvariant>& componentInvariants);
 
 /// Component invariants for every instance of `system`, computed once per
 /// distinct AtomicType (instances share types, and the invariant is a
 /// property of the type alone) — across the parallel portfolio when the
-/// hatch is on — then strengthened with the abstract-interpretation feed
-/// while expr::analysisEnabled().
+/// hatch is on — then strengthened with the abstract-interpretation feed.
 std::vector<ComponentInvariant> componentInvariants(const System& system,
                                                     const DFinderOptions& options = {});
 

@@ -36,7 +36,7 @@ namespace cbip::verify {
 /// Runs both verification-fed lints over `system` (which must be
 /// validated). Computes component invariants via
 /// verify::componentInvariants — once per distinct type, strengthened by
-/// the abstract-interpretation feed while expr::analysisEnabled().
+/// the abstract-interpretation feed.
 std::vector<analyze::Diagnostic> lintVerify(const System& system,
                                             const DFinderOptions& options = {});
 

@@ -10,7 +10,7 @@
 // discipline as the sharded engine's epoch workers: no shared mutable
 // state between tasks, a full barrier before anything is read).
 //
-// The escape hatch, mirroring the execution-layer ones: setting the
+// The escape hatch, mirroring CBIP_NO_COMPILE: setting the
 // CBIP_NO_PARALLEL_VERIFY environment variable (or calling
 // setParallelVerifyEnabled(false)) runs every batch inline, in index
 // order, on the calling thread. Verdicts, witnesses and traps must be

@@ -1,8 +1,8 @@
 // Tests for the abstract-interpretation layer (src/analyze): the
 // interval domain and its transfer functions, the Expr- and
-// bytecode-level analyzers, analysis-guided program pruning (guard
-// folding + division-check relaxation) with bit-identical engine traces
-// analysis-on vs analysis-off, the model linter, and the D-Finder
+// bytecode-level analyzers, engine traces on the program shapes the
+// analyzer reasons about (dead and always-true guards, literal divisors)
+// against the interpreter oracle, the model linter, and the D-Finder
 // component-invariant feed.
 #include <gtest/gtest.h>
 
@@ -49,14 +49,14 @@ constexpr Value kMax = std::numeric_limits<Value>::max();
 
 Expr v(int i) { return Expr::local(i); }
 
-/// Restores the global analysis switch on scope exit (the analyze twin
-/// of test_expr_compile's CompileSwitch).
-class AnalysisSwitch {
+/// Restores the global compilation switch on scope exit (as in
+/// test_expr_compile).
+class CompileSwitch {
  public:
-  explicit AnalysisSwitch(bool on) : saved_(expr::analysisEnabled()) {
-    expr::setAnalysisEnabled(on);
+  explicit CompileSwitch(bool on) : saved_(expr::compilationEnabled()) {
+    expr::setCompilationEnabled(on);
   }
-  ~AnalysisSwitch() { expr::setAnalysisEnabled(saved_); }
+  ~CompileSwitch() { expr::setCompilationEnabled(saved_); }
 
  private:
   bool saved_;
@@ -236,52 +236,32 @@ TEST(AnalyzeExpr, MustRaisePropagates) {
   EXPECT_TRUE(g.mustRaise);
 }
 
-// ---- bytecode-level analysis and relaxation ------------------------------
+// ---- bytecode-level analysis ---------------------------------------------
 
-TEST(AnalyzeProgram, LiteralDivisorSitesRelax) {
+TEST(AnalyzeProgram, LiteralDivisorsNeverRaise) {
+  // Literal divisors outside {0, -1} cannot raise, even at the INT64_MIN
+  // edges: the analyzer proves the whole program raise-free under the
+  // all-top environment, and concrete runs agree.
   const Expr e = v(0) / Expr::lit(7) + v(1) % Expr::lit(3);
-  ExprProgram p = expr::compileLocal(e);
+  const ExprProgram p = expr::compileLocal(e);
   const std::vector<Interval> top(2, Interval::top());
   const ProgramFacts facts = analyze::analyzeProgram(p, top);
-  ASSERT_EQ(facts.divSites.size(), 2u);
-  EXPECT_FALSE(facts.divSites[0].mayRaise);
-  EXPECT_FALSE(facts.divSites[1].mayRaise);
   EXPECT_FALSE(facts.mayRaise);
-
-  EXPECT_EQ(analyze::relaxSafeDivChecks(p, top), 2u);
-  bool hasUncheckedDiv = false;
-  bool hasUncheckedMod = false;
-  bool hasChecked = false;
-  for (const expr::Instr& in : p.code()) {
-    hasUncheckedDiv = hasUncheckedDiv || in.op == expr::OpCode::kDivUnchecked;
-    hasUncheckedMod = hasUncheckedMod || in.op == expr::OpCode::kModUnchecked;
-    hasChecked = hasChecked || in.op == expr::OpCode::kDiv || in.op == expr::OpCode::kMod;
-  }
-  EXPECT_TRUE(hasUncheckedDiv);
-  EXPECT_TRUE(hasUncheckedMod);
-  EXPECT_FALSE(hasChecked);
-  // Relaxation is idempotent: the unchecked sites are no longer sites.
-  EXPECT_EQ(analyze::relaxSafeDivChecks(p, top), 0u);
-
-  // The relaxed program agrees with the original value for value,
-  // including the INT64_MIN edges (kMin / 7 and kMin % 3 are safe).
-  const ExprProgram original = expr::compileLocal(e);
+  EXPECT_FALSE(facts.mustRaise);
   Rng rng(99);
   for (int k = 0; k < 200; ++k) {
     std::vector<Value> frame{rng.chance(1, 8) ? kMin : rng.range(-100, 100),
                              rng.chance(1, 8) ? kMax : rng.range(-100, 100)};
-    EXPECT_EQ(p.run(frame), original.run(frame));
+    EXPECT_EQ(p.run(frame), e.eval(frame));
   }
 }
 
 TEST(AnalyzeProgram, UnknownDivisorStaysChecked) {
-  ExprProgram p = expr::compileLocal(v(0) / v(1));
+  const ExprProgram p = expr::compileLocal(v(0) / v(1));
   const std::vector<Interval> top(2, Interval::top());
   const ProgramFacts facts = analyze::analyzeProgram(p, top);
   EXPECT_TRUE(facts.mayRaise);
-  ASSERT_EQ(facts.divSites.size(), 1u);
-  EXPECT_TRUE(facts.divSites[0].mayRaise);
-  EXPECT_EQ(analyze::relaxSafeDivChecks(p, top), 0u);
+  EXPECT_FALSE(facts.mustRaise);
   std::vector<Value> frame{1, 0};
   EXPECT_THROW(p.run(frame), EvalError);
 }
@@ -296,7 +276,7 @@ TEST(AnalyzeProgram, MustRaiseWhenDivisorPinnedToZero) {
 }
 
 TEST(AnalyzeProgram, ConstantProgramAndSlotFlow) {
-  const ExprProgram zero = ExprProgram::constant(0);
+  const ExprProgram zero = expr::compileLocal(Expr::lit(0));
   std::vector<Value> frame{42};
   EXPECT_EQ(zero.run(frame), 0);
   const std::vector<Interval> top(1, Interval::top());
@@ -330,56 +310,14 @@ TEST(AnalyzeProgram, GuardIntervalProvesDeadAndAlwaysTrue) {
   EXPECT_EQ(alive.value, Interval::singleton(1));
 }
 
-TEST(OptimizeTransition, FoldsGuardsAndRelaxesChecks) {
-  // Dead guard: guard and fused both become the constant-0 program.
-  {
-    CompiledTransition ct;
-    const Expr guard = v(0) % Expr::lit(4) > Expr::lit(10);
-    const std::vector<Assign> actions{Assign{VarRef{0, 0}, Expr::lit(9)}};
-    ct.guard = expr::compile(guard, localSlot);
-    ct.actionBlock = expr::compileFused(Expr::top(), actions, localSlot);
-    ct.fused = expr::compileFused(guard, actions, localSlot);
-    ct.actions.push_back({0, expr::compile(Expr::lit(9), localSlot)});
-    analyze::optimizeTransition(ct, 1);
-    std::vector<Value> frame{5};
-    EXPECT_FALSE(ct.guard.empty());
-    EXPECT_EQ(ct.guard.run(frame), 0);
-    EXPECT_EQ(ct.fused.run(std::span<Value>(frame), 0), 0);
-    EXPECT_EQ(frame[0], 5);  // the dead action suffix is gone
-  }
-  // Always-true guard: guard empties (trivially-true convention), fused
-  // drops the guard prefix but still runs the actions.
-  {
-    CompiledTransition ct;
-    const Expr guard = v(0) % Expr::lit(4) < Expr::lit(10);
-    const std::vector<Assign> actions{Assign{VarRef{0, 0}, v(0) + Expr::lit(1)}};
-    ct.guard = expr::compile(guard, localSlot);
-    ct.actionBlock = expr::compileFused(Expr::top(), actions, localSlot);
-    ct.fused = expr::compileFused(guard, actions, localSlot);
-    ct.actions.push_back({0, expr::compile(v(0) + Expr::lit(1), localSlot)});
-    analyze::optimizeTransition(ct, 1);
-    EXPECT_TRUE(ct.guard.empty());
-    std::vector<Value> frame{5};
-    EXPECT_NE(ct.fused.run(std::span<Value>(frame), 0), 0);
-    EXPECT_EQ(frame[0], 6);
-  }
-  // May-raise guards are untouchable even when their value is pinned:
-  // the raise must still happen at run time.
-  {
-    CompiledTransition ct;
-    ct.guard = expr::compile((v(0) / v(1)) * Expr::lit(0), localSlot);
-    ct.fused = ct.guard;
-    analyze::optimizeTransition(ct, 2);
-    std::vector<Value> frame{1, 0};
-    EXPECT_THROW(ct.guard.run(frame), EvalError);
-  }
-}
+// ---- engine-level identity on analyzable programs -------------------------
 
-// ---- engine-level identity (analysis on vs off) --------------------------
-
-/// Division-heavy system exercising every pruning rule: a dead guard, an
-/// always-true non-trivial guard, relaxable literal-divisor sites in
-/// guards, actions and connector transfer programs.
+/// Division-heavy system with every shape the analyzer proves facts about:
+/// a dead guard, an always-true non-trivial guard, provably safe
+/// literal-divisor sites in guards, actions and connector transfer
+/// programs. Execution never consumes those facts; the cross-checks pin
+/// the compiled programs to the interpreter oracle on exactly these
+/// shapes.
 System divHeavy() {
   auto t = std::make_shared<AtomicType>("D");
   const int idle = t->addLocation("idle");
@@ -432,8 +370,8 @@ void expectIdenticalRuns(const RunResult& on, const RunResult& off, const std::s
   }
 }
 
-/// Builds the m-th cross-check model fresh (compiled programs are cached
-/// per type, so each analysis setting needs freshly built types).
+/// Builds the m-th cross-check model fresh (each evaluation path gets its
+/// own types and compiled-program caches).
 System crossCheckModel(std::size_t m) {
   switch (m) {
     case 0: return models::philosophersAtomic(6);
@@ -448,14 +386,14 @@ TEST(AnalysisCrossCheck, SequentialTracesBitIdentical) {
   for (std::size_t m = 0; m < 4; ++m) {
     for (std::uint64_t seed : {3ULL, 17ULL, 99ULL}) {
       RunResult runs[2];
-      for (int analysisOn = 0; analysisOn < 2; ++analysisOn) {
-        AnalysisSwitch sw(analysisOn == 1);
+      for (int compiledOn = 0; compiledOn < 2; ++compiledOn) {
+        CompileSwitch sw(compiledOn == 1);
         const System sys = crossCheckModel(m);
         RandomPolicy policy(seed);
         SequentialEngine engine(sys, policy);
         RunOptions opt;
         opt.maxSteps = 300;
-        runs[analysisOn] = engine.run(opt);
+        runs[compiledOn] = engine.run(opt);
       }
       expectIdenticalRuns(runs[1], runs[0],
                           std::string(names[m]) + " seed " + std::to_string(seed));
@@ -467,14 +405,14 @@ TEST(AnalysisCrossCheck, MultiThreadTracesBitIdentical) {
   const char* names[] = {"phil", "prodcons", "ring", "divHeavy"};
   for (std::size_t m = 0; m < 4; ++m) {
     RunResult runs[2];
-    for (int analysisOn = 0; analysisOn < 2; ++analysisOn) {
-      AnalysisSwitch sw(analysisOn == 1);
+    for (int compiledOn = 0; compiledOn < 2; ++compiledOn) {
+      CompileSwitch sw(compiledOn == 1);
       const System sys = crossCheckModel(m);
       RandomPolicy policy(7);
       MultiThreadEngine engine(sys, policy);
       MtOptions opt;
       opt.maxSteps = 200;
-      runs[analysisOn] = engine.run(opt);
+      runs[compiledOn] = engine.run(opt);
     }
     expectIdenticalRuns(runs[1], runs[0], names[m]);
   }
@@ -485,23 +423,22 @@ TEST(AnalysisCrossCheck, ShardedTracesBitIdentical) {
   // SequentialEngine) while still exercising its compiled scan path.
   for (std::size_t m = 0; m < 4; ++m) {
     RunResult runs[2];
-    for (int analysisOn = 0; analysisOn < 2; ++analysisOn) {
-      AnalysisSwitch sw(analysisOn == 1);
+    for (int compiledOn = 0; compiledOn < 2; ++compiledOn) {
+      CompileSwitch sw(compiledOn == 1);
       const System sys = crossCheckModel(m);
       shard::ShardedEngine engine(sys, 1);
       shard::ShardedOptions opt;
       opt.maxSteps = 200;
       opt.seed = 11;
-      runs[analysisOn] = engine.run(opt);
+      runs[compiledOn] = engine.run(opt);
     }
     expectIdenticalRuns(runs[1], runs[0], "model " + std::to_string(m));
   }
 }
 
 TEST(AnalysisCrossCheck, FirstEvalErrorIdentical) {
-  // A guard mixing a relaxable site (x / 2) with an unprovable one
-  // (7 % y): relaxation must not change which EvalError fires, or that
-  // it fires at all.
+  // A guard mixing a provably safe site (x / 2) with an unprovable one
+  // (7 % y): the compiled guard must raise the interpreter's EvalError.
   auto makeType = [] {
     auto t = std::make_shared<AtomicType>("E");
     const int l = t->addLocation("l");
@@ -518,15 +455,15 @@ TEST(AnalysisCrossCheck, FirstEvalErrorIdentical) {
     return t;
   };
   std::string messages[2];
-  for (int analysisOn = 0; analysisOn < 2; ++analysisOn) {
-    AnalysisSwitch sw(analysisOn == 1);
+  for (int compiledOn = 0; compiledOn < 2; ++compiledOn) {
+    CompileSwitch sw(compiledOn == 1);
     auto t = makeType();
     AtomicState s = initialState(*t);
     try {
       tryFire(*t, s, 0);
-      FAIL() << "expected EvalError (analysis " << analysisOn << ")";
+      FAIL() << "expected EvalError (compiled " << compiledOn << ")";
     } catch (const EvalError& e) {
-      messages[analysisOn] = e.what();
+      messages[compiledOn] = e.what();
     }
   }
   EXPECT_EQ(messages[0], messages[1]);
@@ -685,33 +622,21 @@ TEST(DFinderFeed, ClearsProvablyDeadGuards) {
 }
 
 TEST(DFinderFeed, VerdictUnchangedByAnalysis) {
-  verify::DFinderVerdict verdicts[2][2];
-  for (int analysisOn = 0; analysisOn < 2; ++analysisOn) {
-    AnalysisSwitch sw(analysisOn == 1);
-    const System free = models::philosophersAtomic(4);
-    const System deadlocky = models::philosophersTwoStep(3);
-    verdicts[analysisOn][0] = verify::checkDeadlockFreedom(free).verdict;
-    verdicts[analysisOn][1] = verify::checkDeadlockFreedom(deadlocky).verdict;
-  }
-  EXPECT_EQ(verdicts[0][0], verify::DFinderVerdict::kDeadlockFree);
-  EXPECT_EQ(verdicts[1][0], verify::DFinderVerdict::kDeadlockFree);
-  EXPECT_EQ(verdicts[0][1], verdicts[1][1]);
-}
-
-// ---- escape hatch --------------------------------------------------------
-
-TEST(AnalysisSwitchTest, TogglesAndRestores) {
-  const bool initial = expr::analysisEnabled();
-  {
-    AnalysisSwitch off(false);
-    EXPECT_FALSE(expr::analysisEnabled());
-    {
-      AnalysisSwitch on(true);
-      EXPECT_TRUE(expr::analysisEnabled());
+  // checkDeadlockFreedom always strengthens its invariants with the
+  // abstract-interpretation feed; the verdict must equal the one from the
+  // bare component invariants.
+  const System free = models::philosophersAtomic(4);
+  const System deadlocky = models::philosophersTwoStep(3);
+  for (const System* sys : {&free, &deadlocky}) {
+    std::vector<verify::ComponentInvariant> bare;
+    for (std::size_t i = 0; i < sys->instanceCount(); ++i) {
+      bare.push_back(verify::componentInvariant(*sys->instance(i).type));
     }
-    EXPECT_FALSE(expr::analysisEnabled());
+    const verify::DFinderVerdict unstrengthened =
+        verify::checkDeadlockFreedomWith(*sys, std::move(bare), {}).verdict;
+    EXPECT_EQ(verify::checkDeadlockFreedom(*sys).verdict, unstrengthened);
   }
-  EXPECT_EQ(expr::analysisEnabled(), initial);
+  EXPECT_EQ(verify::checkDeadlockFreedom(free).verdict, verify::DFinderVerdict::kDeadlockFree);
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
-// Tests for the sequential and multi-threaded engines.
+// Tests for the sequential and multi-threaded engines, plus error
+// propagation out of every engine's run() (sequential, sharded, MT).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <string>
 
 #include "engine/engine.hpp"
 #include "engine/engine_mt.hpp"
+#include "expr/compile.hpp"
 #include "models/models.hpp"
+#include "shard/engine_sharded.hpp"
+#include "util/require.hpp"
 
 namespace cbip {
 namespace {
@@ -233,6 +239,92 @@ TEST(MultiThreadEngine, DataTransferMatchesSequential) {
   const RunResult rs = seq.run(so);
   EXPECT_EQ(rm.trace.labels(), rs.trace.labels());
   EXPECT_EQ(rm.finalState, rs.finalState);
+}
+
+// ---- errors surface from run() -------------------------------------------
+
+/// Two rendezvous pairs whose shared action divides by a countdown: every
+/// firing computes x := x + 100 / d, then d := d - 1, so the fourth
+/// firing of a component divides by zero — inside a worker thread on the
+/// MT and sharded engines.
+System countdownPairs() {
+  using expr::Assign;
+  using expr::Expr;
+  using expr::VarRef;
+  auto t = std::make_shared<AtomicType>("Countdown");
+  const int l = t->addLocation("l");
+  const int x = t->addVariable("x", 0);
+  const int d = t->addVariable("d", 3);
+  const int p = t->addPort("p");
+  t->addTransition(l, p, Expr::top(),
+                   {Assign{VarRef{0, x}, Expr::local(x) + Expr::lit(100) / Expr::local(d)},
+                    Assign{VarRef{0, d}, Expr::local(d) - Expr::lit(1)}},
+                   l);
+  t->setInitialLocation(l);
+  System sys;
+  for (int k = 0; k < 2; ++k) {
+    const int a = sys.addInstance("a" + std::to_string(k), t);
+    const int b = sys.addInstance("b" + std::to_string(k), t);
+    Connector c("sync" + std::to_string(k));
+    c.addSynchron(PortRef{a, p});
+    c.addSynchron(PortRef{b, p});
+    sys.addConnector(std::move(c));
+  }
+  sys.validate();
+  return sys;
+}
+
+/// Runs `run` on the compiled path and on the interpreter oracle; both
+/// must raise EvalError("division by zero") out of run().
+void expectDivisionByZeroFromRun(const std::function<void()>& run) {
+  for (const bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+    const bool saved = expr::compilationEnabled();
+    expr::setCompilationEnabled(compiled);
+    try {
+      run();
+      ADD_FAILURE() << "expected EvalError from run()";
+    } catch (const EvalError& e) {
+      EXPECT_STREQ(e.what(), "division by zero");
+    }
+    expr::setCompilationEnabled(saved);
+  }
+}
+
+TEST(SequentialEngine, ActionEvalErrorSurfacesFromRun) {
+  const System sys = countdownPairs();
+  expectDivisionByZeroFromRun([&] {
+    RandomPolicy policy(5);
+    SequentialEngine engine(sys, policy);
+    RunOptions opt;
+    opt.maxSteps = 100;
+    engine.run(opt);
+  });
+}
+
+TEST(ShardedEngine, ActionEvalErrorSurfacesFromRun) {
+  const System sys = countdownPairs();
+  expectDivisionByZeroFromRun([&] {
+    shard::ShardedEngine engine(sys, 2);
+    shard::ShardedOptions opt;
+    opt.maxSteps = 100;
+    opt.seed = 5;
+    engine.run(opt);
+  });
+}
+
+TEST(MultiThreadEngine, ActionEvalErrorSurfacesFromRun) {
+  // The failing action runs on a component worker thread: the error must
+  // be carried back to the engine thread and rethrown from run(), and
+  // every worker must still shut down cleanly.
+  const System sys = countdownPairs();
+  expectDivisionByZeroFromRun([&] {
+    RandomPolicy policy(5);
+    MultiThreadEngine engine(sys, policy);
+    MtOptions opt;
+    opt.maxSteps = 100;
+    engine.run(opt);
+  });
 }
 
 }  // namespace

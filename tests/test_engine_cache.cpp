@@ -53,43 +53,36 @@ TEST(EnabledInteractionCache, AgreesOnPhilosophersAtomic) {
 }
 
 TEST(EnabledInteractionCache, AgreesOnEveryScanPath) {
-  // The incremental maintenance must stay exact on all three evaluation
-  // paths: batched scan (default), compiled scalar (CBIP_NO_BATCH_SCAN)
-  // and the tree-walking interpreter (CBIP_NO_COMPILE).
-  struct Path {
-    bool compiled;
-    bool batch;
-    const char* name;
-  };
-  for (const Path& path : {Path{true, true, "batched"}, Path{true, false, "scalar"},
-                           Path{false, false, "interpreted"}}) {
-    SCOPED_TRACE(path.name);
-    const bool savedCompile = expr::compilationEnabled();
-    const bool savedBatch = batchScanEnabled();
-    expr::setCompilationEnabled(path.compiled);
-    setBatchScanEnabled(path.batch);
+  // The incremental maintenance must stay exact on both scan paths: the
+  // batched compiled scan (default) and the tree-walking interpreter's
+  // scalar scan (CBIP_NO_COMPILE).
+  for (const bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "batched" : "interpreted");
+    const bool saved = expr::compilationEnabled();
+    expr::setCompilationEnabled(compiled);
     crossCheck(models::philosophersAtomic(5), 11, 200);
     crossCheck(models::gasStation(2, 3), 5, 200);
-    expr::setCompilationEnabled(savedCompile);
-    setBatchScanEnabled(savedBatch);
+    expr::setCompilationEnabled(saved);
   }
 }
 
 TEST(SequentialEngine, BatchScanOnAndOffProduceIdenticalRuns) {
+  // Batch scan on = the compiled engine; off = the interpreter oracle and
+  // its scalar scan.
   for (const char* model : {"phil", "ring", "gas"}) {
     const System sys = std::string(model) == "phil"   ? models::philosophersAtomic(6)
                        : std::string(model) == "ring" ? models::tokenRing(8)
                                                       : models::gasStation(2, 4);
     RunResult runs[2];
     for (int batch = 0; batch < 2; ++batch) {
-      const bool saved = batchScanEnabled();
-      setBatchScanEnabled(batch == 1);
+      const bool saved = expr::compilationEnabled();
+      expr::setCompilationEnabled(batch == 1);
       RandomPolicy policy(99);
       SequentialEngine engine(sys, policy);
       RunOptions opt;
       opt.maxSteps = 400;
       runs[batch] = engine.run(opt);
-      setBatchScanEnabled(saved);
+      expr::setCompilationEnabled(saved);
     }
     EXPECT_EQ(runs[0].reason, runs[1].reason) << model;
     EXPECT_EQ(runs[0].steps, runs[1].steps) << model;

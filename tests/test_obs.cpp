@@ -253,34 +253,23 @@ void expectSameOutcome(const Outcome& a, const Outcome& b) {
 }
 
 TEST(ObsDifferential, TracesBitIdenticalWithObsOnAndOff) {
-  // Every engine, crossed with the execution-layer escape hatches:
-  // toggling telemetry must never change a single scheduling decision.
+  // Every engine, crossed with the execution-layer escape hatch (the
+  // interpreter oracle): toggling telemetry must never change a single
+  // scheduling decision.
   const System systems[] = {models::philosophersAtomic(6), models::tokenRing(6)};
-  struct Hatch {
-    const char* name;
-    void (*set)(bool);
-    bool (*get)();
-  };
-  const Hatch hatches[] = {
-      {"compile", expr::setCompilationEnabled, expr::compilationEnabled},
-      {"fuse", expr::setFusionEnabled, expr::fusionEnabled},
-      {"threaded", expr::setThreadedDispatchEnabled, expr::threadedDispatchEnabled},
-      {"batch-scan", setBatchScanEnabled, batchScanEnabled},
-  };
   Outcome (*const engines[])(const System&, std::uint64_t) = {runSeq, runMt, runSharded};
   for (const System& sys : systems) {
     for (const auto& runEngine : engines) {
-      // Baseline hatch config plus each hatch individually disabled.
-      for (int disable = -1; disable < static_cast<int>(std::size(hatches)); ++disable) {
-        const bool saved = disable >= 0 ? hatches[disable].get() : false;
-        if (disable >= 0) hatches[disable].set(false);
+      for (const bool compiled : {true, false}) {
+        SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+        const bool saved = expr::compilationEnabled();
+        expr::setCompilationEnabled(compiled);
         obs::setEnabled(true);
         const Outcome on = runEngine(sys, 42);
         obs::setEnabled(false);
         const Outcome off = runEngine(sys, 42);
         obs::setEnabled(true);
-        if (disable >= 0) hatches[disable].set(saved);
-        SCOPED_TRACE(disable >= 0 ? hatches[disable].name : "all-on");
+        expr::setCompilationEnabled(saved);
         expectSameOutcome(on, off);
       }
     }

@@ -274,21 +274,22 @@ TEST(ShardedEngine, CompiledAndInterpretedTracesIdentical) {
 
 TEST(ShardedEngine, FusedAndUnfusedTracesIdentical) {
   // The fused guard+action dispatch (tryFireAt / fireAt action blocks /
-  // fused local up blocks) must leave every schedule bit-identical to the
-  // unfused per-program dispatch, and each trace must stay replayable
-  // through the reference engine. transferRing exercises the fused up
-  // block; producerConsumer the transition action blocks.
+  // fused local and cross-shard up blocks) must leave every schedule
+  // bit-identical to the interpreter's guard-then-actions ("unfused")
+  // evaluation, and each trace must stay replayable through the reference
+  // engine. transferRing exercises the fused up blocks; producerConsumer
+  // the transition action blocks.
   const System models[] = {transferRing(9), models::producerConsumer(3)};
   for (const System& sys : models) {
     const auto runWith = [&](bool fused) {
-      const bool saved = expr::fusionEnabled();
-      expr::setFusionEnabled(fused);
+      const bool saved = expr::compilationEnabled();
+      expr::setCompilationEnabled(fused);
       ShardedEngine engine(sys, 3);
       ShardedOptions opt;
       opt.maxSteps = 200;
       opt.seed = 5;
       const RunResult r = engine.run(opt);
-      expr::setFusionEnabled(saved);
+      expr::setCompilationEnabled(saved);
       return r;
     };
     const RunResult on = runWith(true);
@@ -303,46 +304,47 @@ TEST(ShardedEngine, FusedAndUnfusedTracesIdentical) {
 TEST(ShardedEngine, BatchedAndScalarScanTracesIdentical) {
   // The batched enabled-set scan (zero-gather over shard-local frames,
   // classic gather for cross-shard guards) must leave every schedule
-  // bit-identical to the scalar scan, and each trace must stay replayable
-  // through the reference engine.
+  // bit-identical to the interpreter's scalar scan, and each trace must
+  // stay replayable through the reference engine.
   const System models[] = {models::philosophersAtomic(12), models::producerConsumer(3)};
   for (const System& sys : models) {
     const auto runWith = [&](bool batch) {
-      const bool saved = batchScanEnabled();
-      setBatchScanEnabled(batch);
+      const bool saved = expr::compilationEnabled();
+      expr::setCompilationEnabled(batch);
       ShardedEngine engine(sys, 3);
       ShardedOptions opt;
       opt.maxSteps = 200;
       opt.seed = 7;
       const RunResult r = engine.run(opt);
-      setBatchScanEnabled(saved);
+      expr::setCompilationEnabled(saved);
       return r;
     };
     const RunResult batched = runWith(true);
-    const RunResult scalar = runWith(false);
-    EXPECT_EQ(batched.trace.labels(), scalar.trace.labels());
-    EXPECT_EQ(batched.finalState, scalar.finalState);
-    EXPECT_EQ(batched.steps, scalar.steps);
+    const RunResult interpreted = runWith(false);
+    EXPECT_EQ(batched.trace.labels(), interpreted.trace.labels());
+    EXPECT_EQ(batched.finalState, interpreted.finalState);
+    EXPECT_EQ(batched.steps, interpreted.steps);
     expectSequentiallyReplayable(sys, batched);
   }
 }
 
 TEST(ShardedEngine, ThreadedAndSwitchVmCoresTracesIdentical) {
-  // The computed-goto VM core (plus the block-parallel batch executor it
-  // gates) is an execution-core change only: every schedule must stay
-  // bit-identical under CBIP_NO_THREADED's switch-dispatch fallback, and
-  // each trace must stay replayable through the reference engine.
+  // The build's VM core (computed-goto threaded, or the switch loop in a
+  // CBIP_FORCE_SWITCH_DISPATCH build) plus the block-parallel batch
+  // executor is an execution-core change only: every schedule must stay
+  // bit-identical to the interpreter oracle, and each trace must stay
+  // replayable through the reference engine. CI runs this on both builds.
   const System models[] = {models::philosophersAtomic(12), models::producerConsumer(3)};
   for (const System& sys : models) {
-    const auto runWith = [&](bool threaded) {
-      const bool saved = expr::threadedDispatchEnabled();
-      expr::setThreadedDispatchEnabled(threaded);
+    const auto runWith = [&](bool compiled) {
+      const bool saved = expr::compilationEnabled();
+      expr::setCompilationEnabled(compiled);
       ShardedEngine engine(sys, 3);
       ShardedOptions opt;
       opt.maxSteps = 200;
       opt.seed = 11;
       const RunResult r = engine.run(opt);
-      expr::setThreadedDispatchEnabled(saved);
+      expr::setCompilationEnabled(saved);
       return r;
     };
     const RunResult on = runWith(true);

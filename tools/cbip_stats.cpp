@@ -10,27 +10,25 @@
 //   cbip-stats --model philosophers --n 16 --engine sharded --shards 4
 //              --steps 2000 --trace epochs.json
 //
-// Builtin models: philosophers (atomic-grab, deadlock-free),
-// philosophers2 (two-step, can deadlock), gas (gas station),
-// prodcons (bounded buffer), tokenring. Any other --model value is
-// treated as a path to a .bip model file.
+// Builtin models (tools/cli.hpp): philosophers (atomic-grab,
+// deadlock-free), philosophers2 (two-step, can deadlock), gas (gas
+// station), prodcons (bounded buffer), tokenring, skewed. Any other
+// --model value is treated as a path to a .bip model file.
 //
-// Exit codes: 0 = ran, 2 = bad usage / load failure.
+// Exit codes: 0 = ran, 2 = bad usage (including a non-numeric --n,
+// --shards, --steps or --seed) / load failure.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 
+#include "cli.hpp"
 #include "engine/engine.hpp"
 #include "engine/engine_mt.hpp"
-#include "frontends/bipdsl/bipdsl.hpp"
-#include "models/models.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "shard/engine_sharded.hpp"
-#include "util/require.hpp"
 
 namespace {
 
@@ -57,34 +55,6 @@ int usage() {
   return 2;
 }
 
-std::optional<System> loadModel(const Options& opt) {
-  if (opt.model == "philosophers") return models::philosophersAtomic(opt.n);
-  if (opt.model == "philosophers2") return models::philosophersTwoStep(opt.n);
-  if (opt.model == "gas") return models::gasStation(opt.n, opt.n);
-  if (opt.model == "prodcons") return models::producerConsumer(opt.n);
-  if (opt.model == "tokenring") return models::tokenRing(opt.n);
-  // Skewed-load pairs (the rebalancer's benchmark family): n pairs, 1/8
-  // hot, the rest dead after 4 steps each.
-  if (opt.model == "skewed") {
-    return models::skewedPairs(opt.n, std::max(1, opt.n / 8), 4);
-  }
-  std::ifstream in(opt.model);
-  if (!in) {
-    std::cerr << "cbip-stats: cannot open model file " << opt.model << "\n";
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    dsl::ParseResult parsed = dsl::parseModel(buf.str());
-    parsed.system.validate();
-    return std::move(parsed.system);
-  } catch (const ModelError& e) {
-    std::cerr << "cbip-stats: " << opt.model << ": " << e.what() << "\n";
-    return std::nullopt;
-  }
-}
-
 void appendEscaped(std::string& out, const std::string& s) {
   for (char c : s) {
     if (c == '"' || c == '\\') out.push_back('\\');
@@ -104,11 +74,19 @@ int main(int argc, char** argv) {
     };
     const char* v = nullptr;
     if (arg == "--model" && (v = value())) opt.model = v;
-    else if (arg == "--n" && (v = value())) opt.n = std::stoi(v);
+    else if (arg == "--n" && (v = value())) {
+      if (!cli::parseCount(v, opt.n)) return usage();
+    }
     else if (arg == "--engine" && (v = value())) opt.engine = v;
-    else if (arg == "--shards" && (v = value())) opt.shards = std::stoul(v);
-    else if (arg == "--steps" && (v = value())) opt.steps = std::stoull(v);
-    else if (arg == "--seed" && (v = value())) opt.seed = std::stoull(v);
+    else if (arg == "--shards" && (v = value())) {
+      if (!cli::parseCount(v, opt.shards) || opt.shards == 0) return usage();
+    }
+    else if (arg == "--steps" && (v = value())) {
+      if (!cli::parseCount(v, opt.steps)) return usage();
+    }
+    else if (arg == "--seed" && (v = value())) {
+      if (!cli::parseCount(v, opt.seed)) return usage();
+    }
     else if (arg == "--rebalance" && (v = value())) {
       const std::string mode = v;
       if (mode != "on" && mode != "off") return usage();
@@ -120,7 +98,7 @@ int main(int argc, char** argv) {
   }
   if (opt.engine != "seq" && opt.engine != "mt" && opt.engine != "sharded") return usage();
 
-  std::optional<System> system = loadModel(opt);
+  std::optional<System> system = cli::loadModel("cbip-stats", opt.model, opt.n);
   if (!system) return 2;
 
   // Fresh counters for this run; the at-exit exporter and the snapshot

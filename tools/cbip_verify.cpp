@@ -8,10 +8,10 @@
 //   cbip-verify --model philosophers --n 256 --expect deadlock-free
 //   cbip-verify examples/models/mutex.bip
 //
-// Builtin models: philosophers (atomic-grab, deadlock-free),
-// philosophers2 (two-step, can deadlock), gas (gas station), tokenring,
-// skewed. Any other --model value (or a bare positional argument) is
-// treated as a path to a .bip model file.
+// Builtin models (tools/cli.hpp): philosophers (atomic-grab,
+// deadlock-free), philosophers2 (two-step, can deadlock), gas (gas
+// station), prodcons, tokenring, skewed. Any other --model value (or a
+// bare positional argument) is treated as a path to a .bip model file.
 //
 // --expect turns the run into a gate: exit 0 when the verdict matches,
 // 1 when it does not. CI uses this to fail on any regression from
@@ -20,17 +20,13 @@
 // invariants, serial, fresh encoding per round) for differential runs.
 //
 // Exit codes: 0 = verdict matches --expect (or no --expect), 1 =
-// verdict mismatch, 2 = bad usage / load failure.
-#include <algorithm>
-#include <fstream>
+// verdict mismatch, 2 = bad usage (including a non-numeric --n or
+// --workers) / load failure.
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 
-#include "frontends/bipdsl/bipdsl.hpp"
-#include "models/models.hpp"
-#include "util/require.hpp"
+#include "cli.hpp"
 #include "verify/dfinder.hpp"
 
 namespace {
@@ -52,29 +48,6 @@ int usage() {
   return 2;
 }
 
-std::optional<System> loadModel(const Options& opt) {
-  if (opt.model == "philosophers") return models::philosophersAtomic(opt.n);
-  if (opt.model == "philosophers2") return models::philosophersTwoStep(opt.n);
-  if (opt.model == "gas") return models::gasStation(opt.n, opt.n);
-  if (opt.model == "tokenring") return models::tokenRing(opt.n);
-  if (opt.model == "skewed") return models::skewedPairs(opt.n, std::max(1, opt.n / 8), 4);
-  std::ifstream in(opt.model);
-  if (!in) {
-    std::cerr << "cbip-verify: cannot open model file " << opt.model << "\n";
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    dsl::ParseResult parsed = dsl::parseModel(buf.str());
-    parsed.system.validate();
-    return std::move(parsed.system);
-  } catch (const ModelError& e) {
-    std::cerr << "cbip-verify: " << opt.model << ": " << e.what() << "\n";
-    return std::nullopt;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,10 +60,14 @@ int main(int argc, char** argv) {
     };
     const char* v = nullptr;
     if (arg == "--model" && (v = value())) opt.model = v;
-    else if (arg == "--n" && (v = value())) opt.n = std::stoi(v);
+    else if (arg == "--n" && (v = value())) {
+      if (!cli::parseCount(v, opt.n)) return usage();
+    }
     else if (arg == "--expect" && (v = value())) opt.expect = v;
     else if (arg == "--legacy") opt.legacy = true;
-    else if (arg == "--workers" && (v = value())) opt.workers = std::stoi(v);
+    else if (arg == "--workers" && (v = value())) {
+      if (!cli::parseCount(v, opt.workers)) return usage();
+    }
     else if (!arg.empty() && arg[0] != '-' && opt.model.empty()) opt.model = arg;
     else return usage();
   }
@@ -100,7 +77,7 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  std::optional<System> system = loadModel(opt);
+  std::optional<System> system = cli::loadModel("cbip-verify", opt.model, opt.n);
   if (!system) return 2;
 
   verify::DFinderOptions options;
