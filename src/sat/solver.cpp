@@ -47,6 +47,8 @@ Solver::Solver() {
   level_.push_back(0);
   reason_.push_back(kUndef);
   activity_.push_back(0.0);
+  orderPos_.push_back(0);
+  bumped_.push_back(0);
   heapPos_.push_back(-1);
   seen_.push_back(0);
   watches_.resize(2);
@@ -57,10 +59,13 @@ int Solver::newVar() {
   level_.push_back(0);
   reason_.push_back(kUndef);
   activity_.push_back(0.0);
+  bumped_.push_back(0);
   heapPos_.push_back(-1);
   seen_.push_back(0);
   watches_.resize(watches_.size() + 2);
-  heapInsert(variableCount());
+  // Activity 0 and the highest index: last in the order.
+  orderPos_.push_back(order_.size());
+  order_.push_back(variableCount());
   return variableCount();
 }
 
@@ -92,23 +97,35 @@ bool Solver::addClause(std::vector<Lit> lits) {
     rootUnsat_ = true;
     return false;
   }
-  if (out.size() == 1) {
-    // Root-level propagation triggered by an incremental unit clause runs
-    // *between* solve() calls, outside any SolveScope — flush its delta
-    // here or the work (including the one discovering root-level UNSAT,
-    // the early-UNSAT return below) never reaches the telemetry registry.
-    const std::uint64_t before = propagations_;
-    enqueue(out[0], kUndef);
-    const bool conflict = propagate() != kUndef;
-    g_propagations.add(propagations_ - before);
-    if (conflict) {
-      rootUnsat_ = true;
-      return false;
-    }
-    return true;
-  }
+  if (out.size() == 1) return addUnit(out[0]);
   clauses_.push_back(Clause{std::move(out), false});
   attachClause(static_cast<int>(clauses_.size()) - 1);
+  return true;
+}
+
+bool Solver::addUnit(Lit l) {
+  require(decisionLevel() == 0, "Solver::addUnit: only at root level");
+  if (rootUnsat_) return false;
+  const int v = std::abs(l);
+  require(v >= 1 && v <= variableCount(), "Solver::addUnit: unknown variable");
+  const int value = litValue(l);
+  if (value == 1) return true;
+  if (value == 0) {
+    rootUnsat_ = true;
+    return false;
+  }
+  // Root-level propagation triggered by an incremental unit clause runs
+  // *between* solve() calls, outside any SolveScope — flush its delta
+  // here or the work (including the one discovering root-level UNSAT,
+  // the early-UNSAT return below) never reaches the telemetry registry.
+  const std::uint64_t before = propagations_;
+  enqueue(l, kUndef);
+  const bool conflict = propagate() != kUndef;
+  g_propagations.add(propagations_ - before);
+  if (conflict) {
+    rootUnsat_ = true;
+    return false;
+  }
   return true;
 }
 
@@ -171,37 +188,79 @@ int Solver::propagate() {
 }
 
 void Solver::bumpVar(int var) {
-  activity_[static_cast<std::size_t>(var)] += varInc_;
-  if (activity_[static_cast<std::size_t>(var)] > kActivityLimit) {
-    // Uniform rescale: strict order and ties are preserved, so the heap
-    // stays valid.
+  const auto v = static_cast<std::size_t>(var);
+  if (bumped_[v] == 0) {
+    bumped_[v] = 1;
+    bumpedVars_.push_back(var);
+  }
+  activity_[v] += varInc_;
+  if (activity_[v] > kActivityLimit) {
+    // Uniform rescale: activities keep their order (rounding can at worst
+    // tie two, which changes a pick, never correctness), so order_ and
+    // the heap stay usable.
     for (double& a : activity_) a *= 1e-100;
     varInc_ *= 1e-100;
   }
-  if (heapPos_[static_cast<std::size_t>(var)] >= 0) {
-    heapPercolateUp(static_cast<std::size_t>(heapPos_[static_cast<std::size_t>(var)]));
-  }
+  // analyze() bumps only assigned variables: backtrack() inserts a freed
+  // bumped variable into the heap, so only those still there need moving.
+  if (heapPos_[v] >= 0) bumpedSiftUp(static_cast<std::size_t>(heapPos_[v]));
 }
 
-bool Solver::heapLess(int a, int b) const {
-  // "Higher priority than": greater activity, ties to the lower index
-  // (the choice the linear scan this heap replaced used to make).
+bool Solver::before(int a, int b) const {
+  // Decides first: greater activity, ties to the lower index.
   const double aa = activity_[static_cast<std::size_t>(a)];
   const double ab = activity_[static_cast<std::size_t>(b)];
   return aa != ab ? aa > ab : a < b;
 }
 
-void Solver::heapInsert(int var) {
+void Solver::mergeBumped() {
+  if (bumpedVars_.empty()) return;
+  std::sort(bumpedVars_.begin(), bumpedVars_.end(),
+            [this](int a, int b) { return before(a, b); });
+  // The unbumped variables keep their activities, so their order_
+  // subsequence is still sorted: one linear merge restores the order.
+  mergeBuf_.clear();
+  auto next = bumpedVars_.begin();
+  for (const int v : order_) {
+    if (bumped_[static_cast<std::size_t>(v)] != 0) continue;
+    while (next != bumpedVars_.end() && before(*next, v)) mergeBuf_.push_back(*next++);
+    mergeBuf_.push_back(v);
+  }
+  mergeBuf_.insert(mergeBuf_.end(), next, bumpedVars_.end());
+  order_.swap(mergeBuf_);
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    orderPos_[static_cast<std::size_t>(order_[i])] = i;
+  }
+  for (const int v : bumpedVars_) bumped_[static_cast<std::size_t>(v)] = 0;
+  bumpedVars_.clear();
+  for (const int v : heap_) heapPos_[static_cast<std::size_t>(v)] = -1;
+  heap_.clear();
+  cursor_ = 0;
+}
+
+void Solver::bumpedInsert(int var) {
   if (heapPos_[static_cast<std::size_t>(var)] >= 0) return;
   heapPos_[static_cast<std::size_t>(var)] = static_cast<int>(heap_.size());
   heap_.push_back(var);
-  heapPercolateUp(heap_.size() - 1);
+  bumpedSiftUp(heap_.size() - 1);
 }
 
-void Solver::heapPercolateUp(std::size_t i) {
+int Solver::bumpedPop() {
+  const int v = heap_[0];
+  heapPos_[static_cast<std::size_t>(v)] = -1;
+  heap_[0] = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heapPos_[static_cast<std::size_t>(heap_[0])] = 0;
+    bumpedSiftDown(0);
+  }
+  return v;
+}
+
+void Solver::bumpedSiftUp(std::size_t i) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!heapLess(heap_[i], heap_[parent])) break;
+    if (!before(heap_[i], heap_[parent])) break;
     std::swap(heap_[i], heap_[parent]);
     heapPos_[static_cast<std::size_t>(heap_[i])] = static_cast<int>(i);
     heapPos_[static_cast<std::size_t>(heap_[parent])] = static_cast<int>(parent);
@@ -209,14 +268,14 @@ void Solver::heapPercolateUp(std::size_t i) {
   }
 }
 
-void Solver::heapPercolateDown(std::size_t i) {
+void Solver::bumpedSiftDown(std::size_t i) {
   while (true) {
     const std::size_t left = 2 * i + 1;
     if (left >= heap_.size()) break;
     const std::size_t right = left + 1;
     std::size_t best = left;
-    if (right < heap_.size() && heapLess(heap_[right], heap_[left])) best = right;
-    if (!heapLess(heap_[best], heap_[i])) break;
+    if (right < heap_.size() && before(heap_[right], heap_[left])) best = right;
+    if (!before(heap_[best], heap_[i])) break;
     std::swap(heap_[i], heap_[best]);
     heapPos_[static_cast<std::size_t>(heap_[i])] = static_cast<int>(i);
     heapPos_[static_cast<std::size_t>(heap_[best])] = static_cast<int>(best);
@@ -287,7 +346,11 @@ void Solver::backtrack(int targetLevel) {
     const int v = std::abs(trail_[i - 1]);
     assign_[static_cast<std::size_t>(v)] = -1;
     reason_[static_cast<std::size_t>(v)] = kUndef;
-    heapInsert(v);
+    if (bumped_[static_cast<std::size_t>(v)] != 0) {
+      bumpedInsert(v);
+    } else {
+      cursor_ = std::min(cursor_, orderPos_[static_cast<std::size_t>(v)]);
+    }
   }
   trail_.resize(bound);
   trailLim_.resize(static_cast<std::size_t>(targetLevel));
@@ -295,21 +358,16 @@ void Solver::backtrack(int targetLevel) {
 }
 
 Lit Solver::pickBranchLit() {
-  while (!heap_.empty()) {
-    const int v = heap_[0];
-    heapPos_[static_cast<std::size_t>(v)] = -1;
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heapPos_[static_cast<std::size_t>(heap_[0])] = 0;
-      heapPercolateDown(0);
-    }
-    if (assign_[static_cast<std::size_t>(v)] == -1) {
-      return -v;  // negative polarity first (works well on our encodings)
-    }
-    // Assigned since insertion: discard lazily and keep popping.
+  while (cursor_ < order_.size()) {
+    const auto v = static_cast<std::size_t>(order_[cursor_]);
+    if (assign_[v] == -1 && bumped_[v] == 0) break;
+    ++cursor_;
   }
-  return 0;
+  // Bumped variables assigned since insertion: discard lazily.
+  while (!heap_.empty() && assign_[static_cast<std::size_t>(heap_[0])] != -1) bumpedPop();
+  int v = cursor_ < order_.size() ? order_[cursor_] : 0;
+  if (!heap_.empty() && (v == 0 || before(heap_[0], v))) v = bumpedPop();
+  return -v;  // negative polarity first (works well on our encodings)
 }
 
 Result Solver::solve(const std::vector<Lit>& assumptions) {
@@ -320,6 +378,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
     rootUnsat_ = true;
     return Result::kUnsat;
   }
+  mergeBumped();
 
   std::uint64_t conflictBudget = 256;
   std::uint64_t conflictsThisRestart = 0;
@@ -330,28 +389,31 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       ++conflicts_;
       ++conflictsThisRestart;
       if (decisionLevel() <= static_cast<int>(assumptions.size())) {
-        // Conflict under (or below) assumptions: check whether it is
-        // independent of them by backtracking to root and re-testing.
+        // Conflict under (or below) assumptions. Every level is opened
+        // only after the one below has propagated without conflict, so a
+        // conflict at the root refutes the clauses alone and the instance
+        // stays UNSAT; above the root it rests on the assumptions.
+        // (propagate() has already consumed the conflicting trail, so
+        // re-propagating at the root cannot rediscover it.)
+        if (decisionLevel() == 0) rootUnsat_ = true;
         backtrack(0);
-        if (propagate() != kUndef) rootUnsat_ = true;
         return Result::kUnsat;
       }
-      std::vector<Lit> learnt;
       int backLevel = 0;
-      analyze(confl, learnt, backLevel);
+      analyze(confl, learnt_, backLevel);
       backtrack(std::max(backLevel, static_cast<int>(assumptions.size())));
-      if (learnt.size() == 1) {
-        if (litValue(learnt[0]) == 0) {
+      if (learnt_.size() == 1) {
+        if (litValue(learnt_[0]) == 0) {
           // Asserting literal contradicts the assumption prefix.
           backtrack(0);
           return Result::kUnsat;
         }
-        if (litValue(learnt[0]) == -1) enqueue(learnt[0], kUndef);
+        if (litValue(learnt_[0]) == -1) enqueue(learnt_[0], kUndef);
       } else {
-        clauses_.push_back(Clause{learnt, true});
+        clauses_.push_back(Clause{learnt_, true});
         const int ci = static_cast<int>(clauses_.size()) - 1;
         attachClause(ci);
-        if (litValue(learnt[0]) == -1) enqueue(learnt[0], ci);
+        if (litValue(learnt_[0]) == -1) enqueue(learnt_[0], ci);
       }
       decayActivities();
       continue;

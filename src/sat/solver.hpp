@@ -6,7 +6,8 @@
 // Yices/BDD packages; this repository builds the substrate from scratch:
 // a conflict-driven clause-learning solver with watched literals,
 // first-UIP conflict analysis, VSIDS-style activity, geometric restarts
-// and assumption-based incremental solving (used by the incremental
+// (a budget of 256 conflicts, grown by half after each restart) and
+// assumption-based incremental solving (used by the incremental
 // verification of [4] and by trap enumeration).
 //
 // Literals use the DIMACS convention: nonzero ints, -v is the negation of
@@ -40,6 +41,11 @@ class Solver {
   /// instance trivially unsatisfiable. Returns false if the solver is
   /// already in an unsatisfiable root state.
   bool addClause(std::vector<Lit> lits);
+
+  /// Adds the unit clause {l}: exactly addClause({l}) without the
+  /// normalization vector. Returns false if the solver is (or becomes)
+  /// unsatisfiable at the root.
+  bool addUnit(Lit l);
 
   /// Solves under the given assumptions (literals forced true for this
   /// call only). Clauses persist across calls (incremental use).
@@ -79,16 +85,22 @@ class Solver {
   void decayActivities();
   bool attachClause(int ci);
 
-  // VSIDS order heap: candidate decision variables by activity, max
-  // first, ties to the lower index — the same choice the historical
-  // O(vars) linear scan made, at O(log vars) per operation. Assigned
-  // variables are discarded lazily when popped; backtracking re-inserts
-  // whatever it unassigns, so every unassigned variable is always in the
-  // heap.
-  bool heapLess(int a, int b) const;
-  void heapInsert(int var);
-  void heapPercolateUp(std::size_t i);
-  void heapPercolateDown(std::size_t i);
+  // Decision order: the unassigned variable with the highest activity,
+  // ties to the lower index. `order_` holds every variable sorted by that
+  // key as of the last merge; every variable before `cursor_` is assigned
+  // or bumped since the merge, so the first free unbumped variable at or
+  // after the cursor is the best unbumped candidate. Bumped variables sit
+  // in a small binary heap instead (assigned ones dropped lazily when
+  // they surface; backtracking re-inserts what it unassigns), and a pick
+  // takes the better of the two candidates. solve() merges the bumped
+  // set back into `order_` once per call, so a solve without conflicts
+  // costs one forward scan instead of a heap pop per variable.
+  bool before(int a, int b) const;
+  void mergeBumped();
+  void bumpedInsert(int var);
+  int bumpedPop();
+  void bumpedSiftUp(std::size_t i);
+  void bumpedSiftDown(std::size_t i);
 
   int decisionLevel() const { return static_cast<int>(trailLim_.size()); }
 
@@ -98,8 +110,15 @@ class Solver {
   std::vector<int> level_;                 // var -> decision level
   std::vector<int> reason_;                // var -> clause index or kUndef
   std::vector<double> activity_;           // var -> VSIDS activity
-  std::vector<int> heap_;                  // order heap of candidate vars
+  std::vector<int> order_;                 // vars by activity at the last merge
+  std::vector<std::size_t> orderPos_;      // var -> slot in order_
+  std::size_t cursor_ = 0;                 // order_ prefix: assigned or bumped
+  std::vector<int8_t> bumped_;             // var -> bumped since the last merge
+  std::vector<int> bumpedVars_;            // the bumped set, in bump order
+  std::vector<int> heap_;                  // heap of free bumped vars
   std::vector<int> heapPos_;               // var -> slot in heap_, or -1
+  std::vector<int> mergeBuf_;              // scratch for mergeBumped()
+  std::vector<Lit> learnt_;                // scratch for analyze()
   std::vector<int8_t> seen_;               // scratch for analyze()
   std::vector<Lit> trail_;
   std::vector<std::size_t> trailLim_;

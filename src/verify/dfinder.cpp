@@ -201,7 +201,7 @@ std::vector<Place> trapExcludingFast(const PlaceTable& pt, const NetIndex& ni,
   solver = tmpl;
   const auto varOf = [](int id) { return id + 1; };
   for (int id = 0; id < pt.total; ++id) {
-    if (occupied[static_cast<std::size_t>(id)] != 0) solver.addClause({-varOf(id)});
+    if (occupied[static_cast<std::size_t>(id)] != 0) solver.addUnit(-varOf(id));
   }
   if (solver.solve() != sat::Result::kSat) return {};
   std::vector<int> trapIds;
@@ -435,7 +435,7 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
       const int v = solver.newVar();
       at[static_cast<std::size_t>(pt.id(Place{static_cast<int>(i), static_cast<int>(l)}))] = v;
       if (!inv.reachableLocations[l]) {
-        solver.addClause({-v});
+        solver.addUnit(-v);
       } else {
         atLeastOne.push_back(v);
         vars.push_back(v);
@@ -502,7 +502,7 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
       if (t.port != kInternalPort || !inv.guardFeasible[ti]) continue;
       if (!inv.reachableLocations[static_cast<std::size_t>(t.from)]) continue;
       if (t.guard.isTrue()) {
-        solver.addClause({-atPlace(Place{static_cast<int>(i), t.from})});
+        solver.addUnit(-atPlace(Place{static_cast<int>(i), t.from}));
       }
     }
   }

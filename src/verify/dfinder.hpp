@@ -14,8 +14,8 @@
 // Two pipelines implement the refinement loop:
 //
 //  * The fast pipeline (default) keeps ONE incremental SAT solver alive
-//    across refinement rounds (learnt clauses and VSIDS activity carry
-//    over), computes component invariants once per distinct AtomicType
+//    across refinement rounds (learnt clauses and variable activities,
+//    hence the sorted decision order, carry over), computes component invariants once per distinct AtomicType
 //    (instances share types, fanned out as a parallel portfolio —
 //    verify/parallel, CBIP_NO_PARALLEL_VERIFY hatch), and answers each
 //    per-witness trap query by copying a pre-encoded template solver and

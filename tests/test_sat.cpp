@@ -130,6 +130,31 @@ TEST(Sat, SizeAccessorsTrackTheInstance) {
   EXPECT_EQ(s.numVars(), 3);
 }
 
+TEST(Sat, AddUnitMatchesUnitClause) {
+  Solver s;
+  const int a = s.newVar(), b = s.newVar(), c = s.newVar();
+  s.addClause({-a, b});
+  EXPECT_TRUE(s.addUnit(a));   // free: enqueued and propagated (b follows)
+  EXPECT_TRUE(s.addUnit(b));   // already true: accepted, nothing to do
+  EXPECT_TRUE(s.addUnit(-c));  // free, no consequences
+  EXPECT_EQ(s.numClauses(), 1u);
+  ASSERT_EQ(s.solve(), Result::kSat);
+  EXPECT_TRUE(s.modelValue(a));
+  EXPECT_TRUE(s.modelValue(b));
+  EXPECT_FALSE(s.modelValue(c));
+  EXPECT_FALSE(s.addUnit(-b));  // already false: the root is UNSAT
+  EXPECT_FALSE(s.addUnit(c));   // and stays so
+  EXPECT_EQ(s.solve(), Result::kUnsat);
+
+  // A unit whose propagation conflicts makes the root UNSAT too.
+  Solver u;
+  const int x = u.newVar(), y = u.newVar();
+  u.addClause({-x, y});
+  u.addClause({-x, -y});
+  EXPECT_FALSE(u.addUnit(x));
+  EXPECT_EQ(u.solve(), Result::kUnsat);
+}
+
 /// Reads one counter from a snapshot (0 when absent, e.g. CBIP_NO_OBS).
 std::uint64_t counterValue(const char* name) {
   for (const auto& [n, v] : obs::snapshot().counters) {
@@ -234,6 +259,76 @@ TEST_P(RandomSatTest, AgreesWithBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSatTest, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// Incremental use: solve(assumptions), add clauses, solve again, on one
+// solver. Each call starts from the activities, learnt clauses and
+// decision-order state the previous calls left behind, which is how
+// D-Finder's refinement loop drives the solver.
+class IncrementalRandomSatTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(IncrementalRandomSatTest, SolveAddSolveAgreesWithBruteForce) {
+  cbip::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
+  std::uint64_t conflicts = 0;
+  std::uint64_t sats = 0;
+  for (int instance = 0; instance < 12; ++instance) {
+    const int nVars = 12 + static_cast<int>(rng.below(5));  // 12..16
+    const auto randomLit = [&] {
+      const int v = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(nVars)));
+      return rng.chance(1, 2) ? v : -v;
+    };
+    Solver s;
+    for (int v = 0; v < nVars; ++v) s.newVar();
+    std::vector<std::vector<Lit>> clauses;
+    bool rootUnsat = false;
+    const auto add = [&](const std::vector<Lit>& cl) {
+      clauses.push_back(cl);
+      const bool ok = cl.size() == 1 ? s.addUnit(cl[0]) : s.addClause(cl);
+      if (!ok) rootUnsat = true;
+    };
+    // Below the 3-SAT threshold (ratio ~4.3) at first, crossing it as the
+    // sequence adds clauses: the early solves are SAT and conflict.
+    for (int c = 0; c < 3 * nVars; ++c) add({randomLit(), randomLit(), randomLit()});
+    for (int step = 0; step < 10; ++step) {
+      std::vector<Lit> assumptions;
+      const int nAssumptions = static_cast<int>(rng.below(4));
+      for (int k = 0; k < nAssumptions; ++k) assumptions.push_back(randomLit());
+      std::vector<std::vector<Lit>> constrained = clauses;
+      for (const Lit a : assumptions) constrained.push_back({a});
+      const bool expected = bruteForceSat(nVars, constrained);
+      const bool actual = s.solve(assumptions) == Result::kSat;
+      ASSERT_EQ(actual, expected)
+          << "seed " << GetParam() << " instance " << instance << " step " << step;
+      if (rootUnsat) {
+        EXPECT_FALSE(actual);
+      }
+      if (actual) {
+        ++sats;
+        for (const auto& cl : constrained) {
+          bool sat = false;
+          for (const Lit l : cl) {
+            if (s.modelValue(l > 0 ? l : -l) == (l > 0)) {
+              sat = true;
+              break;
+            }
+          }
+          EXPECT_TRUE(sat) << "seed " << GetParam() << " instance " << instance
+                           << " step " << step;
+        }
+      }
+      const int growth = 1 + static_cast<int>(rng.below(3));
+      for (int c = 0; c < growth; ++c) add({randomLit(), randomLit(), randomLit()});
+      if (rng.chance(1, 8)) add({randomLit()});
+    }
+    conflicts += s.conflicts();
+  }
+  // The sequences must reach the conflict-and-bump paths, and not only
+  // trivially UNSAT roots.
+  EXPECT_GT(conflicts, 0u);
+  EXPECT_GT(sats, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalRandomSatTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 }  // namespace
 }  // namespace cbip::sat

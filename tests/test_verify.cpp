@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "engine/engine.hpp"
 #include "expr/compile.hpp"
@@ -392,6 +393,113 @@ TEST(PipelineEquivalence, WitnessBatchWidthDoesNotChangeTheVerdict) {
         checkDeadlockFreedom(models::philosophersAtomic(6), opt);
     EXPECT_EQ(certified.verdict, DFinderVerdict::kDeadlockFree) << "batch=" << batch;
   }
+}
+
+// ---- Golden search: the SAT decision order is pinned -----------------------
+
+/// FNV-1a over the little-endian bytes of each value.
+class Fnv {
+ public:
+  void mix(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (x >> (8 * i)) & 0xff;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 1469598103934665603ull;
+};
+
+std::uint64_t trapSequenceHash(const std::vector<std::vector<Place>>& traps) {
+  Fnv h;
+  for (const std::vector<Place>& trap : traps) {
+    h.mix(trap.size());
+    for (const Place& p : trap) {
+      h.mix(static_cast<std::uint64_t>(p.instance));
+      h.mix(static_cast<std::uint64_t>(p.location));
+    }
+  }
+  return h.value();
+}
+
+std::uint64_t witnessHash(const std::vector<int>& witness) {
+  Fnv h;
+  for (const int loc : witness) h.mix(static_cast<std::uint64_t>(loc));
+  return h.value();
+}
+
+struct GoldenRun {
+  const char* name;
+  System system;
+  DFinderOptions options;
+  DFinderVerdict verdict;
+  std::size_t witnessSize;
+  std::uint64_t witnessHash;
+  std::size_t traps;
+  std::uint64_t trapHash;
+  std::uint64_t conflicts;
+  std::uint64_t decisions;
+};
+
+TEST(GoldenSearch, VerdictWitnessTrapsAndSolverEffortArePinned) {
+  // Values recorded with the binary-heap VSIDS order this solver's sorted
+  // order replaced. Any change to the decision order, the conflict
+  // analysis or the trap queries moves the SAT effort, so a drift here
+  // means the search itself changed, not just its speed.
+  DFinderOptions batch4;
+  batch4.witnessBatch = 4;
+  DFinderOptions legacy;
+  legacy.legacyPipeline = true;
+  const GoldenRun runs[] = {
+      {"philo128", models::philosophersAtomic(128), {}, DFinderVerdict::kDeadlockFree, 256,
+       0x70710e2c815e0d63ull, 257, 0xaf887b43615c6760ull, 257, 98941},
+      {"philo128/batch4", models::philosophersAtomic(128), batch4,
+       DFinderVerdict::kDeadlockFree, 256, 0x2b88d5221c938383ull, 352, 0x10b1c9b8971a429eull,
+       1068, 369095},
+      {"twostep64", models::philosophersTwoStep(64), {}, DFinderVerdict::kPotentialDeadlock,
+       128, 0x55e6b65657a52783ull, 97, 0xc406eeed2f17a0bfull, 66, 21254},
+      {"gas16x16", models::gasStation(16, 16), {}, DFinderVerdict::kDeadlockFree, 33,
+       0xed1442ea9b363be3ull, 2, 0xdd9f8a05d1dc7e63ull, 1, 2},
+      {"token256", models::tokenRing(256), {}, DFinderVerdict::kDeadlockFree, 256,
+       0x19dbc3365ea56383ull, 1, 0xf33b5cd1d8062799ull, 0, 0},
+      {"philo37/legacy", models::philosophersAtomic(37), legacy, DFinderVerdict::kDeadlockFree,
+       74, 0x8221a5b17d77c0a2ull, 110, 0xc7375f662ddfd4afull, 551, 12080},
+  };
+  for (const GoldenRun& g : runs) {
+    const DFinderResult r = checkDeadlockFreedom(g.system, g.options);
+    EXPECT_EQ(r.verdict, g.verdict) << g.name;
+    EXPECT_EQ(r.witnessLocations.size(), g.witnessSize) << g.name;
+    EXPECT_EQ(witnessHash(r.witnessLocations), g.witnessHash) << g.name;
+    EXPECT_EQ(r.traps.size(), g.traps) << g.name;
+    EXPECT_EQ(trapSequenceHash(r.traps), g.trapHash) << g.name;
+    EXPECT_EQ(r.satConflicts, g.conflicts) << g.name;
+    EXPECT_EQ(r.satDecisions, g.decisions) << g.name;
+  }
+}
+
+TEST(GoldenSearch, IncrementalRemoveReAddCycleIsPinned) {
+  // The recertification edit the benchmark times: drop the last
+  // connector of philosophers-128, then add it back.
+  const System full = models::philosophersAtomic(128);
+  const Connector last = full.connector(full.connectorCount() - 1);
+  IncrementalVerifier verifier(full);
+  const IncrementalVerifier::StepResult removed =
+      verifier.removeConnector(full.connectorCount() - 1);
+  EXPECT_EQ(removed.verdict, DFinderVerdict::kPotentialDeadlock);
+  EXPECT_EQ(removed.trapsKept, 0u);
+  EXPECT_EQ(removed.trapsRechecked, 0u);
+  EXPECT_EQ(removed.trapsDropped, 0u);
+  EXPECT_EQ(removed.trapsNew, 65u);
+  const IncrementalVerifier::StepResult added = verifier.addConnector(last);
+  EXPECT_EQ(added.verdict, DFinderVerdict::kDeadlockFree);
+  EXPECT_EQ(added.trapsKept, 64u);
+  EXPECT_EQ(added.trapsRechecked, 2u);
+  EXPECT_EQ(added.trapsDropped, 1u);
+  EXPECT_EQ(added.trapsNew, 255u);
+  EXPECT_EQ(verifier.traps().size(), 319u);
+  EXPECT_EQ(trapSequenceHash(verifier.traps()), 0x407558500d7e31c0ull);
 }
 
 // ---- PR 10: randomized incremental-vs-full -------------------------------
