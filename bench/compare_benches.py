@@ -114,8 +114,6 @@ def report_obs(base_obs, new_obs):
         return (counters.get(hits, 0) / total) if total else None
 
     derived = [
-        ("batch-scan hit rate",
-         lambda c: rate(c, "scan.batch.calls", "scan.interp.calls")),
         ("sharded batch-scan hit rate",
          lambda c: rate(c, "shard.scan.batch.calls", "shard.scan.interp.calls")),
         ("tryfire hit rate",

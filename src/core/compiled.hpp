@@ -24,18 +24,6 @@
 // instead of (instance, variable) pairs resolved through GlobalState. A
 // cross-shard connector typically spans two frames (its home shard plus
 // one foreign shard); the representation supports any number.
-//
-// Batched enabled-set scanning: beyond the per-interaction execution form,
-// each connector also owns a *scan* form used by the engines' enabled-set
-// refresh. scanEnabled() gathers every participant's full variable block
-// once into one contiguous scan frame, evaluates all transition guards of
-// all ends plus the connector guard over that frame in a single bytecode
-// pass (ExprProgram::runBatch, frame-base-relative addressing), and then
-// derives the enabled interaction masks with pure bit operations over the
-// build-time-cached feasible-mask list — replacing the scalar path's
-// per-end vector allocations, per-scan feasibleMasks() rebuild and
-// per-mask end loop. The interpreter's scalar scan (CBIP_NO_COMPILE)
-// produces bit-identical enabled sets.
 #pragma once
 
 #include <functional>
@@ -78,9 +66,8 @@ class CompiledConnector {
   /// the connector-variable slots. `frame.size()` must be `frameSize()`.
   void gather(const GlobalState& state, std::span<Value> frame) const;
 
-  /// Evaluates the guard against a gathered frame (sharded build only — the
-  /// classic build evaluates its guard inside scanEnabled; requires a
-  /// non-trivial connector guard).
+  /// Evaluates the guard against a gathered frame (requires a non-trivial
+  /// connector guard).
   Value evalGuard(std::span<const Value> frame) const { return guard_.run(frame); }
 
   /// Runs the up transfers, then the down transfers of participating ends,
@@ -105,41 +92,6 @@ class CompiledConnector {
   void transfer(std::span<const std::span<Value>> frames, std::span<Value> scratch,
                 InteractionMask mask) const;
 
-  /// Feasible interaction masks, increasing mask order (cached at build
-  /// time; element-wise equal to Connector::feasibleMasks()). Classic
-  /// build only — like the whole scan form, this is empty for the sharded
-  /// build mode, whose scans run through ShardedSystem's own caches.
-  const std::vector<InteractionMask>& masks() const { return masks_; }
-
-  /// Reusable buffers for scanEnabled; allocate one per scanning thread
-  /// and pass it to every call so steady-state scans never allocate.
-  struct ScanScratch {
-    std::vector<Value> frame;                      // gathered scan frame
-    std::vector<expr::BatchOp> ops;                // transition-guard batch
-    std::vector<Value> results;                    // runBatch outputs
-    std::vector<const std::vector<int>*> endTis;   // per end: transitionsFrom list
-    std::vector<char> trivial;                     // per (end, transition): guard true
-    std::vector<std::vector<int>> endEnabled;      // per end: enabled transitions
-    std::vector<std::uint64_t> maskBits;           // bit i <-> masks()[i] enabled
-  };
-
-  /// Batched enabled-set scan (classic build only). Gathers every end's
-  /// full variable block once into `s.frame`, evaluates all transition
-  /// guards of all ends in one ExprProgram::runBatch pass (base-relative,
-  /// one base per end) and the connector guard at most once (lazily, at
-  /// the first port-feasible mask, exactly where the interpreter's scalar
-  /// scan evaluates it), then fills `s.maskBits` (bit i set iff masks()[i]
-  /// is enabled) and `s.endEnabled` (per end, the enabled transition
-  /// indices in transition order). Returns true iff some mask is enabled.
-  /// Guard evaluation order — end-ascending, then transition order, then
-  /// the shared connector guard — matches the interpreter's, so on
-  /// well-formed states (every component's variable vector covering its
-  /// type) a doomed scan raises at the same guard. On malformed states the
-  /// paths differ mechanically: the gather validates every end's block
-  /// size up front and throws, where the interpreter checks per variable
-  /// read.
-  bool scanEnabled(const System& system, const GlobalState& state, ScanScratch& s) const;
-
  private:
   struct Load {
     int slot = 0;      // scratch-frame offset
@@ -160,30 +112,13 @@ class CompiledConnector {
 
   void build(const System& system, const Connector& connector,
              const std::function<FramePlacement(int instance)>* place);
-  void gatherScan(const GlobalState& state, std::vector<Value>& frame) const;
-
-  /// Scan-form placement of one end: its component's full variable block
-  /// in the scan frame (ends sharing an instance get separate read-only
-  /// blocks — the scan never writes back).
-  struct ScanEnd {
-    int instance = 0;
-    int port = 0;
-    std::int32_t base = 0;  // offset of the block in the scan frame
-    int varCount = 0;
-  };
 
   std::int32_t frameSize_ = 0;
   std::vector<Load> loads_;
-  expr::ExprProgram guard_;  // sharded build only; empty when trivially true
+  expr::ExprProgram guard_;  // empty when trivially true
   expr::ExprProgram upBlock_;  // all ups fused into one program (empty when no ups)
   std::vector<Down> downs_;
 
-  // Scan form (see scanEnabled).
-  std::vector<InteractionMask> masks_;
-  std::vector<ScanEnd> scanEnds_;
-  std::int32_t scanVarBase_ = 0;    // first connector-variable slot
-  std::int32_t scanFrameSize_ = 0;  // variable blocks + connector var slots
-  expr::ExprProgram scanGuard_;     // guard against the scan layout; empty when true
 };
 
 /// Compiled forms of every connector of a System, built once per System

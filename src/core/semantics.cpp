@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
+#include <iterator>
 
 #include "obs/obs.hpp"
 #include "util/require.hpp"
@@ -11,11 +11,9 @@ namespace cbip {
 
 namespace {
 
-// Telemetry (src/obs): which scan path served each connector refresh, and
-// how large the incremental cache's per-step dirty sets run. Counts only,
-// never steers — enabled sets are bit-identical on both paths.
-const obs::Counter g_scanBatch("scan.batch.calls");
-const obs::Counter g_scanInterp("scan.interp.calls");
+// Telemetry (src/obs): how many connectors the incremental cache queues per
+// update and how many of them survive the offer test and are built. Counts
+// only, never steers.
 const obs::Counter g_cacheUpdates("cache.updates");
 const obs::Counter g_cacheRecomputes("cache.recomputes");
 const obs::Histogram g_cacheDirty("cache.dirty_connectors");
@@ -72,133 +70,226 @@ bool maskSubset(InteractionMask a, InteractionMask b) {  // a strictly inside b
   return a != b && (a & b) == a;
 }
 
-/// Appends the enabled interactions of connector `ci` to `out` (the shared
-/// enumeration behind both the from-scratch scan and the incremental cache).
-void appendConnectorInteractions(const System& system, const GlobalState& state,
-                                 std::size_t ci, std::vector<EnabledInteraction>& out) {
-  const Connector& c = system.connector(ci);
+/// Connector `ci`'s (non-trivial) guard over the current state.
+bool connectorGuardHolds(const System& system, std::size_t ci, const GlobalState& state) {
   if (expr::compilationEnabled()) {
-    g_scanBatch.add();
-    // Batched scan: one gathered frame, every transition guard in one
-    // bytecode pass, mask set by bit operations over the cached feasible
-    // masks (see CompiledConnector::scanEnabled). Scratch reused across
-    // calls so steady-state scans never allocate.
     const CompiledConnector& cc = system.compiled().connector(ci);
-    static thread_local CompiledConnector::ScanScratch scratch;
-    if (!cc.scanEnabled(system, state, scratch)) return;
-    const std::vector<InteractionMask>& masks = cc.masks();
-    for (std::size_t i = 0; i < masks.size(); ++i) {
-      if ((scratch.maskBits[i >> 6] & (std::uint64_t{1} << (i & 63))) == 0) continue;
-      EnabledInteraction ei;
-      ei.connector = static_cast<int>(ci);
-      ei.mask = masks[i];
-      const int participants = std::popcount(masks[i]);
-      ei.ends.reserve(static_cast<std::size_t>(participants));
-      ei.choices.reserve(static_cast<std::size_t>(participants));
-      for (std::size_t e = 0; e < c.endCount(); ++e) {
-        if ((masks[i] & (InteractionMask{1} << e)) == 0) continue;
-        ei.ends.push_back(static_cast<int>(e));
-        ei.choices.push_back(scratch.endEnabled[e]);
-      }
-      out.push_back(std::move(ei));
-    }
-    return;
+    static thread_local std::vector<Value> frame;
+    frame.resize(cc.frameSize());
+    cc.gather(state, frame);
+    return cc.evalGuard(frame) != 0;
   }
-  // Interpreter (the semantic oracle): per-end enabled transitions,
-  // computed once per connector.
-  g_scanInterp.add();
-  std::vector<std::vector<int>> endEnabled(c.endCount());
-  for (std::size_t e = 0; e < c.endCount(); ++e) {
-    const PortRef& p = c.end(e).port;
-    const AtomicType& type = *system.instance(static_cast<std::size_t>(p.instance)).type;
-    endEnabled[e] = enabledTransitions(
-        type, state.components[static_cast<std::size_t>(p.instance)], p.port);
-  }
-  // The guard is pure over the current state, so its value is shared by
-  // every mask; evaluate lazily (only when some mask is port-enabled) and
-  // at most once per scan.
-  std::optional<bool> guardOk;
-  const auto guardHolds = [&]() {
-    if (!guardOk.has_value()) {
-      auto& mutableState = const_cast<GlobalState&>(state);
-      std::vector<Value> noVars;
-      InteractionContext ctx(system, c, mutableState, noVars);
-      guardOk = c.guard().eval(ctx) != 0;
-    }
-    return *guardOk;
-  };
-  for (InteractionMask mask : c.feasibleMasks()) {
-    bool allEnabled = true;
-    for (std::size_t e = 0; e < c.endCount(); ++e) {
-      if ((mask & (InteractionMask{1} << e)) != 0 && endEnabled[e].empty()) {
-        allEnabled = false;
-        break;
-      }
-    }
-    if (!allEnabled) continue;
-    if (!c.guard().isTrue() && !guardHolds()) continue;
-    EnabledInteraction ei;
-    ei.connector = static_cast<int>(ci);
-    ei.mask = mask;
-    for (std::size_t e = 0; e < c.endCount(); ++e) {
-      if ((mask & (InteractionMask{1} << e)) == 0) continue;
-      ei.ends.push_back(static_cast<int>(e));
-      ei.choices.push_back(endEnabled[e]);
-    }
-    out.push_back(std::move(ei));
-  }
+  const Connector& c = system.connector(ci);
+  auto& mutableState = const_cast<GlobalState&>(state);
+  std::vector<Value> noVars;
+  InteractionContext ctx(system, c, mutableState, noVars);
+  return c.guard().eval(ctx) != 0;
 }
 
 }  // namespace
 
 std::vector<EnabledInteraction> enabledInteractions(const System& system,
                                                     const GlobalState& state) {
-  std::vector<EnabledInteraction> out;
-  for (std::size_t ci = 0; ci < system.connectorCount(); ++ci) {
-    appendConnectorInteractions(system, state, ci, out);
-  }
-  return out;
+  EnabledInteractionCache cache(system);
+  cache.reset(state);
+  return std::move(cache.flat_);
 }
 
 EnabledInteractionCache::EnabledInteractionCache(const System& system)
     : system_(&system),
+      portBase_(system.instanceCount() + 1, 0),
+      endBegin_(system.connectorCount() + 1, 0),
+      maskBegin_(system.connectorCount() + 1, 0),
       flatOffset_(system.connectorCount(), 0),
       flatCount_(system.connectorCount(), 0),
-      connectorQueued_(system.connectorCount(), 0) {
-  // Force the lazily-built reverse index now, while construction is still
-  // single-threaded; afterwards connectorsOf() is a pure read.
-  if (system.instanceCount() > 0) system.connectorsOf(0);
+      connectorQueued_(system.connectorCount(), 0),
+      instanceSeen_(system.instanceCount(), 0) {
+  // One offer slot per (instance, port); only the ports some connector
+  // uses are ever evaluated.
+  for (std::size_t i = 0; i < system.instanceCount(); ++i) {
+    portBase_[i + 1] = portBase_[i] + static_cast<int>(system.instance(i).type->portCount());
+  }
+  const auto slots = static_cast<std::size_t>(portBase_.back());
+  connected_.assign(slots, 0);
+  offered_.assign(slots, 0);
+  offers_.resize(slots);
+  for (std::size_t ci = 0; ci < system.connectorCount(); ++ci) {
+    const Connector& c = system.connector(ci);
+    for (const ConnectorEnd& e : c.ends()) {
+      const int slot = portBase_[static_cast<std::size_t>(e.port.instance)] + e.port.port;
+      connected_[static_cast<std::size_t>(slot)] = 1;
+      endSlot_.push_back(slot);
+    }
+    endBegin_[ci + 1] = static_cast<int>(endSlot_.size());
+    const std::vector<InteractionMask> masks = c.feasibleMasks();
+    masks_.insert(masks_.end(), masks.begin(), masks.end());
+    maskBegin_[ci + 1] = static_cast<int>(masks_.size());
+  }
 }
 
-void EnabledInteractionCache::recomputeConnector(std::size_t ci, const GlobalState& state) {
-  scratch_.clear();
-  appendConnectorInteractions(*system_, state, ci, scratch_);
-  // Splice the connector's span in place by move; shift only when the
-  // span length changed (EnabledInteraction moves are pointer swaps, so a
-  // shift never allocates).
-  const auto oldCount = static_cast<std::ptrdiff_t>(flatCount_[ci]);
-  const auto newCount = static_cast<std::ptrdiff_t>(scratch_.size());
-  const auto at = flat_.begin() + flatOffset_[ci];
-  if (newCount <= oldCount) {
-    std::move(scratch_.begin(), scratch_.end(), at);
-    flat_.erase(at + newCount, at + oldCount);
-  } else {
-    std::move(scratch_.begin(), scratch_.begin() + oldCount, at);
-    flat_.insert(at + oldCount, std::make_move_iterator(scratch_.begin() + oldCount),
-                 std::make_move_iterator(scratch_.end()));
+void EnabledInteractionCache::refreshOffers(const GlobalState& state) {
+  const bool compiled = expr::compilationEnabled();
+  pending_.clear();
+  ops_.clear();
+  frame_.clear();
+  refreshBase_.assign(refresh_.size(), -1);
+  // Port-major, so the same port's guards of sibling instances (one type,
+  // one location) sit next to each other in the batch and runBatch can
+  // take its block-parallel path. Guard-true transitions are recorded in
+  // transition order per slot; the interpreter evaluates in place, in the
+  // same order, so both paths raise the same first EvalError.
+  for (std::size_t port = 0;; ++port) {
+    bool morePorts = false;
+    for (std::size_t k = 0; k < refresh_.size(); ++k) {
+      const auto i = static_cast<std::size_t>(refresh_[k]);
+      const AtomicType& type = *system_->instance(i).type;
+      if (port >= type.portCount()) continue;
+      morePorts = true;
+      const auto slot = static_cast<std::size_t>(portBase_[i]) + port;
+      if (!connected_[slot]) continue;
+      offers_[slot].clear();
+      offered_[slot] = 0;
+      const AtomicState& comp = state.components[i];
+      for (const int ti : type.transitionsFrom(comp.location, static_cast<int>(port))) {
+        if (!compiled) {
+          if (guardHolds(type, comp, ti)) {
+            offers_[slot].push_back(ti);
+            offered_[slot] = 1;
+          }
+          continue;
+        }
+        const expr::ExprProgram& guard = type.compiledTransition(ti).guard;
+        if (guard.empty()) {
+          pending_.push_back(Pending{static_cast<int>(slot), ti, -1});
+          continue;
+        }
+        if (refreshBase_[k] < 0) {
+          if (comp.vars.size() < type.variableCount()) {
+            throw EvalError(type.name() + ": state has fewer variables than the type");
+          }
+          refreshBase_[k] = static_cast<int>(frame_.size());
+          frame_.insert(frame_.end(), comp.vars.begin(),
+                        comp.vars.begin() + static_cast<std::ptrdiff_t>(type.variableCount()));
+        }
+        pending_.push_back(Pending{static_cast<int>(slot), ti, static_cast<int>(ops_.size())});
+        ops_.push_back(expr::BatchOp{&guard, refreshBase_[k]});
+      }
+    }
+    if (!morePorts) break;
   }
-  if (newCount != oldCount) {
-    flatCount_[ci] = static_cast<int>(newCount);
-    const int delta = static_cast<int>(newCount - oldCount);
-    for (std::size_t j = ci + 1; j < flatOffset_.size(); ++j) flatOffset_[j] += delta;
+  if (!ops_.empty()) {
+    results_.resize(ops_.size());
+    expr::ExprProgram::runBatch(ops_, frame_, results_);
   }
+  for (const Pending& p : pending_) {
+    if (p.op < 0 || results_[static_cast<std::size_t>(p.op)] != 0) {
+      offers_[static_cast<std::size_t>(p.slot)].push_back(p.transition);
+      offered_[static_cast<std::size_t>(p.slot)] = 1;
+    }
+  }
+}
+
+InteractionMask EnabledInteractionCache::offeredEnds(std::size_t ci) const {
+  InteractionMask offered = 0;
+  for (int e = endBegin_[ci]; e < endBegin_[ci + 1]; ++e) {
+    if (offered_[static_cast<std::size_t>(endSlot_[static_cast<std::size_t>(e)])]) {
+      offered |= InteractionMask{1} << (e - endBegin_[ci]);
+    }
+  }
+  return offered;
+}
+
+bool EnabledInteractionCache::portFeasible(std::size_t ci) const {
+  const InteractionMask offered = offeredEnds(ci);
+  for (int m = maskBegin_[ci]; m < maskBegin_[ci + 1]; ++m) {
+    if ((masks_[static_cast<std::size_t>(m)] & ~offered) == 0) return true;
+  }
+  return false;
+}
+
+void EnabledInteractionCache::buildConnector(std::size_t ci, const GlobalState& state,
+                                             std::span<EnabledInteraction> reuse,
+                                             std::vector<EnabledInteraction>& out) {
+  const InteractionMask offered = offeredEnds(ci);
+  const int* slots = endSlot_.data() + endBegin_[ci];
+  const std::size_t endCount = static_cast<std::size_t>(endBegin_[ci + 1] - endBegin_[ci]);
+  bool guardKnown = system_->connector(ci).guard().isTrue();
+  std::size_t reused = 0;
+  for (int m = maskBegin_[ci]; m < maskBegin_[ci + 1]; ++m) {
+    const InteractionMask mask = masks_[static_cast<std::size_t>(m)];
+    if ((mask & ~offered) != 0) continue;
+    if (!guardKnown) {
+      // The guard is pure over the current state, so its value is shared
+      // by every mask: evaluated at most once, and only when some mask
+      // has all its ends offered.
+      if (!connectorGuardHolds(*system_, ci, state)) return;
+      guardKnown = true;
+    }
+    EnabledInteraction& ei = reused < reuse.size() ? out.emplace_back(std::move(reuse[reused++]))
+                                                   : out.emplace_back();
+    ei.connector = static_cast<int>(ci);
+    ei.mask = mask;
+    ei.ends.clear();
+    ei.choices.resize(static_cast<std::size_t>(std::popcount(mask)));
+    std::size_t k = 0;
+    for (std::size_t e = 0; e < endCount; ++e) {
+      if ((mask & (InteractionMask{1} << e)) == 0) continue;
+      ei.ends.push_back(static_cast<int>(e));
+      const std::vector<int>& offer = offers_[static_cast<std::size_t>(slots[e])];
+      ei.choices[k++].assign(offer.begin(), offer.end());
+    }
+  }
+}
+
+void EnabledInteractionCache::splice(const GlobalState& state) {
+  if (queued_.empty()) return;
+  // One move pass: untouched spans move over as blocks, queued connectors
+  // are rebuilt in place of theirs (reusing their old elements' storage),
+  // and the offsets after the first queued connector shift by the running
+  // length change.
+  spare_.clear();
+  const auto moveOld = [&](int from, int to) {
+    spare_.insert(spare_.end(), std::make_move_iterator(flat_.begin() + from),
+                  std::make_move_iterator(flat_.begin() + to));
+  };
+  int copied = 0;  // flat_ elements before this index are in spare_
+  int delta = 0;   // offset shift of the untouched connectors passed so far
+  auto next = static_cast<std::size_t>(queued_.front());
+  for (const int q : queued_) {
+    const auto ci = static_cast<std::size_t>(q);
+    connectorQueued_[ci] = 0;
+    if (delta != 0) {
+      for (; next < ci; ++next) flatOffset_[next] += delta;
+    }
+    const int oldOffset = flatOffset_[ci];
+    const int oldEnd = oldOffset + flatCount_[ci];
+    moveOld(copied, oldOffset);
+    flatOffset_[ci] = static_cast<int>(spare_.size());
+    const auto old = std::span(flat_).subspan(static_cast<std::size_t>(oldOffset),
+                                              static_cast<std::size_t>(flatCount_[ci]));
+    buildConnector(ci, state, old, spare_);
+    flatCount_[ci] = static_cast<int>(spare_.size()) - flatOffset_[ci];
+    delta = static_cast<int>(spare_.size()) - oldEnd;
+    copied = oldEnd;
+    next = ci + 1;
+  }
+  if (delta != 0) {
+    for (; next < flatOffset_.size(); ++next) flatOffset_[next] += delta;
+  }
+  moveOld(copied, static_cast<int>(flat_.size()));
+  flat_.swap(spare_);
 }
 
 void EnabledInteractionCache::reset(const GlobalState& state) {
+  std::fill(connectorQueued_.begin(), connectorQueued_.end(), 0);
+  std::fill(instanceSeen_.begin(), instanceSeen_.end(), 0);
+  refresh_.resize(system_->instanceCount());
+  for (std::size_t i = 0; i < refresh_.size(); ++i) refresh_[i] = static_cast<int>(i);
+  refreshOffers(state);
   flat_.clear();
   for (std::size_t ci = 0; ci < flatOffset_.size(); ++ci) {
     flatOffset_[ci] = static_cast<int>(flat_.size());
-    appendConnectorInteractions(*system_, state, ci, flat_);
+    buildConnector(ci, state, {}, flat_);
     flatCount_[ci] = static_cast<int>(flat_.size()) - flatOffset_[ci];
   }
 }
@@ -206,23 +297,52 @@ void EnabledInteractionCache::reset(const GlobalState& state) {
 void EnabledInteractionCache::update(const GlobalState& state,
                                      std::span<const int> dirtyInstances) {
   g_cacheUpdates.add();
-  for (int inst : dirtyInstances) {
-    for (int ci : system_->connectorsOf(static_cast<std::size_t>(inst))) {
-      connectorQueued_[static_cast<std::size_t>(ci)] = 1;
+  refresh_.clear();
+  for (const int inst : dirtyInstances) {
+    const auto i = static_cast<std::size_t>(inst);
+    if (instanceSeen_[i]) continue;
+    instanceSeen_[i] = 1;
+    refresh_.push_back(inst);
+  }
+  for (const int inst : refresh_) instanceSeen_[static_cast<std::size_t>(inst)] = 0;
+  refreshOffers(state);
+  // A connector of a dirty instance is rebuilt when its offers admit some
+  // feasible mask, and emptied when they admit none but its span is not
+  // empty yet; one with an empty span and no admissible mask is left alone.
+  queued_.clear();
+  std::uint64_t built = 0;
+  for (const int inst : refresh_) {
+    for (const int ci : system_->connectorsOf(static_cast<std::size_t>(inst))) {
+      const auto c = static_cast<std::size_t>(ci);
+      if (connectorQueued_[c]) continue;
+      const bool feasible = portFeasible(c);
+      if (!feasible && flatCount_[c] == 0) continue;
+      connectorQueued_[c] = 1;
+      queued_.push_back(ci);
+      built += feasible ? 1 : 0;
     }
   }
-  std::uint64_t recomputed = 0;
-  for (int inst : dirtyInstances) {
-    for (int ci : system_->connectorsOf(static_cast<std::size_t>(inst))) {
-      auto& queued = connectorQueued_[static_cast<std::size_t>(ci)];
-      if (!queued) continue;  // already recomputed via an earlier instance
-      queued = 0;
-      recomputeConnector(static_cast<std::size_t>(ci), state);
-      ++recomputed;
+  std::sort(queued_.begin(), queued_.end());
+  splice(state);
+  g_cacheRecomputes.add(built);
+  g_cacheDirty.observe(static_cast<std::int64_t>(queued_.size()));
+}
+
+bool EnabledInteractionCache::stationary(const Connector& c, int end,
+                                         const std::vector<int>& choices) const {
+  for (const DownAssign& d : c.downs()) {
+    if (d.end == end) return false;
+  }
+  const int instance = c.end(static_cast<std::size_t>(end)).port.instance;
+  const AtomicType& type = *system_->instance(static_cast<std::size_t>(instance)).type;
+  for (const int ti : choices) {
+    const Transition& t = type.transition(ti);
+    if (t.from != t.to || !t.actions.empty() ||
+        !type.transitionsFrom(t.from, kInternalPort).empty()) {
+      return false;
     }
   }
-  g_cacheRecomputes.add(recomputed);
-  g_cacheDirty.observe(static_cast<std::int64_t>(recomputed));
+  return true;
 }
 
 void EnabledInteractionCache::updateAfterExecute(const GlobalState& state,
@@ -231,7 +351,12 @@ void EnabledInteractionCache::updateAfterExecute(const GlobalState& state,
   // Reused member buffer: the per-step dirty set allocates only until its
   // capacity covers the widest executed connector.
   dirtyScratch_.clear();
-  for (const ConnectorEnd& e : c.ends()) dirtyScratch_.push_back(e.port.instance);
+  for (std::size_t k = 0; k < executed.ends.size(); ++k) {
+    const int end = executed.ends[k];
+    if (!stationary(c, end, executed.choices[k])) {
+      dirtyScratch_.push_back(c.end(static_cast<std::size_t>(end)).port.instance);
+    }
+  }
   update(state, dirtyScratch_);
 }
 

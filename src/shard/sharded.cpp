@@ -101,6 +101,16 @@ class ShardInteractionContext final : public expr::EvalContext {
   std::vector<Value>* vars_;
 };
 
+/// Reusable buffers of the batched scan, one per scanning thread, so
+/// steady-state scans never allocate.
+struct ScanScratch {
+  std::vector<expr::BatchOp> ops;                // transition-guard batch
+  std::vector<Value> results;                    // runBatch outputs
+  std::vector<const std::vector<int>*> endTis;   // per end: transitionsFrom list
+  std::vector<char> trivial;                     // per (end, transition): guard true
+  std::vector<std::vector<int>> endEnabled;      // per end: enabled transitions
+};
+
 /// Shared tail of the batched scan: derives the enabled mask set from the
 /// per-end lists in `s` with bit operations over the cached feasible
 /// masks and materializes one EnabledInteraction per enabled mask. The
@@ -110,7 +120,7 @@ class ShardInteractionContext final : public expr::EvalContext {
 /// and at most once; a false guard rejects every mask.
 template <typename GuardHolds>
 void appendScannedMasks(const Connector& c, int ci, const std::vector<InteractionMask>& masks,
-                        const CompiledConnector::ScanScratch& s,
+                        const ScanScratch& s,
                         std::vector<EnabledInteraction>& out, GuardHolds&& guardHolds) {
   const std::size_t nEnds = c.endCount();
   InteractionMask enabledEnds = 0;
@@ -563,7 +573,7 @@ void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int c
     // executor — both transparent here, because the batch keeps the
     // scalar op order and first-EvalError contract bit for bit.
     const std::size_t nEnds = c.endCount();
-    static thread_local CompiledConnector::ScanScratch s;
+    static thread_local ScanScratch s;
     if (s.endEnabled.size() < nEnds) s.endEnabled.resize(nEnds);
     const int xi = crossIndex_[static_cast<std::size_t>(ci)];
     if (xi < 0) {

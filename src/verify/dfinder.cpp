@@ -375,6 +375,7 @@ DFinderResult legacyCheckWith(const System& system,
     result.satDecisions += solver.decisions();
     if (sr == sat::Result::kUnsat) {
       result.verdict = DFinderVerdict::kDeadlockFree;
+      result.witnessLocations.clear();  // the last round's witness was excluded
       return result;
     }
     // Witness control state; try to exclude it with a fresh trap.
@@ -524,6 +525,7 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
     if (solver.solve() == sat::Result::kUnsat) {
       finishStats();
       result.verdict = DFinderVerdict::kDeadlockFree;
+      result.witnessLocations.clear();  // the last round's witness was excluded
       return result;
     }
     // Collect up to `batch` distinct witnesses: each blocking clause is

@@ -327,5 +327,59 @@ TEST(MultiThreadEngine, ActionEvalErrorSurfacesFromRun) {
   });
 }
 
+// ---- Golden sequential traces ----------------------------------------------
+
+/// FNV-1a over the (connector, mask) sequence of a trace and its length.
+std::uint64_t traceHash(const Trace& trace) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(trace.events.size());
+  for (const TraceEvent& e : trace.events) {
+    mix(static_cast<std::uint64_t>(e.connector));
+    mix(e.mask);
+  }
+  return h;
+}
+
+TEST(SequentialEngine, GoldenTracesArePinned) {
+  // The engine's pick depends on the exact enabled set and its order, so
+  // any drift in either, on either evaluation path, shows up here as a
+  // different hash.
+  struct Golden {
+    const char* name;
+    System system;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Golden runs[] = {
+      {"gas16x16/1", models::gasStation(16, 16), 1, 0x8366f0f78aea9589ull},
+      {"gas16x16/2", models::gasStation(16, 16), 2, 0x005b1573d5b6666dull},
+      {"philo128/1", models::philosophersAtomic(128), 1, 0xd0f853cfd4bfa245ull},
+      {"philo128/2", models::philosophersAtomic(128), 2, 0xb1c8613bf030cbcdull},
+      {"prodcons256/1", models::producerConsumer(256), 1, 0x0759501f9c8723fbull},
+      {"prodcons256/2", models::producerConsumer(256), 2, 0xe1475c0b9d990bfbull},
+  };
+  for (const bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+    const bool saved = expr::compilationEnabled();
+    expr::setCompilationEnabled(compiled);
+    for (const Golden& g : runs) {
+      RandomPolicy policy(g.seed);
+      SequentialEngine engine(g.system, policy);
+      RunOptions opt;
+      opt.maxSteps = 2000;
+      const RunResult r = engine.run(opt);
+      EXPECT_EQ(r.steps, 2000u) << g.name;
+      EXPECT_EQ(traceHash(r.trace), g.hash) << g.name;
+    }
+    expr::setCompilationEnabled(saved);
+  }
+}
+
 }  // namespace
 }  // namespace cbip

@@ -4,6 +4,7 @@
 // the cache on or off.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "engine/engine.hpp"
 #include "engine/engine_mt.hpp"
 #include "models/models.hpp"
+#include "obs/obs.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -25,18 +27,38 @@ void settle(const System& sys, GlobalState& g) {
 }
 
 /// Drives `steps` random interactions, cross-checking the cache against a
-/// from-scratch `enabledInteractions()` scan after every execution.
-void crossCheck(const System& sys, std::uint64_t seed, int steps) {
+/// from-scratch `enabledInteractions()` scan after every execution. An
+/// EvalError must come from both or from neither; when both raise, the
+/// step is stored in `raisedAt` (a null `raisedAt` makes any raise a
+/// failure).
+void crossCheck(const System& sys, std::uint64_t seed, int steps, int* raisedAt = nullptr) {
   GlobalState g = initialState(sys);
   settle(sys, g);
   EnabledInteractionCache cache(sys);
-  cache.reset(g);
+  bool cacheRaised = false;
+  try {
+    cache.reset(g);
+  } catch (const EvalError&) {
+    cacheRaised = true;
+  }
   Rng rng(seed);
-  for (int step = 0; step < steps; ++step) {
-    const std::vector<EnabledInteraction> fresh = enabledInteractions(sys, g);
+  for (int step = 0;; ++step) {
+    std::vector<EnabledInteraction> fresh;
+    bool freshRaised = false;
+    try {
+      fresh = enabledInteractions(sys, g);
+    } catch (const EvalError&) {
+      freshRaised = true;
+    }
+    if (cacheRaised || freshRaised) {
+      ASSERT_EQ(cacheRaised, freshRaised) << "only one side raised at step " << step;
+      ASSERT_NE(raisedAt, nullptr) << "unexpected EvalError at step " << step;
+      *raisedAt = step;
+      return;
+    }
     ASSERT_EQ(cache.enabled(), fresh) << "divergence at step " << step;
     ASSERT_EQ(cache.empty(), fresh.empty());
-    if (fresh.empty()) return;  // deadlock: nothing more to drive
+    if (step == steps || fresh.empty()) return;  // done, or deadlock
     const EnabledInteraction& ei = fresh[rng.index(fresh.size())];
     std::vector<int> choice;
     choice.reserve(ei.choices.size());
@@ -44,7 +66,22 @@ void crossCheck(const System& sys, std::uint64_t seed, int steps) {
       choice.push_back(static_cast<int>(rng.index(options.size())));
     }
     execute(sys, g, ei, choice);
-    cache.updateAfterExecute(g, ei);
+    try {
+      cache.updateAfterExecute(g, ei);
+    } catch (const EvalError&) {
+      cacheRaised = true;
+    }
+  }
+}
+
+/// Runs `check` on the compiled programs and on the interpreter oracle.
+void inBothModes(const std::function<void()>& check) {
+  for (const bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+    const bool saved = expr::compilationEnabled();
+    expr::setCompilationEnabled(compiled);
+    check();
+    expr::setCompilationEnabled(saved);
   }
 }
 
@@ -174,6 +211,213 @@ TEST(MultiThreadEngine, CacheOnAndOffProduceIdenticalRuns) {
   for (std::size_t i = 0; i < runs[0].trace.events.size(); ++i) {
     EXPECT_EQ(runs[0].trace.events[i].label, runs[1].trace.events[i].label);
   }
+}
+
+// ---- Hand-built offer cases ------------------------------------------------
+
+using expr::Assign;
+using expr::VarRef;
+
+/// Workers with several guarded transitions per port, coordinators of
+/// every skip class, a broadcast, and a guard that raises on a port no
+/// connector uses:
+///   * W: `go` has three guarded transitions (some false, so choice lists
+///     of one or two), `back` leads to a location whose tau step may fire
+///     right after, and `side` (on no connector) divides by zero;
+///   * op: an action-free self-loop on every `go_i` (skipped);
+///   * s: a self-loop *with* an action whose exported counter guards the
+///     broadcast `cast` (must be refreshed);
+///   * d: an action-free self-loop whose end receives a down assignment
+///     read by the guard of `watch` (must be refreshed).
+System offerCases(int workers) {
+  auto w = std::make_shared<AtomicType>("W");
+  {
+    const int idle = w->addLocation("idle");
+    const int busy = w->addLocation("busy");
+    const int done = w->addLocation("done");
+    const int x = w->addVariable("x", 0);
+    const int zero = w->addVariable("zero", 0);
+    const int go = w->addPort("go", {x});
+    const int back = w->addPort("back");
+    const int side = w->addPort("side");
+    const Expr vx = Expr::local(x);
+    w->addTransition(idle, go, vx % Expr::lit(3) != Expr::lit(2), {}, busy);
+    w->addTransition(idle, go, vx % Expr::lit(2) == Expr::lit(0),
+                     {Assign{VarRef{0, x}, vx + Expr::lit(1)}}, busy);
+    w->addTransition(idle, go, vx > Expr::lit(100), {}, busy);
+    w->addTransition(busy, back, Expr::top(), {Assign{VarRef{0, x}, vx + Expr::lit(1)}}, done);
+    w->addTransition(done, kInternalPort, vx % Expr::lit(4) != Expr::lit(3), {}, idle);
+    w->addTransition(done, back, Expr::top(), {Assign{VarRef{0, x}, vx + Expr::lit(2)}}, idle);
+    w->addTransition(idle, side, Expr::lit(1) / Expr::local(zero) > Expr::lit(0), {}, idle);
+    w->setInitialLocation(idle);
+  }
+  auto op = std::make_shared<AtomicType>("Op");
+  {
+    const int idle = op->addLocation("idle");
+    const int tick = op->addPort("tick");
+    op->addTransition(idle, tick, idle);
+    op->setInitialLocation(idle);
+  }
+  auto sender = std::make_shared<AtomicType>("Sender");
+  {
+    const int a = sender->addLocation("a");
+    const int n = sender->addVariable("n", 0);
+    const int send = sender->addPort("send", {n});
+    sender->addTransition(a, send, Expr::top(),
+                          {Assign{VarRef{0, n}, Expr::local(n) + Expr::lit(1)}}, a);
+    sender->setInitialLocation(a);
+  }
+  auto dest = std::make_shared<AtomicType>("Dest");
+  {
+    const int a = dest->addLocation("a");
+    const int v = dest->addVariable("v", 0);
+    const int p = dest->addPort("p", {v});
+    dest->addTransition(a, p, a);
+    dest->setInitialLocation(a);
+  }
+  System sys;
+  const int opIdx = sys.addInstance("op", op);
+  const int sIdx = sys.addInstance("s", sender);
+  const int dIdx = sys.addInstance("d", dest);
+  std::vector<int> ws;
+  for (int i = 0; i < workers; ++i) ws.push_back(sys.addInstance("w" + std::to_string(i), w));
+  const int go = w->portIndex("go");
+  const int back = w->portIndex("back");
+  for (int i = 0; i < workers; ++i) {
+    sys.addConnector(rendezvous("go" + std::to_string(i), {PortRef{opIdx, 0}, PortRef{ws[i], go}}));
+    sys.addConnector(rendezvous("back" + std::to_string(i), {PortRef{ws[i], back}}));
+  }
+  std::vector<PortRef> receivers;
+  for (int i = 0; i < workers; ++i) receivers.push_back(PortRef{ws[i], go});
+  Connector cast = broadcast("cast", PortRef{sIdx, 0}, receivers);
+  cast.setGuard(Expr::var(0, 0) % Expr::lit(3) != Expr::lit(1));
+  sys.addConnector(std::move(cast));
+  Connector set("set");
+  const int eD = set.addSynchron(PortRef{dIdx, 0});
+  set.addSynchron(PortRef{ws[0], back});
+  set.addDown(eD, 0, Expr::var(eD, 0) + Expr::lit(1));
+  sys.addConnector(std::move(set));
+  Connector watch("watch");
+  const int eW = watch.addSynchron(PortRef{dIdx, 0});
+  watch.addSynchron(PortRef{ws[workers - 1], back});
+  watch.setGuard(Expr::var(eW, 0) % Expr::lit(2) == Expr::lit(0));
+  sys.addConnector(std::move(watch));
+  sys.validate();
+  return sys;
+}
+
+TEST(EnabledInteractionCache, AgreesOnHandBuiltOfferCases) {
+  const System sys = offerCases(3);
+  inBothModes([&] {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) crossCheck(sys, seed, 300);
+  });
+}
+
+TEST(EnabledInteractionCache, ChoiceListsFollowGuards) {
+  // x = 0: the first two `go` transitions hold, the third does not.
+  const System sys = offerCases(2);
+  inBothModes([&] {
+    EnabledInteractionCache cache(sys);
+    GlobalState g = initialState(sys);
+    cache.reset(g);
+    const int go0 = 0;
+    bool seen = false;
+    for (const EnabledInteraction& ei : cache.enabled()) {
+      if (ei.connector != go0) continue;
+      seen = true;
+      ASSERT_EQ(ei.choices.size(), 2u);
+      EXPECT_EQ(ei.choices[1], (std::vector<int>{0, 1}));
+    }
+    EXPECT_TRUE(seen);
+  });
+}
+
+/// A coordinator on every worker's `go` connector, whose `tick` is an
+/// action-free self-loop (or, with `counting`, a self-loop that counts).
+System coordinated(int workers, bool counting) {
+  auto w = std::make_shared<AtomicType>("W");
+  const int idle = w->addLocation("idle");
+  const int busy = w->addLocation("busy");
+  const int go = w->addPort("go");
+  const int back = w->addPort("back");
+  w->addTransition(idle, go, busy);
+  w->addTransition(busy, back, idle);
+  w->setInitialLocation(idle);
+  auto op = std::make_shared<AtomicType>("Op");
+  const int l = op->addLocation("l");
+  const int n = op->addVariable("n", 0);
+  const int tick = op->addPort("tick");
+  std::vector<Assign> count;
+  if (counting) count.push_back(Assign{VarRef{0, n}, Expr::local(n) + Expr::lit(1)});
+  op->addTransition(l, tick, Expr::top(), std::move(count), l);
+  op->setInitialLocation(l);
+  System sys;
+  const int opIdx = sys.addInstance("op", op);
+  for (int i = 0; i < workers; ++i) {
+    const int wi = sys.addInstance("w" + std::to_string(i), w);
+    sys.addConnector(rendezvous("go" + std::to_string(i), {PortRef{opIdx, tick}, PortRef{wi, go}}));
+    sys.addConnector(rendezvous("back" + std::to_string(i), {PortRef{wi, back}}));
+  }
+  sys.validate();
+  return sys;
+}
+
+/// Connectors built by the update after firing `go0` from the initial state.
+std::uint64_t recomputesAfterFirstGo(const System& sys) {
+  GlobalState g = initialState(sys);
+  EnabledInteractionCache cache(sys);
+  cache.reset(g);
+  const EnabledInteraction go0 = cache.enabled().front();
+  EXPECT_EQ(go0.connector, 0);
+  executeDefault(sys, g, go0);
+  const std::uint64_t before = obs::snapshot().counter("cache.recomputes");
+  cache.updateAfterExecute(g, go0);
+  EXPECT_EQ(cache.enabled(), enabledInteractions(sys, g));
+  return obs::snapshot().counter("cache.recomputes") - before;
+}
+
+TEST(EnabledInteractionCache, StationaryCoordinatorIsSkipped) {
+  if (!obs::enabled()) GTEST_SKIP() << "needs the obs counters";
+  inBothModes([] {
+    // Only w0 moved: its `back0` is built and `go0` is emptied unbuilt.
+    // The coordinator's other `go_i` are not touched.
+    EXPECT_EQ(recomputesAfterFirstGo(coordinated(4, false)), 1u);
+    // A counting coordinator changes state, so all its connectors refresh.
+    EXPECT_EQ(recomputesAfterFirstGo(coordinated(4, true)), 4u);
+  });
+}
+
+TEST(EnabledInteractionCache, RaisingGuardOnUnconnectedPortNeverRuns) {
+  // `side` divides by zero whenever evaluated; it is on no connector.
+  const System sys = offerCases(2);
+  inBothModes([&] {
+    EnabledInteractionCache cache(sys);
+    const GlobalState g = initialState(sys);
+    EXPECT_NO_THROW(cache.reset(g));
+    EXPECT_NO_THROW(static_cast<void>(enabledInteractions(sys, g)));
+    crossCheck(sys, 3, 200);
+  });
+}
+
+TEST(EnabledInteractionCache, RaisingGuardOnConnectedPortRaisesOnBothPaths) {
+  // `dec` guards on 10 / c and counts c down from 3: the update after the
+  // third fire must raise, and so must a from-scratch scan of that state.
+  auto t = std::make_shared<AtomicType>("Countdown");
+  const int l = t->addLocation("l");
+  const int c = t->addVariable("c", 3);
+  const int dec = t->addPort("dec");
+  t->addTransition(l, dec, Expr::lit(10) / Expr::local(c) > Expr::lit(0),
+                   {Assign{VarRef{0, c}, Expr::local(c) - Expr::lit(1)}}, l);
+  t->setInitialLocation(l);
+  System sys;
+  const int inst = sys.addInstance("k", t);
+  sys.addConnector(rendezvous("dec", {PortRef{inst, dec}}));
+  sys.validate();
+  inBothModes([&] {
+    int raisedAt = -1;
+    crossCheck(sys, 1, 10, &raisedAt);
+    EXPECT_EQ(raisedAt, 3);
+  });
 }
 
 TEST(System, ConnectorsOfReverseIndex) {

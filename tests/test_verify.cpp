@@ -447,25 +447,28 @@ TEST(GoldenSearch, VerdictWitnessTrapsAndSolverEffortArePinned) {
   // Values recorded with the binary-heap VSIDS order this solver's sorted
   // order replaced. Any change to the decision order, the conflict
   // analysis or the trap queries moves the SAT effort, so a drift here
-  // means the search itself changed, not just its speed.
+  // means the search itself changed, not just its speed. A certified
+  // system carries no witness: the last round's witness was excluded by a
+  // trap, so only the potential deadlock pins one.
+  const std::uint64_t kNoWitness = witnessHash({});
   DFinderOptions batch4;
   batch4.witnessBatch = 4;
   DFinderOptions legacy;
   legacy.legacyPipeline = true;
   const GoldenRun runs[] = {
-      {"philo128", models::philosophersAtomic(128), {}, DFinderVerdict::kDeadlockFree, 256,
-       0x70710e2c815e0d63ull, 257, 0xaf887b43615c6760ull, 257, 98941},
+      {"philo128", models::philosophersAtomic(128), {}, DFinderVerdict::kDeadlockFree, 0,
+       kNoWitness, 257, 0xaf887b43615c6760ull, 257, 98941},
       {"philo128/batch4", models::philosophersAtomic(128), batch4,
-       DFinderVerdict::kDeadlockFree, 256, 0x2b88d5221c938383ull, 352, 0x10b1c9b8971a429eull,
+       DFinderVerdict::kDeadlockFree, 0, kNoWitness, 352, 0x10b1c9b8971a429eull,
        1068, 369095},
       {"twostep64", models::philosophersTwoStep(64), {}, DFinderVerdict::kPotentialDeadlock,
        128, 0x55e6b65657a52783ull, 97, 0xc406eeed2f17a0bfull, 66, 21254},
-      {"gas16x16", models::gasStation(16, 16), {}, DFinderVerdict::kDeadlockFree, 33,
-       0xed1442ea9b363be3ull, 2, 0xdd9f8a05d1dc7e63ull, 1, 2},
-      {"token256", models::tokenRing(256), {}, DFinderVerdict::kDeadlockFree, 256,
-       0x19dbc3365ea56383ull, 1, 0xf33b5cd1d8062799ull, 0, 0},
+      {"gas16x16", models::gasStation(16, 16), {}, DFinderVerdict::kDeadlockFree, 0,
+       kNoWitness, 2, 0xdd9f8a05d1dc7e63ull, 1, 2},
+      {"token256", models::tokenRing(256), {}, DFinderVerdict::kDeadlockFree, 0,
+       kNoWitness, 1, 0xf33b5cd1d8062799ull, 0, 0},
       {"philo37/legacy", models::philosophersAtomic(37), legacy, DFinderVerdict::kDeadlockFree,
-       74, 0x8221a5b17d77c0a2ull, 110, 0xc7375f662ddfd4afull, 551, 12080},
+       0, kNoWitness, 110, 0xc7375f662ddfd4afull, 551, 12080},
   };
   for (const GoldenRun& g : runs) {
     const DFinderResult r = checkDeadlockFreedom(g.system, g.options);
@@ -488,12 +491,14 @@ TEST(GoldenSearch, IncrementalRemoveReAddCycleIsPinned) {
   const IncrementalVerifier::StepResult removed =
       verifier.removeConnector(full.connectorCount() - 1);
   EXPECT_EQ(removed.verdict, DFinderVerdict::kPotentialDeadlock);
+  EXPECT_EQ(removed.witnessLocations.size(), full.instanceCount());
   EXPECT_EQ(removed.trapsKept, 0u);
   EXPECT_EQ(removed.trapsRechecked, 0u);
   EXPECT_EQ(removed.trapsDropped, 0u);
   EXPECT_EQ(removed.trapsNew, 65u);
   const IncrementalVerifier::StepResult added = verifier.addConnector(last);
   EXPECT_EQ(added.verdict, DFinderVerdict::kDeadlockFree);
+  EXPECT_TRUE(added.witnessLocations.empty());
   EXPECT_EQ(added.trapsKept, 64u);
   EXPECT_EQ(added.trapsRechecked, 2u);
   EXPECT_EQ(added.trapsDropped, 1u);
