@@ -19,7 +19,6 @@
 #include "models/models.hpp"
 #include "verify/dfinder.hpp"
 #include "verify/incremental.hpp"
-#include "verify/parallel.hpp"
 #include "verify/reachability.hpp"
 
 namespace {
@@ -78,94 +77,24 @@ void BM_MonolithicGasStation(benchmark::State& state) {
 }
 BENCHMARK(BM_MonolithicGasStation)->DenseRange(2, 4, 1)->Unit(benchmark::kMillisecond);
 
-/// PR-10 tentpole A/B: full certification of a 256-component model.
-/// Arg 0 = the historical baseline — legacy pipeline with the
-/// compilation and parallel-verify hatches off (tree-walking invariants,
-/// fresh SAT encoding per round, one witness per round, serial);
-/// arg 1 = the default fast pipeline (compiled invariant evaluation, one
-/// incremental solver across rounds, template-copied trap queries, the
-/// invariant portfolio threaded). Real time, because arm 1 may spread
-/// across a worker pool.
-void runPipelineVsLegacy(benchmark::State& state, const System& sys) {
-  const bool fast = state.range(0) != 0;
-  const bool savedCompile = expr::compilationEnabled();
-  const bool savedParallel = verify::parallelVerifyEnabled();
-  verify::DFinderOptions opt;
-  if (!fast) {
-    opt.legacyPipeline = true;
-    expr::setCompilationEnabled(false);
-    verify::setParallelVerifyEnabled(false);
-  }
-  for (auto _ : state) {
-    const auto r = verify::checkDeadlockFreedom(sys, opt);
-    if (r.verdict != verify::DFinderVerdict::kDeadlockFree) state.SkipWithError("not certified");
-    benchmark::DoNotOptimize(r);
-  }
-  expr::setCompilationEnabled(savedCompile);
-  verify::setParallelVerifyEnabled(savedParallel);
-  state.SetItemsProcessed(state.iterations());
-  state.counters["components"] = static_cast<double>(sys.instanceCount());
-}
-
-void BM_DFinderPhilosophers256PipelineVsLegacy(benchmark::State& state) {
-  runPipelineVsLegacy(state, models::philosophersAtomic(128));  // 256 instances
-}
-BENCHMARK(BM_DFinderPhilosophers256PipelineVsLegacy)
-    ->Arg(0)
-    ->Arg(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DFinderTokenRing256PipelineVsLegacy(benchmark::State& state) {
-  runPipelineVsLegacy(state, models::tokenRing(256));
-}
-BENCHMARK(BM_DFinderTokenRing256PipelineVsLegacy)
-    ->Arg(0)
-    ->Arg(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 /// Compiled invariant evaluation (fused guard+action bytecode in the BFS
 /// inner loop, arg 1) vs the shared_ptr expression-tree walk (arg 0) on
 /// a data-heavy family where invariant computation dominates the check.
-/// Serial both sides: this isolates the bytecode win.
+/// Serial both sides (one worker): this isolates the bytecode win.
 void BM_DFinderInvariantCompiledVsTree(benchmark::State& state) {
   const System sys = models::skewedPairs(64, 8, 1000);
   const bool savedCompile = expr::compilationEnabled();
-  const bool savedParallel = verify::parallelVerifyEnabled();
   expr::setCompilationEnabled(state.range(0) != 0);
-  verify::setParallelVerifyEnabled(false);
+  verify::DFinderOptions serial;
+  serial.workers = 1;
   for (auto _ : state) {
-    const auto invs = verify::componentInvariants(sys);
+    const auto invs = verify::componentInvariants(sys, serial);
     benchmark::DoNotOptimize(invs);
   }
   expr::setCompilationEnabled(savedCompile);
-  verify::setParallelVerifyEnabled(savedParallel);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DFinderInvariantCompiledVsTree)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/// The parallel refinement portfolio (arg 1) vs the same fast pipeline
-/// forced serial (arg 0). Everything else — solver, batching, compiled
-/// invariants — is identical, and so are the verdict, witness and trap
-/// sequence (PipelineEquivalence.ParallelAndSerialBitIdentical).
-void BM_DFinderParallelVsSerial(benchmark::State& state) {
-  const System sys = models::philosophersAtomic(128);
-  const bool saved = verify::parallelVerifyEnabled();
-  verify::setParallelVerifyEnabled(state.range(0) != 0);
-  for (auto _ : state) {
-    const auto r = verify::checkDeadlockFreedom(sys);
-    if (r.verdict != verify::DFinderVerdict::kDeadlockFree) state.SkipWithError("not certified");
-    benchmark::DoNotOptimize(r);
-  }
-  verify::setParallelVerifyEnabled(saved);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DFinderParallelVsSerial)
-    ->Arg(0)
-    ->Arg(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 /// Incremental recertification (arg 1) vs from-scratch re-verification
 /// (arg 0) of the same edit: remove the last connector, re-check, add it

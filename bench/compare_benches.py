@@ -10,7 +10,8 @@ Both files are the merged format emitted by bench/run_benches.sh
 
 * Ratio gates (always enforced): same-run A/B ratios — the compiled
   engine over the interpreted one, the adaptive sharded scheduler over
-  the static one, the fast D-Finder pipeline over the legacy one.
+  the static one, compiled D-Finder invariants over tree-walking ones,
+  incremental recertification over from-scratch.
   Both sides of each ratio come from one process on one machine, so the
   comparison is meaningful even when the committed baseline was recorded
   on different hardware than the CI runner. A ratio regressing by more
@@ -35,8 +36,8 @@ import sys
 
 # Same-run A/B pairs: (suite, numerator benchmark, denominator benchmark).
 # Each captures a layer's speedup over the one it is measured against
-# (compiled over interpreted, adaptive over static, fast over legacy),
-# independent of the machine.
+# (compiled over interpreted, adaptive over static, incremental over
+# from-scratch), independent of the machine.
 KEY_RATIOS = [
     ("bench_sharded", "BM_ShardedSkewed/4096/1/real_time",
      "BM_ShardedSkewed/4096/0/real_time"),
@@ -44,14 +45,8 @@ KEY_RATIOS = [
      "BM_ShardedSkewed/100000/0/real_time"),
     ("bench_engine", "BM_SequentialEngineCompiledVsInterpreted/1",
      "BM_SequentialEngineCompiledVsInterpreted/0"),
-    ("bench_dfinder", "BM_DFinderPhilosophers256PipelineVsLegacy/1/real_time",
-     "BM_DFinderPhilosophers256PipelineVsLegacy/0/real_time"),
-    ("bench_dfinder", "BM_DFinderTokenRing256PipelineVsLegacy/1/real_time",
-     "BM_DFinderTokenRing256PipelineVsLegacy/0/real_time"),
     ("bench_dfinder", "BM_DFinderInvariantCompiledVsTree/1",
      "BM_DFinderInvariantCompiledVsTree/0"),
-    ("bench_dfinder", "BM_DFinderParallelVsSerial/1/real_time",
-     "BM_DFinderParallelVsSerial/0/real_time"),
     ("bench_dfinder", "BM_DFinderIncrementalVsFull/1",
      "BM_DFinderIncrementalVsFull/0"),
 ]
@@ -60,18 +55,10 @@ KEY_RATIOS = [
 # NEW results, independent of any baseline: the adaptive scheduler
 # (rebalancing + work stealing) must beat the static partition on the
 # 10^5-component skewed-load model, or the online-rebalancing claim is
-# void no matter what the baseline recorded; and the fast D-Finder
-# pipeline (compiled invariants, one incremental solver, template-copied
-# trap queries) must certify the 256-component models at >= 3x the
-# tree-walking serial legacy pipeline, or the verification-at-engine-
-# speed claim is void.
+# void no matter what the baseline recorded.
 KEY_RATIO_FLOORS = [
     ("bench_sharded", "BM_ShardedSkewed/100000/1/real_time",
      "BM_ShardedSkewed/100000/0/real_time", 1.0),
-    ("bench_dfinder", "BM_DFinderPhilosophers256PipelineVsLegacy/1/real_time",
-     "BM_DFinderPhilosophers256PipelineVsLegacy/0/real_time", 3.0),
-    ("bench_dfinder", "BM_DFinderTokenRing256PipelineVsLegacy/1/real_time",
-     "BM_DFinderTokenRing256PipelineVsLegacy/0/real_time", 3.0),
 ]
 
 # Absolute throughput counters, only comparable on matching context.

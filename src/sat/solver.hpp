@@ -7,8 +7,10 @@
 // a conflict-driven clause-learning solver with watched literals,
 // first-UIP conflict analysis, VSIDS-style activity, geometric restarts
 // (a budget of 256 conflicts, grown by half after each restart) and
-// assumption-based incremental solving (used by the incremental
-// verification of [4] and by trap enumeration).
+// incremental solving: clauses persist across solve() calls, which is how
+// the D-Finder refinement loop keeps one solver alive across rounds.
+// solve() also takes assumptions (literals forced for one call); nothing
+// in the library uses them at present, but the API is kept and tested.
 //
 // Literals use the DIMACS convention: nonzero ints, -v is the negation of
 // variable v; variables are allocated with newVar() starting at 1.

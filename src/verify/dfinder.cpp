@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
-#include <set>
 
 #include "analyze/analyze.hpp"
 #include "expr/compile.hpp"
@@ -19,7 +18,6 @@ namespace {
 const obs::Counter g_rounds("dfinder.rounds");
 const obs::Counter g_traps("dfinder.traps");
 const obs::Counter g_guardsPruned("dfinder.guards_pruned");
-const obs::Counter g_witnesses("dfinder.witnesses");
 const obs::Counter g_invComputed("dfinder.invariants.computed");
 const obs::Counter g_invReused("dfinder.invariants.reused");
 const obs::Counter g_trapQueries("dfinder.trap.queries");
@@ -65,8 +63,8 @@ struct PlaceTable {
 };
 
 /// Net adjacency by place: which transitions take from / feed into each
-/// place (one entry per occurrence). Built once per check and shared
-/// read-only by every trap query of the portfolio.
+/// place (one entry per occurrence). Built once per check and read by
+/// every trap query.
 struct NetIndex {
   std::vector<std::vector<int>> takesFrom;
   std::vector<std::vector<int>> feedsInto;
@@ -90,75 +88,14 @@ struct NetIndex {
   }
 };
 
-/// Searches a trap of `net` that is initially marked but completely
-/// unoccupied in the control state `occupied` (such a trap is an
-/// invariant that *excludes* this state). Returns the minimized trap, or
-/// empty if none exists.
-///
-/// Legacy formulation: a fresh SAT instance per witness over std::map
-/// place variables. The fast pipeline's trapExcludingFast below poses
-/// the *same* SAT instance (same variable numbering, same clause order,
-/// via a copied pre-encoded template) and replays the same greedy
-/// minimization decisions, so the two return identical traps — only the
-/// bookkeeping cost differs.
-std::vector<Place> trapExcluding(const System& system, const InteractionNet& net,
-                                 const std::map<Place, bool>& occupied) {
-  std::map<Place, int> varOf;
-  std::vector<Place> places;
-  sat::Solver solver;
-  for (std::size_t i = 0; i < system.instanceCount(); ++i) {
-    const AtomicType& type = *system.instance(i).type;
-    for (std::size_t l = 0; l < type.locationCount(); ++l) {
-      const Place p{static_cast<int>(i), static_cast<int>(l)};
-      varOf[p] = solver.newVar();
-      places.push_back(p);
-    }
-  }
-  for (const NetTransition& t : net.transitions) {
-    std::vector<sat::Lit> post;
-    post.reserve(t.post.size());
-    for (const Place& q : t.post) post.push_back(varOf.at(q));
-    for (const Place& p : t.pre) {
-      std::vector<sat::Lit> clause{-varOf.at(p)};
-      clause.insert(clause.end(), post.begin(), post.end());
-      solver.addClause(std::move(clause));
-    }
-  }
-  {
-    std::vector<sat::Lit> initiallyMarkedClause;
-    for (const Place& p : net.initial) initiallyMarkedClause.push_back(varOf.at(p));
-    solver.addClause(std::move(initiallyMarkedClause));
-  }
-  // The trap must avoid every occupied place of the witness.
-  for (const auto& [place, isOccupied] : occupied) {
-    if (isOccupied) solver.addClause({-varOf.at(place)});
-  }
-  if (solver.solve() != sat::Result::kSat) return {};
-  std::vector<Place> trap;
-  for (const Place& p : places) {
-    if (solver.modelValue(varOf.at(p))) trap.push_back(p);
-  }
-  // Greedy minimization, keeping trap-ness and initial marking (removing
-  // places can only help the exclusion property).
-  for (std::size_t k = trap.size(); k > 0; --k) {
-    std::vector<Place> candidate = trap;
-    candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(k - 1));
-    if (!candidate.empty() && isTrap(net, candidate) && initiallyMarked(net, candidate)) {
-      trap = std::move(candidate);
-    }
-  }
-  return trap;
-}
-
 /// The witness-independent part of the trap query, encoded once per
 /// check: place variables (var = place id + 1), the trap-closure clauses
 /// ("taking from the trap feeds the trap") and the initially-marked
-/// clause. Per witness the portfolio *copies* this solver and adds only
-/// the occupied-place exclusion units — the copy starts in exactly the
-/// state a from-scratch encode would produce (no clause here is unit, so
-/// the template's trail is empty and no heuristic state has moved),
-/// which keeps the trap sequence identical to the historical per-witness
-/// rebuild while skipping ~|net| clause normalizations per query.
+/// clause. Per witness the loop *copies* this solver and adds only the
+/// occupied-place exclusion units — the copy starts in exactly the state
+/// a from-scratch encode would produce (no clause here is unit, so the
+/// template's trail is empty and no heuristic state has moved), which
+/// skips ~|net| clause normalizations per query.
 sat::Solver trapTemplate(const PlaceTable& pt, const InteractionNet& net) {
   sat::Solver solver;
   for (int id = 0; id < pt.total; ++id) solver.newVar();
@@ -179,23 +116,20 @@ sat::Solver trapTemplate(const PlaceTable& pt, const InteractionNet& net) {
   return solver;
 }
 
-/// Fast twin of trapExcluding: dense place ids, the witness-independent
-/// encoding copied from `tmpl` instead of rebuilt, and greedy
-/// minimization via incrementally maintained per-transition pre/post
-/// membership counts (O(degree) per removal candidate instead of
-/// O(net × |trap|) full isTrap recomputation). Same SAT instance, same
-/// decisions, identical result. `occupied` is indexed by place id.
-/// Thread-safe: everything it touches is call-local or read-only shared
-/// state, which is what lets the refinement portfolio run one of these
-/// per witness in parallel.
-std::vector<Place> trapExcludingFast(const PlaceTable& pt, const NetIndex& ni,
-                                     const sat::Solver& tmpl,
-                                     const std::vector<char>& occupied) {
+/// Searches a trap of the net that is initially marked but completely
+/// unoccupied in the control state `occupied` (indexed by place id): such
+/// a trap is an invariant that *excludes* this state. Returns the trap,
+/// minimized greedily (last place first, keeping trap-ness and the initial
+/// marking) via incrementally maintained per-transition pre/post
+/// membership counts — O(degree) per removal candidate instead of a full
+/// isTrap recomputation — or empty if none exists.
+std::vector<Place> excludingTrap(const PlaceTable& pt, const NetIndex& ni,
+                                 const sat::Solver& tmpl, const std::vector<char>& occupied) {
   g_trapQueries.add();
   // Copy-assigning into a thread-local scratch instance (rather than
   // copy-constructing a fresh one) reuses the clause / watch-list buffers
   // across queries; the value state after the assignment is the template's
-  // regardless, so behaviour stays identical and per-thread.
+  // regardless, so behaviour stays identical.
   static thread_local sat::Solver scratch;
   sat::Solver& solver = scratch;
   solver = tmpl;
@@ -262,159 +196,15 @@ std::vector<Place> trapExcludingFast(const PlaceTable& pt, const NetIndex& ni,
   return trap;
 }
 
-/// The pre-PR-10 refinement loop, verbatim: a fresh SAT encoding per
-/// round, one witness per round, serial trap search. Kept as the
-/// differential oracle and the baseline arm of the speedup benchmarks.
-DFinderResult legacyCheckWith(const System& system,
-                              std::vector<ComponentInvariant> componentInvariants,
-                              std::vector<std::vector<Place>> traps) {
-  DFinderResult result;
-  result.componentInvariants = std::move(componentInvariants);
-  result.traps = std::move(traps);
-  const InteractionNet net = buildInteractionNet(system, result.componentInvariants);
-
-  // Invariant-strengthening loop: check CI ∧ II ∧ DIS; on SAT, look for a
-  // trap invariant excluding the witness and retry. Terminates because
-  // every new trap kills at least the current witness (and the state
-  // space of control witnesses is finite).
-  constexpr int kMaxRounds = 4096;
-  for (int round = 0; round < kMaxRounds; ++round) {
-    g_rounds.add();
-    sat::Solver solver;
-    std::map<Place, int> at;
-    for (std::size_t i = 0; i < system.instanceCount(); ++i) {
-      const AtomicType& type = *system.instance(i).type;
-      const ComponentInvariant& inv = result.componentInvariants[i];
-      std::vector<sat::Lit> atLeastOne;
-      std::vector<int> vars;
-      for (std::size_t l = 0; l < type.locationCount(); ++l) {
-        const int v = solver.newVar();
-        at[Place{static_cast<int>(i), static_cast<int>(l)}] = v;
-        // CI (control part): unreachable locations are excluded outright.
-        if (!inv.reachableLocations[l]) {
-          solver.addClause({-v});
-        } else {
-          atLeastOne.push_back(v);
-          vars.push_back(v);
-        }
-      }
-      require(!atLeastOne.empty(),
-              "checkDeadlockFreedom: component with no reachable location");
-      solver.addClause(atLeastOne);
-      for (std::size_t a = 0; a < vars.size(); ++a) {
-        for (std::size_t b = a + 1; b < vars.size(); ++b) {
-          solver.addClause({-vars[a], -vars[b]});
-        }
-      }
-    }
-
-    // II: every trap invariant keeps a token.
-    for (const std::vector<Place>& trap : result.traps) {
-      std::vector<sat::Lit> clause;
-      clause.reserve(trap.size());
-      for (const Place& p : trap) clause.push_back(at.at(p));
-      solver.addClause(std::move(clause));
-    }
-
-    // DIS: no interaction is enabled. For interaction a with participants
-    // e_1..e_k, src_{a,e} = "participant e offers its port" (some feasible
-    // transition's source location occupied); ¬enabled(a) = ∨_e ¬src_{a,e},
-    // with at(i,l) → src_{a,e} binding the auxiliary from below.
-    for (std::size_t ci = 0; ci < system.connectorCount(); ++ci) {
-      const Connector& c = system.connector(ci);
-      for (InteractionMask mask : c.feasibleMasks()) {
-        std::vector<int> srcVars;
-        bool alwaysDisabled = false;
-        for (std::size_t e = 0; e < c.endCount(); ++e) {
-          if ((mask & (InteractionMask{1} << e)) == 0) continue;
-          const PortRef& p = c.end(e).port;
-          const AtomicType& type =
-              *system.instance(static_cast<std::size_t>(p.instance)).type;
-          const ComponentInvariant& inv =
-              result.componentInvariants[static_cast<std::size_t>(p.instance)];
-          std::vector<int> sources;
-          for (std::size_t ti = 0; ti < type.transitionCount(); ++ti) {
-            const Transition& t = type.transition(static_cast<int>(ti));
-            if (t.port != p.port || !inv.guardFeasible[ti]) continue;
-            if (!inv.reachableLocations[static_cast<std::size_t>(t.from)]) continue;
-            sources.push_back(at.at(Place{p.instance, t.from}));
-          }
-          if (sources.empty()) {
-            alwaysDisabled = true;
-            break;
-          }
-          const int src = solver.newVar();
-          for (int loc : sources) solver.addClause({-loc, src});
-          srcVars.push_back(src);
-        }
-        if (alwaysDisabled) continue;
-        std::vector<sat::Lit> someEndDisabled;
-        someEndDisabled.reserve(srcVars.size());
-        for (int src : srcVars) someEndDisabled.push_back(-src);
-        solver.addClause(std::move(someEndDisabled));
-      }
-    }
-    // Unconditionally enabled internal transitions: their source location
-    // can never be part of a deadlock (the engine settles taus).
-    for (std::size_t i = 0; i < system.instanceCount(); ++i) {
-      const AtomicType& type = *system.instance(i).type;
-      const ComponentInvariant& inv = result.componentInvariants[i];
-      for (std::size_t ti = 0; ti < type.transitionCount(); ++ti) {
-        const Transition& t = type.transition(static_cast<int>(ti));
-        if (t.port != kInternalPort || !inv.guardFeasible[ti]) continue;
-        if (!inv.reachableLocations[static_cast<std::size_t>(t.from)]) continue;
-        if (t.guard.isTrue()) {
-          solver.addClause({-at.at(Place{static_cast<int>(i), t.from})});
-        }
-      }
-    }
-
-    result.booleanVariables = static_cast<std::size_t>(solver.variableCount());
-    const sat::Result sr = solver.solve();
-    result.satConflicts += solver.conflicts();
-    result.satDecisions += solver.decisions();
-    if (sr == sat::Result::kUnsat) {
-      result.verdict = DFinderVerdict::kDeadlockFree;
-      result.witnessLocations.clear();  // the last round's witness was excluded
-      return result;
-    }
-    // Witness control state; try to exclude it with a fresh trap.
-    std::map<Place, bool> occupied;
-    result.witnessLocations.assign(system.instanceCount(), -1);
-    for (const auto& [place, var] : at) {
-      const bool occ = solver.modelValue(var);
-      occupied[place] = occ;
-      if (occ) {
-        result.witnessLocations[static_cast<std::size_t>(place.instance)] = place.location;
-      }
-    }
-    std::vector<Place> trap = trapExcluding(system, net, occupied);
-    if (trap.empty()) {
-      result.verdict = DFinderVerdict::kPotentialDeadlock;
-      return result;
-    }
-    g_traps.add();
-    result.traps.push_back(std::move(trap));
-  }
-  result.verdict = DFinderVerdict::kPotentialDeadlock;
-  return result;
-}
-
-/// The fast refinement loop (see the header comment): one incremental
-/// solver for the whole check, selector-guarded witness batches, and a
-/// parallel trap portfolio with deterministic in-order merging.
+/// The refinement loop (see the header comment): one incremental solver
+/// for the whole check, one witness and one trap query per round.
 ///
-/// Soundness of the batch step: every witness of a batch gets either a
-/// fresh trap (adopted, clause added) or a trap already adopted earlier
-/// in the same batch — either way a trap clause excluding it, so no
-/// witness can reappear in a later round. The first witness of a round
-/// can never yield a trap that is already a solver clause (the witness
-/// is a model of every current clause, and its excluding trap avoids all
-/// its occupied places), so each round adopts at least one new trap or
-/// returns — the same progress argument as the legacy loop.
-DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> componentInvariants,
-                        std::vector<std::vector<Place>> traps, const DFinderOptions& options,
-                        const InteractionNet* prebuiltNet) {
+/// Progress: the witness is a model of every trap clause in the solver,
+/// so each trap clause has an occupied place; the excluding trap avoids
+/// every occupied place, so it is never one of them. Each round thus
+/// adopts a new trap that kills the witness, or returns.
+DFinderResult refine(const System& system, std::vector<ComponentInvariant> componentInvariants,
+                     std::vector<std::vector<Place>> traps, const InteractionNet* prebuiltNet) {
   DFinderResult result;
   result.componentInvariants = std::move(componentInvariants);
   result.traps = std::move(traps);
@@ -435,6 +225,7 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
     for (std::size_t l = 0; l < type.locationCount(); ++l) {
       const int v = solver.newVar();
       at[static_cast<std::size_t>(pt.id(Place{static_cast<int>(i), static_cast<int>(l)}))] = v;
+      // CI (control part): unreachable locations are excluded outright.
       if (!inv.reachableLocations[l]) {
         solver.addUnit(-v);
       } else {
@@ -443,6 +234,8 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
       }
     }
     require(!atLeastOne.empty(), "checkDeadlockFreedom: component with no reachable location");
+    require(inv.restingOffers.size() == type.locationCount(),
+            "checkDeadlockFreedom: component invariant without resting offers");
     solver.addClause(atLeastOne);
     for (std::size_t a = 0; a < vars.size(); ++a) {
       for (std::size_t b = a + 1; b < vars.size(); ++b) {
@@ -452,6 +245,39 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
   }
   const auto atPlace = [&](const Place& p) { return at[static_cast<std::size_t>(pt.id(p))]; };
 
+  // Resting offers: a component rests at a location offering a superset
+  // of one of its minimal offer sets. A location with one set is its own
+  // offer literal; one with several gets a literal per set, one of which
+  // its occupation implies; one with none is never a resting place.
+  struct Offer {
+    int lit;
+    const std::vector<int>* ports;
+  };
+  std::vector<std::vector<Offer>> offersAt(static_cast<std::size_t>(pt.total));
+  for (int id = 0; id < pt.total; ++id) {
+    const Place& p = pt.place[static_cast<std::size_t>(id)];
+    const ComponentInvariant& inv =
+        result.componentInvariants[static_cast<std::size_t>(p.instance)];
+    if (!inv.reachableLocations[static_cast<std::size_t>(p.location)]) continue;
+    const std::vector<std::vector<int>>& sets =
+        inv.restingOffers[static_cast<std::size_t>(p.location)];
+    const int loc = at[static_cast<std::size_t>(id)];
+    std::vector<Offer>& offers = offersAt[static_cast<std::size_t>(id)];
+    if (sets.empty()) {
+      solver.addUnit(-loc);
+    } else if (sets.size() == 1) {
+      offers.push_back(Offer{loc, &sets.front()});
+    } else {
+      std::vector<sat::Lit> oneOf{-loc};
+      for (const std::vector<int>& ports : sets) {
+        const int lit = solver.newVar();
+        oneOf.push_back(lit);
+        offers.push_back(Offer{lit, &ports});
+      }
+      solver.addClause(std::move(oneOf));
+    }
+  }
+
   // II: every already-proven trap invariant keeps a token.
   for (const std::vector<Place>& trap : result.traps) {
     std::vector<sat::Lit> clause;
@@ -460,7 +286,11 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
     solver.addClause(std::move(clause));
   }
 
-  // DIS (same encoding as the legacy loop, built once).
+  // DIS: no interaction is enabled. For interaction a with participants
+  // e_1..e_k, src_{a,e} = "participant e offers its port" (the offer
+  // literal of an occupied location whose set holds the port, found
+  // through the port's feasible transitions); ¬enabled(a) = ∨_e ¬src_{a,e},
+  // with offer → src_{a,e} binding the auxiliary from below.
   for (std::size_t ci = 0; ci < system.connectorCount(); ++ci) {
     const Connector& c = system.connector(ci);
     for (InteractionMask mask : c.feasibleMasks()) {
@@ -477,7 +307,12 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
           const Transition& t = type.transition(static_cast<int>(ti));
           if (t.port != p.port || !inv.guardFeasible[ti]) continue;
           if (!inv.reachableLocations[static_cast<std::size_t>(t.from)]) continue;
-          sources.push_back(atPlace(Place{p.instance, t.from}));
+          const auto from = static_cast<std::size_t>(pt.id(Place{p.instance, t.from}));
+          for (const Offer& o : offersAt[from]) {
+            if (std::binary_search(o.ports->begin(), o.ports->end(), p.port)) {
+              sources.push_back(o.lit);
+            }
+          }
         }
         if (sources.empty()) {
           alwaysDisabled = true;
@@ -494,19 +329,6 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
       solver.addClause(std::move(someEndDisabled));
     }
   }
-  // Unconditionally enabled internal transitions exclude their source.
-  for (std::size_t i = 0; i < system.instanceCount(); ++i) {
-    const AtomicType& type = *system.instance(i).type;
-    const ComponentInvariant& inv = result.componentInvariants[i];
-    for (std::size_t ti = 0; ti < type.transitionCount(); ++ti) {
-      const Transition& t = type.transition(static_cast<int>(ti));
-      if (t.port != kInternalPort || !inv.guardFeasible[ti]) continue;
-      if (!inv.reachableLocations[static_cast<std::size_t>(t.from)]) continue;
-      if (t.guard.isTrue()) {
-        solver.addUnit(-atPlace(Place{static_cast<int>(i), t.from}));
-      }
-    }
-  }
   result.booleanVariables = static_cast<std::size_t>(solver.variableCount());
 
   const auto finishStats = [&] {
@@ -514,13 +336,10 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
     result.satDecisions = solver.decisions();
   };
 
-  std::set<std::vector<Place>> known(result.traps.begin(), result.traps.end());
-  const int batch = std::max(1, options.witnessBatch);
-  // Same refinement budget as the legacy loop, counted in witnesses (the
-  // legacy loop processes exactly one witness per round).
-  constexpr int kMaxWitnesses = 4096;
-  int remaining = kMaxWitnesses;
-  while (remaining > 0) {
+  // A round budget: every round adopts a new trap, and the control
+  // states the traps exclude are finitely many.
+  constexpr int kMaxRounds = 4096;
+  for (int round = 0; round < kMaxRounds; ++round) {
     g_rounds.add();
     if (solver.solve() == sat::Result::kUnsat) {
       finishStats();
@@ -528,70 +347,28 @@ DFinderResult fastCheck(const System& system, std::vector<ComponentInvariant> co
       result.witnessLocations.clear();  // the last round's witness was excluded
       return result;
     }
-    // Collect up to `batch` distinct witnesses: each blocking clause is
-    // guarded by a fresh selector assumed true only during this
-    // collection, so the blocks vanish from later rounds (the adopted
-    // trap clauses subsume them).
-    std::vector<std::vector<char>> occupied;
-    std::vector<std::vector<int>> witnessLocations;
-    std::vector<sat::Lit> selectors;
-    const auto extractWitness = [&] {
-      std::vector<char> occ(static_cast<std::size_t>(pt.total), 0);
-      std::vector<int> locs(system.instanceCount(), -1);
-      for (int id = 0; id < pt.total; ++id) {
-        if (solver.modelValue(at[static_cast<std::size_t>(id)])) {
-          occ[static_cast<std::size_t>(id)] = 1;
-          const Place& p = pt.place[static_cast<std::size_t>(id)];
-          locs[static_cast<std::size_t>(p.instance)] = p.location;
-        }
-      }
-      occupied.push_back(std::move(occ));
-      witnessLocations.push_back(std::move(locs));
-    };
-    extractWitness();
-    while (static_cast<int>(occupied.size()) < std::min(batch, remaining)) {
-      const int selector = solver.newVar();
-      std::vector<sat::Lit> block{-selector};
-      const std::vector<char>& prev = occupied.back();
-      for (int id = 0; id < pt.total; ++id) {
-        if (prev[static_cast<std::size_t>(id)] != 0) {
-          block.push_back(-at[static_cast<std::size_t>(id)]);
-        }
-      }
-      solver.addClause(std::move(block));
-      selectors.push_back(selector);
-      // UNSAT here only means "no further distinct witness" — the batch
-      // just ends; the next round's unassumed solve gives the verdict.
-      if (solver.solve(selectors) != sat::Result::kSat) break;
-      extractWitness();
-    }
-    g_witnesses.add(occupied.size());
-
-    // Trap portfolio: one independent SAT query per witness, fanned out
-    // over the worker pool; results land in per-witness slots and are
-    // merged in witness order after the join barrier, so the adopted trap
-    // sequence is identical to the serial run.
-    std::vector<std::vector<Place>> found(occupied.size());
-    parallelFor(occupied.size(), options.workers, [&](std::size_t j) {
-      found[j] = trapExcludingFast(pt, ni, trapTmpl, occupied[j]);
-    });
-    for (std::size_t j = 0; j < occupied.size(); ++j) {
-      result.witnessLocations = witnessLocations[j];
-      if (found[j].empty()) {
-        finishStats();
-        result.verdict = DFinderVerdict::kPotentialDeadlock;
-        return result;
-      }
-      if (known.insert(found[j]).second) {
-        g_traps.add();
-        std::vector<sat::Lit> clause;
-        clause.reserve(found[j].size());
-        for (const Place& p : found[j]) clause.push_back(atPlace(p));
-        solver.addClause(std::move(clause));
-        result.traps.push_back(std::move(found[j]));
+    // Witness control state; try to exclude it with a fresh trap.
+    std::vector<char> occupied(static_cast<std::size_t>(pt.total), 0);
+    result.witnessLocations.assign(system.instanceCount(), -1);
+    for (int id = 0; id < pt.total; ++id) {
+      if (solver.modelValue(at[static_cast<std::size_t>(id)])) {
+        occupied[static_cast<std::size_t>(id)] = 1;
+        const Place& p = pt.place[static_cast<std::size_t>(id)];
+        result.witnessLocations[static_cast<std::size_t>(p.instance)] = p.location;
       }
     }
-    remaining -= static_cast<int>(occupied.size());
+    std::vector<Place> trap = excludingTrap(pt, ni, trapTmpl, occupied);
+    if (trap.empty()) {
+      finishStats();
+      result.verdict = DFinderVerdict::kPotentialDeadlock;
+      return result;
+    }
+    g_traps.add();
+    std::vector<sat::Lit> clause;
+    clause.reserve(trap.size());
+    for (const Place& p : trap) clause.push_back(atPlace(p));
+    solver.addClause(std::move(clause));
+    result.traps.push_back(std::move(trap));
   }
   finishStats();
   result.verdict = DFinderVerdict::kPotentialDeadlock;
@@ -686,28 +463,15 @@ std::vector<ComponentInvariant> componentInvariants(const System& system,
 
 DFinderResult checkDeadlockFreedom(const System& system, const DFinderOptions& options) {
   system.validate();
-  if (options.legacyPipeline) {
-    std::vector<ComponentInvariant> invs;
-    invs.reserve(system.instanceCount());
-    for (std::size_t i = 0; i < system.instanceCount(); ++i) {
-      invs.push_back(componentInvariant(*system.instance(i).type, options.component));
-    }
-    g_guardsPruned.add(strengthenWithAnalysis(system, invs));
-    return legacyCheckWith(system, std::move(invs), {});
-  }
-  return fastCheck(system, componentInvariants(system, options), {}, options, nullptr);
+  return refine(system, componentInvariants(system, options), {}, nullptr);
 }
 
 DFinderResult checkDeadlockFreedomWith(const System& system,
                                        std::vector<ComponentInvariant> componentInvariants,
                                        std::vector<std::vector<Place>> traps,
-                                       const DFinderOptions& options,
+                                       const DFinderOptions& /*options*/,
                                        const InteractionNet* prebuiltNet) {
-  if (options.legacyPipeline) {
-    return legacyCheckWith(system, std::move(componentInvariants), std::move(traps));
-  }
-  return fastCheck(system, std::move(componentInvariants), std::move(traps), options,
-                   prebuiltNet);
+  return refine(system, std::move(componentInvariants), std::move(traps), prebuiltNet);
 }
 
 }  // namespace cbip::verify

@@ -11,30 +11,24 @@
 // be too coarse); the witness control locations are reported so a
 // directed monolithic search can confirm them.
 //
-// Two pipelines implement the refinement loop:
+// The refinement loop keeps ONE incremental SAT solver alive across
+// rounds (learnt clauses and variable activities, hence the sorted
+// decision order, carry over). Each round solves once: UNSAT certifies;
+// SAT yields a witness control state, and one trap query asks for an
+// initially-marked trap of the interaction net that the witness leaves
+// empty. Such a trap is an invariant excluding the witness: its clause
+// is adopted and the next round starts; when no such trap exists, the
+// witness is reported as a potential deadlock. The trap query copies a
+// pre-encoded template solver and adds only the occupied-place units.
+// Component invariants are computed once per distinct AtomicType
+// (instances share types), fanned out over verify/parallel's portfolio;
+// DFinderOptions::workers = 1 runs them serially, with bit-identical
+// results.
 //
-//  * The fast pipeline (default) keeps ONE incremental SAT solver alive
-//    across refinement rounds (learnt clauses and variable activities,
-//    hence the sorted decision order, carry over), computes component invariants once per distinct AtomicType
-//    (instances share types, fanned out as a parallel portfolio —
-//    verify/parallel, CBIP_NO_PARALLEL_VERIFY hatch), and answers each
-//    per-witness trap query by copying a pre-encoded template solver and
-//    adding only the occupied-place units — the same SAT instance as a
-//    from-scratch rebuild, minus the per-clause re-encoding cost, so the
-//    trap sequence is unchanged. DFinderOptions::witnessBatch > 1
-//    additionally collects a batch of witnesses per round via
-//    selector-guarded blocking clauses and fans the trap queries out
-//    over the same portfolio. Merging is deterministic — traps are
-//    adopted in witness order behind a join barrier — so verdict,
-//    witness and trap sequence are bit-identical between the threaded
-//    and serial runs.
-//
-//  * The legacy pipeline (DFinderOptions::legacyPipeline) is the
-//    pre-optimization reference: per-instance tree-walking invariants, a
-//    fresh SAT encoding per round, one witness per round, everything
-//    serial. It is kept as the differential oracle (both pipelines must
-//    agree on the verdict) and as the baseline arm of the bench_dfinder
-//    speedup ratios.
+// The oracle for this loop is exhaustive reachability on small seeded
+// systems (tests/random_systems.hpp): DEADLOCK_FREE must mean explore()
+// finds no deadlock, every adopted trap must hold on every reachable
+// state, and every witness must satisfy CI, II and DIS.
 #pragma once
 
 #include <cstdint>
@@ -48,22 +42,8 @@ namespace cbip::verify {
 
 struct DFinderOptions {
   ComponentInvariantOptions component;
-  TrapOptions traps;
-  /// Pre-PR-10 reference pipeline (see the file comment). With the
-  /// CBIP_NO_COMPILE and CBIP_NO_PARALLEL_VERIFY hatches it reproduces
-  /// the historical tree-walking serial behaviour exactly.
-  bool legacyPipeline = false;
-  /// Fast pipeline: witnesses collected (and trap queries solved) per
-  /// refinement round — the width of the parallel trap portfolio.
-  /// Values <= 1 mean one witness per round, which is also the
-  /// measured sweet spot on the bench models: extra witnesses cost an
-  /// assumption-guarded SAT solve each and tend to yield overlapping,
-  /// redundant traps, while the template-copied trap query they feed is
-  /// already cheap. Widths > 1 remain supported (and tested) for
-  /// models whose trap queries are the bottleneck.
-  int witnessBatch = 1;
-  /// Worker threads for parallel batches (0 = hardware concurrency).
-  /// Only consulted while parallelVerifyEnabled().
+  /// Worker threads for the per-type invariant portfolio (0 = hardware
+  /// concurrency, 1 = serial). The verdict never depends on it.
   int workers = 0;
 };
 
@@ -106,8 +86,8 @@ std::size_t strengthenWithAnalysis(const System& system,
 
 /// Component invariants for every instance of `system`, computed once per
 /// distinct AtomicType (instances share types, and the invariant is a
-/// property of the type alone) — across the parallel portfolio when the
-/// hatch is on — then strengthened with the abstract-interpretation feed.
+/// property of the type alone) — across `options.workers` threads — then
+/// strengthened with the abstract-interpretation feed.
 std::vector<ComponentInvariant> componentInvariants(const System& system,
                                                     const DFinderOptions& options = {});
 
@@ -115,10 +95,13 @@ std::vector<ComponentInvariant> componentInvariants(const System& system,
 DFinderResult checkDeadlockFreedom(const System& system, const DFinderOptions& options = {});
 
 /// Core of the check, reusing precomputed invariants and previously
-/// proven traps (the incremental verifier calls this directly). When
-/// `prebuiltNet` is non-null it must be buildInteractionNet(system,
+/// proven traps (the incremental verifier calls this directly). Each
+/// invariant must carry its `restingOffers`, as componentInvariant's do.
+/// When `prebuiltNet` is non-null it must be buildInteractionNet(system,
 /// componentInvariants) — the incremental verifier passes its cached
-/// chunk concatenation to skip the rebuild.
+/// chunk concatenation to skip the rebuild. The refinement loop has no
+/// knobs of its own: `options` only shapes the invariants, which the
+/// caller supplies here.
 DFinderResult checkDeadlockFreedomWith(const System& system,
                                        std::vector<ComponentInvariant> componentInvariants,
                                        std::vector<std::vector<Place>> traps,

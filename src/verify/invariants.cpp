@@ -69,6 +69,24 @@ class ReducedContext final : public expr::EvalContext {
   std::vector<Value>* slots_;
 };
 
+/// Sorts a port list and drops repeats (two transitions on one port).
+void normalizePorts(std::vector<int>& ports) {
+  std::sort(ports.begin(), ports.end());
+  ports.erase(std::unique(ports.begin(), ports.end()), ports.end());
+}
+
+/// The inclusion-minimal members of `sets` (each sorted), in set order.
+std::vector<std::vector<int>> minimalSets(const std::set<std::vector<int>>& sets) {
+  std::vector<std::vector<int>> out;
+  for (const std::vector<int>& s : sets) {
+    const bool dominated = std::any_of(sets.begin(), sets.end(), [&s](const std::vector<int>& o) {
+      return o != s && std::includes(s.begin(), s.end(), o.begin(), o.end());
+    });
+    if (!dominated) out.push_back(s);
+  }
+  return out;
+}
+
 /// Location-only fallback: graph reachability ignoring all data.
 ComponentInvariant locationOnlyInvariant(const AtomicType& type, std::uint64_t explored) {
   ComponentInvariant inv;
@@ -94,6 +112,25 @@ ComponentInvariant locationOnlyInvariant(const AtomicType& type, std::uint64_t e
   for (std::size_t i = 0; i < type.transitionCount(); ++i) {
     const Transition& t = type.transition(static_cast<int>(i));
     inv.guardFeasible[i] = inv.reachableLocations[static_cast<std::size_t>(t.from)];
+  }
+  // Without data, only always-true transitions are surely enabled.
+  inv.restingOffers.assign(type.locationCount(), {});
+  for (std::size_t l = 0; l < type.locationCount(); ++l) {
+    if (!inv.reachableLocations[l]) continue;
+    std::vector<int> offered;
+    bool rests = true;
+    for (std::size_t i = 0; i < type.transitionCount(); ++i) {
+      const Transition& t = type.transition(static_cast<int>(i));
+      if (static_cast<std::size_t>(t.from) != l || !t.guard.isTrue()) continue;
+      if (t.port == kInternalPort) {
+        rests = false;
+      } else {
+        offered.push_back(t.port);
+      }
+    }
+    if (!rests) continue;
+    normalizePorts(offered);
+    inv.restingOffers[l].push_back(std::move(offered));
   }
   return inv;
 }
@@ -159,12 +196,17 @@ ComponentInvariant componentInvariant(const AtomicType& type,
   frontier.push_back(std::move(init));
 
   std::vector<bool> guardFeasible(type.transitionCount(), false);
+  // Per location, the distinct port sets offered in resting states.
+  std::vector<std::set<std::vector<int>>> resting(type.locationCount());
+  std::vector<int> offered;
   std::uint64_t explored = 0;
 
   while (!frontier.empty()) {
     const AbsState state = std::move(frontier.front());
     frontier.pop_front();
     ++explored;
+    offered.clear();
+    bool rests = true;
     for (std::size_t i = 0; i < type.transitionCount(); ++i) {
       const Transition& t = type.transition(static_cast<int>(i));
       if (t.from != state.first) continue;
@@ -174,11 +216,9 @@ ComponentInvariant componentInvariant(const AtomicType& type,
         // place; result 0 means the guard failed (frame untouched).
         const expr::ExprProgram& p = fused[i];
         if (!p.empty() && p.run(std::span<Value>(vars), 0) == 0) continue;
-        guardFeasible[i] = true;
       } else {
         ReducedContext ctx(slotOf, vars);
         if (!t.guard.isTrue() && t.guard.eval(ctx) == 0) continue;
-        guardFeasible[i] = true;
         // Apply only the actions whose targets survive the reduction.
         for (const expr::Assign& a : t.actions) {
           if (slotOf[static_cast<std::size_t>(a.target.index)] >= 0) {
@@ -186,11 +226,21 @@ ComponentInvariant componentInvariant(const AtomicType& type,
           }
         }
       }
+      guardFeasible[i] = true;
+      if (t.port == kInternalPort) {
+        rests = false;
+      } else {
+        offered.push_back(t.port);
+      }
       AbsState next{t.to, std::move(vars)};
       if (seen.size() >= options.maxStates) {
         return locationOnlyInvariant(type, explored);
       }
       if (seen.insert(next).second) frontier.push_back(std::move(next));
+    }
+    if (rests) {
+      normalizePorts(offered);
+      resting[static_cast<std::size_t>(state.first)].insert(offered);
     }
   }
 
@@ -198,6 +248,10 @@ ComponentInvariant componentInvariant(const AtomicType& type,
   inv.dataExact = true;
   inv.statesExplored = explored;
   inv.guardFeasible = std::move(guardFeasible);
+  inv.restingOffers.reserve(type.locationCount());
+  for (const std::set<std::vector<int>>& sets : resting) {
+    inv.restingOffers.push_back(minimalSets(sets));
+  }
   inv.reachableLocations.assign(type.locationCount(), false);
   for (const AbsState& s : seen) {
     inv.reachableLocations[static_cast<std::size_t>(s.first)] = true;

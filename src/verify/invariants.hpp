@@ -36,6 +36,16 @@ struct ComponentInvariant {
   /// reachable state with matching location? (conservatively true when
   /// the data exploration fell back).
   std::vector<bool> guardFeasible;
+  /// Per location: the inclusion-minimal sets of ports (sorted port
+  /// indices) the component offers while resting there. A component rests
+  /// in a state where no tau passes its guard (the engine settles taus),
+  /// and offers a port when some transition on it passes its guard. Every
+  /// resting state offers a superset of one of these sets, so a deadlock
+  /// check may assume no more. An empty list: the component never rests
+  /// there. The location-only fallback keeps one set, the ports of the
+  /// location's always-true transitions, or none when an always-true tau
+  /// leaves it.
+  std::vector<std::vector<std::vector<int>>> restingOffers;
   /// True when data exploration completed within budget (invariant is
   /// location+data based); false = location-only fallback.
   bool dataExact = false;

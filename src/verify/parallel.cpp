@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -18,31 +17,14 @@ const obs::Counter g_batches("verify.parallel.batches");
 const obs::Counter g_tasks("verify.parallel.tasks");
 const obs::Counter g_inline("verify.parallel.inline_tasks");
 
-std::atomic<bool>& parallelVerifyFlag() {
-  static std::atomic<bool> flag = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): first call happens inside a
-    // function-local static initializer, which the runtime serializes.
-    const char* env = std::getenv("CBIP_NO_PARALLEL_VERIFY");
-    const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-    return !disabled;
-  }();
-  return flag;
-}
-
 }  // namespace
-
-bool parallelVerifyEnabled() { return parallelVerifyFlag().load(std::memory_order_relaxed); }
-
-void setParallelVerifyEnabled(bool on) {
-  parallelVerifyFlag().store(on, std::memory_order_relaxed);
-}
 
 void parallelFor(std::size_t n, int workers, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   std::size_t pool = workers > 0 ? static_cast<std::size_t>(workers)
                                  : std::max(1U, std::thread::hardware_concurrency());
   pool = std::min(pool, n);
-  if (!parallelVerifyEnabled() || n == 1 || pool <= 1) {
+  if (n == 1 || pool <= 1) {
     g_inline.add(n);
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;

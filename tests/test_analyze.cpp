@@ -13,6 +13,7 @@
 
 #include "analyze/analyze.hpp"
 #include "analyze/lint.hpp"
+#include "compile_switch.hpp"
 #include "core/semantics.hpp"
 #include "engine/engine.hpp"
 #include "engine/engine_mt.hpp"
@@ -48,19 +49,6 @@ constexpr Value kMin = std::numeric_limits<Value>::min();
 constexpr Value kMax = std::numeric_limits<Value>::max();
 
 Expr v(int i) { return Expr::local(i); }
-
-/// Restores the global compilation switch on scope exit (as in
-/// test_expr_compile).
-class CompileSwitch {
- public:
-  explicit CompileSwitch(bool on) : saved_(expr::compilationEnabled()) {
-    expr::setCompilationEnabled(on);
-  }
-  ~CompileSwitch() { expr::setCompilationEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 /// Local slot map (slot = index, scope 0), as in the fused tests.
 int localSlot(VarRef r) {

@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 
+#include "compile_switch.hpp"
 #include "engine/engine.hpp"
 #include "engine/engine_mt.hpp"
 #include "expr/compile.hpp"
@@ -279,15 +280,13 @@ System countdownPairs() {
 void expectDivisionByZeroFromRun(const std::function<void()>& run) {
   for (const bool compiled : {true, false}) {
     SCOPED_TRACE(compiled ? "compiled" : "interpreted");
-    const bool saved = expr::compilationEnabled();
-    expr::setCompilationEnabled(compiled);
+    const CompileSwitch path(compiled);
     try {
       run();
       ADD_FAILURE() << "expected EvalError from run()";
     } catch (const EvalError& e) {
       EXPECT_STREQ(e.what(), "division by zero");
     }
-    expr::setCompilationEnabled(saved);
   }
 }
 
@@ -366,8 +365,7 @@ TEST(SequentialEngine, GoldenTracesArePinned) {
   };
   for (const bool compiled : {true, false}) {
     SCOPED_TRACE(compiled ? "compiled" : "interpreted");
-    const bool saved = expr::compilationEnabled();
-    expr::setCompilationEnabled(compiled);
+    const CompileSwitch path(compiled);
     for (const Golden& g : runs) {
       RandomPolicy policy(g.seed);
       SequentialEngine engine(g.system, policy);
@@ -377,7 +375,6 @@ TEST(SequentialEngine, GoldenTracesArePinned) {
       EXPECT_EQ(r.steps, 2000u) << g.name;
       EXPECT_EQ(traceHash(r.trace), g.hash) << g.name;
     }
-    expr::setCompilationEnabled(saved);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "compile_switch.hpp"
 #include "core/semantics.hpp"
 #include "engine/engine.hpp"
 #include "engine/engine_mt.hpp"
@@ -78,10 +79,8 @@ void crossCheck(const System& sys, std::uint64_t seed, int steps, int* raisedAt 
 void inBothModes(const std::function<void()>& check) {
   for (const bool compiled : {true, false}) {
     SCOPED_TRACE(compiled ? "compiled" : "interpreted");
-    const bool saved = expr::compilationEnabled();
-    expr::setCompilationEnabled(compiled);
+    const CompileSwitch path(compiled);
     check();
-    expr::setCompilationEnabled(saved);
   }
 }
 
@@ -95,11 +94,9 @@ TEST(EnabledInteractionCache, AgreesOnEveryScanPath) {
   // scalar scan (CBIP_NO_COMPILE).
   for (const bool compiled : {true, false}) {
     SCOPED_TRACE(compiled ? "batched" : "interpreted");
-    const bool saved = expr::compilationEnabled();
-    expr::setCompilationEnabled(compiled);
+    const CompileSwitch path(compiled);
     crossCheck(models::philosophersAtomic(5), 11, 200);
     crossCheck(models::gasStation(2, 3), 5, 200);
-    expr::setCompilationEnabled(saved);
   }
 }
 
@@ -112,14 +109,12 @@ TEST(SequentialEngine, BatchScanOnAndOffProduceIdenticalRuns) {
                                                       : models::gasStation(2, 4);
     RunResult runs[2];
     for (int batch = 0; batch < 2; ++batch) {
-      const bool saved = expr::compilationEnabled();
-      expr::setCompilationEnabled(batch == 1);
+      const CompileSwitch path(batch == 1);
       RandomPolicy policy(99);
       SequentialEngine engine(sys, policy);
       RunOptions opt;
       opt.maxSteps = 400;
       runs[batch] = engine.run(opt);
-      expr::setCompilationEnabled(saved);
     }
     EXPECT_EQ(runs[0].reason, runs[1].reason) << model;
     EXPECT_EQ(runs[0].steps, runs[1].steps) << model;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "compile_switch.hpp"
 #include "core/semantics.hpp"
 #include "engine/engine.hpp"
 #include "engine/engine_mt.hpp"
@@ -34,18 +35,6 @@ namespace {
 using expr::Expr;
 using expr::ExprProgram;
 using expr::VarRef;
-
-/// Restores the global compilation switch on scope exit.
-class CompileSwitch {
- public:
-  explicit CompileSwitch(bool on) : saved_(expr::compilationEnabled()) {
-    expr::setCompilationEnabled(on);
-  }
-  ~CompileSwitch() { expr::setCompilationEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 Expr v(int i) { return Expr::local(i); }
 

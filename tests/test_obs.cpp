@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "compile_switch.hpp"
 #include "engine/engine.hpp"
 #include "engine/engine_mt.hpp"
 #include "expr/compile.hpp"
@@ -262,14 +263,12 @@ TEST(ObsDifferential, TracesBitIdenticalWithObsOnAndOff) {
     for (const auto& runEngine : engines) {
       for (const bool compiled : {true, false}) {
         SCOPED_TRACE(compiled ? "compiled" : "interpreted");
-        const bool saved = expr::compilationEnabled();
-        expr::setCompilationEnabled(compiled);
+        const CompileSwitch path(compiled);
         obs::setEnabled(true);
         const Outcome on = runEngine(sys, 42);
         obs::setEnabled(false);
         const Outcome off = runEngine(sys, 42);
         obs::setEnabled(true);
-        expr::setCompilationEnabled(saved);
         expectSameOutcome(on, off);
       }
     }

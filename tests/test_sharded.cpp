@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "compile_switch.hpp"
 #include "engine/engine.hpp"
 #include "engine/engine_mt.hpp"
 #include "models/models.hpp"
@@ -256,14 +257,12 @@ TEST(ShardedEngine, SeededRunsReproduce) {
 TEST(ShardedEngine, CompiledAndInterpretedTracesIdentical) {
   const System sys = models::producerConsumer(3);
   const auto runWith = [&](bool compiled) {
-    const bool saved = expr::compilationEnabled();
-    expr::setCompilationEnabled(compiled);
+    const CompileSwitch path(compiled);
     ShardedEngine engine(sys, 2);
     ShardedOptions opt;
     opt.maxSteps = 200;
     opt.seed = 3;
     const RunResult r = engine.run(opt);
-    expr::setCompilationEnabled(saved);
     return r;
   };
   const RunResult on = runWith(true);
@@ -282,14 +281,12 @@ TEST(ShardedEngine, FusedAndUnfusedTracesIdentical) {
   const System models[] = {transferRing(9), models::producerConsumer(3)};
   for (const System& sys : models) {
     const auto runWith = [&](bool fused) {
-      const bool saved = expr::compilationEnabled();
-      expr::setCompilationEnabled(fused);
+      const CompileSwitch path(fused);
       ShardedEngine engine(sys, 3);
       ShardedOptions opt;
       opt.maxSteps = 200;
       opt.seed = 5;
       const RunResult r = engine.run(opt);
-      expr::setCompilationEnabled(saved);
       return r;
     };
     const RunResult on = runWith(true);
@@ -309,14 +306,12 @@ TEST(ShardedEngine, BatchedAndScalarScanTracesIdentical) {
   const System models[] = {models::philosophersAtomic(12), models::producerConsumer(3)};
   for (const System& sys : models) {
     const auto runWith = [&](bool batch) {
-      const bool saved = expr::compilationEnabled();
-      expr::setCompilationEnabled(batch);
+      const CompileSwitch path(batch);
       ShardedEngine engine(sys, 3);
       ShardedOptions opt;
       opt.maxSteps = 200;
       opt.seed = 7;
       const RunResult r = engine.run(opt);
-      expr::setCompilationEnabled(saved);
       return r;
     };
     const RunResult batched = runWith(true);
@@ -337,14 +332,12 @@ TEST(ShardedEngine, ThreadedAndSwitchVmCoresTracesIdentical) {
   const System models[] = {models::philosophersAtomic(12), models::producerConsumer(3)};
   for (const System& sys : models) {
     const auto runWith = [&](bool compiled) {
-      const bool saved = expr::compilationEnabled();
-      expr::setCompilationEnabled(compiled);
+      const CompileSwitch path(compiled);
       ShardedEngine engine(sys, 3);
       ShardedOptions opt;
       opt.maxSteps = 200;
       opt.seed = 11;
       const RunResult r = engine.run(opt);
-      expr::setCompilationEnabled(saved);
       return r;
     };
     const RunResult on = runWith(true);

@@ -1,20 +1,22 @@
 // Tests for the verification layer: monolithic reachability, component
 // invariants, traps / interaction invariants, the D-Finder deadlock check
-// and incremental verification.
+// (checked against exhaustive reachability on generated systems) and
+// incremental verification.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 
+#include "compile_switch.hpp"
 #include "engine/engine.hpp"
-#include "expr/compile.hpp"
 #include "models/models.hpp"
+#include "random_systems.hpp"
 #include "util/rng.hpp"
 #include "verify/dfinder.hpp"
 #include "verify/incremental.hpp"
 #include "verify/invariants.hpp"
 #include "verify/lint.hpp"
-#include "verify/parallel.hpp"
 #include "verify/reachability.hpp"
 
 namespace cbip::verify {
@@ -259,34 +261,6 @@ TEST(Incremental, ReusesTrapsAcrossAdditions) {
 
 // ---- PR 10: pipeline equivalence ----------------------------------------
 
-/// RAII toggles for the expression-compilation and parallel-verify
-/// hatches, restoring the previous values on scope exit.
-class CompileSwitch {
- public:
-  explicit CompileSwitch(bool on) : prev_(expr::compilationEnabled()) {
-    expr::setCompilationEnabled(on);
-  }
-  ~CompileSwitch() { expr::setCompilationEnabled(prev_); }
-  CompileSwitch(const CompileSwitch&) = delete;
-  CompileSwitch& operator=(const CompileSwitch&) = delete;
-
- private:
-  bool prev_;
-};
-
-class ParallelSwitch {
- public:
-  explicit ParallelSwitch(bool on) : prev_(parallelVerifyEnabled()) {
-    setParallelVerifyEnabled(on);
-  }
-  ~ParallelSwitch() { setParallelVerifyEnabled(prev_); }
-  ParallelSwitch(const ParallelSwitch&) = delete;
-  ParallelSwitch& operator=(const ParallelSwitch&) = delete;
-
- private:
-  bool prev_;
-};
-
 std::vector<System> equivalenceZoo() {
   std::vector<System> zoo;
   zoo.push_back(models::philosophersAtomic(6));
@@ -314,6 +288,7 @@ TEST(PipelineEquivalence, CompiledAndTreeInvariantsAgree) {
       }
       EXPECT_EQ(compiled.reachableLocations, tree.reachableLocations) << type.name();
       EXPECT_EQ(compiled.guardFeasible, tree.guardFeasible) << type.name();
+      EXPECT_EQ(compiled.restingOffers, tree.restingOffers) << type.name();
       EXPECT_EQ(compiled.dataExact, tree.dataExact) << type.name();
       EXPECT_EQ(compiled.statesExplored, tree.statesExplored) << type.name();
     }
@@ -349,49 +324,21 @@ TEST(PipelineEquivalence, CompiledInvariantFallbackMatchesTree) {
 
 TEST(PipelineEquivalence, ParallelAndSerialBitIdentical) {
   // The acceptance bar: verdict, witness AND full trap sequence must be
-  // byte-identical with the parallel portfolio on and off.
+  // byte-identical whether the invariant portfolio runs on four workers
+  // or serially.
   for (const System& sys : equivalenceZoo()) {
-    DFinderResult par, ser;
-    {
-      ParallelSwitch on(true);
-      par = checkDeadlockFreedom(sys);
-    }
-    {
-      ParallelSwitch off(false);
-      ser = checkDeadlockFreedom(sys);
-    }
+    DFinderOptions parallel;
+    parallel.workers = 4;
+    DFinderOptions serial;
+    serial.workers = 1;
+    const DFinderResult par = checkDeadlockFreedom(sys, parallel);
+    const DFinderResult ser = checkDeadlockFreedom(sys, serial);
     EXPECT_EQ(par.verdict, ser.verdict);
     EXPECT_EQ(par.witnessLocations, ser.witnessLocations);
     EXPECT_EQ(par.traps, ser.traps);
     EXPECT_EQ(par.booleanVariables, ser.booleanVariables);
     EXPECT_EQ(par.satConflicts, ser.satConflicts);
     EXPECT_EQ(par.satDecisions, ser.satDecisions);
-  }
-}
-
-TEST(PipelineEquivalence, FastAndLegacyVerdictsAgree) {
-  for (const System& sys : equivalenceZoo()) {
-    DFinderOptions fast;
-    DFinderOptions legacy;
-    legacy.legacyPipeline = true;
-    EXPECT_EQ(checkDeadlockFreedom(sys, fast).verdict,
-              checkDeadlockFreedom(sys, legacy).verdict);
-  }
-}
-
-TEST(PipelineEquivalence, WitnessBatchWidthDoesNotChangeTheVerdict) {
-  // The batch width changes which witnesses are sampled per round (so the
-  // reported witness may differ) but never the verdict.
-  for (int batch : {1, 2, 8, 64}) {
-    DFinderOptions opt;
-    opt.witnessBatch = batch;
-    const DFinderResult flagged =
-        checkDeadlockFreedom(models::philosophersTwoStep(4), opt);
-    EXPECT_EQ(flagged.verdict, DFinderVerdict::kPotentialDeadlock) << "batch=" << batch;
-    EXPECT_FALSE(flagged.witnessLocations.empty());
-    const DFinderResult certified =
-        checkDeadlockFreedom(models::philosophersAtomic(6), opt);
-    EXPECT_EQ(certified.verdict, DFinderVerdict::kDeadlockFree) << "batch=" << batch;
   }
 }
 
@@ -433,7 +380,6 @@ std::uint64_t witnessHash(const std::vector<int>& witness) {
 struct GoldenRun {
   const char* name;
   System system;
-  DFinderOptions options;
   DFinderVerdict verdict;
   std::size_t witnessSize;
   std::uint64_t witnessHash;
@@ -451,27 +397,18 @@ TEST(GoldenSearch, VerdictWitnessTrapsAndSolverEffortArePinned) {
   // system carries no witness: the last round's witness was excluded by a
   // trap, so only the potential deadlock pins one.
   const std::uint64_t kNoWitness = witnessHash({});
-  DFinderOptions batch4;
-  batch4.witnessBatch = 4;
-  DFinderOptions legacy;
-  legacy.legacyPipeline = true;
   const GoldenRun runs[] = {
-      {"philo128", models::philosophersAtomic(128), {}, DFinderVerdict::kDeadlockFree, 0,
+      {"philo128", models::philosophersAtomic(128), DFinderVerdict::kDeadlockFree, 0,
        kNoWitness, 257, 0xaf887b43615c6760ull, 257, 98941},
-      {"philo128/batch4", models::philosophersAtomic(128), batch4,
-       DFinderVerdict::kDeadlockFree, 0, kNoWitness, 352, 0x10b1c9b8971a429eull,
-       1068, 369095},
-      {"twostep64", models::philosophersTwoStep(64), {}, DFinderVerdict::kPotentialDeadlock,
-       128, 0x55e6b65657a52783ull, 97, 0xc406eeed2f17a0bfull, 66, 21254},
-      {"gas16x16", models::gasStation(16, 16), {}, DFinderVerdict::kDeadlockFree, 0,
-       kNoWitness, 2, 0xdd9f8a05d1dc7e63ull, 1, 2},
-      {"token256", models::tokenRing(256), {}, DFinderVerdict::kDeadlockFree, 0,
-       kNoWitness, 1, 0xf33b5cd1d8062799ull, 0, 0},
-      {"philo37/legacy", models::philosophersAtomic(37), legacy, DFinderVerdict::kDeadlockFree,
-       0, kNoWitness, 110, 0xc7375f662ddfd4afull, 551, 12080},
+      {"twostep64", models::philosophersTwoStep(64), DFinderVerdict::kPotentialDeadlock, 128,
+       0x55e6b65657a52783ull, 97, 0xc406eeed2f17a0bfull, 66, 21254},
+      {"gas16x16", models::gasStation(16, 16), DFinderVerdict::kDeadlockFree, 0, kNoWitness, 2,
+       0xdd9f8a05d1dc7e63ull, 1, 2},
+      {"token256", models::tokenRing(256), DFinderVerdict::kDeadlockFree, 0, kNoWitness, 1,
+       0xf33b5cd1d8062799ull, 0, 0},
   };
   for (const GoldenRun& g : runs) {
-    const DFinderResult r = checkDeadlockFreedom(g.system, g.options);
+    const DFinderResult r = checkDeadlockFreedom(g.system);
     EXPECT_EQ(r.verdict, g.verdict) << g.name;
     EXPECT_EQ(r.witnessLocations.size(), g.witnessSize) << g.name;
     EXPECT_EQ(witnessHash(r.witnessLocations), g.witnessHash) << g.name;
@@ -711,6 +648,197 @@ TEST_P(DFinderSoundness, NeverCertifiesADeadlockedSystem) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DFinderSoundness, ::testing::Values(2, 3, 4, 5));
+
+// ---- Generated systems: exhaustive reachability is the oracle -------------
+
+constexpr std::uint64_t kOracleSeeds = 300;
+constexpr std::uint64_t kOracleStateBudget = 20'000;
+
+std::vector<int> locationsOf(const GlobalState& state) {
+  std::vector<int> locations;
+  locations.reserve(state.components.size());
+  for (const AtomicState& c : state.components) locations.push_back(c.location);
+  return locations;
+}
+
+/// True iff every trap has an occupied place in `locations`.
+bool keepsEveryToken(const std::vector<std::vector<Place>>& traps,
+                     const std::vector<int>& locations) {
+  const auto occupied = [&locations](const Place& p) {
+    return locations[static_cast<std::size_t>(p.instance)] == p.location;
+  };
+  for (const std::vector<Place>& trap : traps) {
+    if (std::none_of(trap.begin(), trap.end(), occupied)) return false;
+  }
+  return true;
+}
+
+/// The DIS part of the encoding, decided directly on a control state: for
+/// some choice of one resting offer set per component, no feasible
+/// interaction has every participant offering its port. Brute force over
+/// the choices (generated systems have at most five components).
+bool satisfiesDis(const System& sys, const std::vector<ComponentInvariant>& invs,
+                  const std::vector<int>& locations) {
+  std::vector<const std::vector<std::vector<int>>*> sets;
+  for (std::size_t i = 0; i < sys.instanceCount(); ++i) {
+    sets.push_back(&invs[i].restingOffers[static_cast<std::size_t>(locations[i])]);
+    if (sets.back()->empty()) return false;  // never rests there
+  }
+  std::vector<std::size_t> choice(sys.instanceCount(), 0);
+  const auto offers = [&](const PortRef& p) {
+    const auto i = static_cast<std::size_t>(p.instance);
+    const std::vector<int>& ports = (*sets[i])[choice[i]];
+    return std::binary_search(ports.begin(), ports.end(), p.port);
+  };
+  while (true) {
+    bool enabled = false;
+    for (const Connector& c : sys.connectors()) {
+      for (const InteractionMask mask : c.feasibleMasks()) {
+        bool all = true;
+        for (std::size_t e = 0; e < c.endCount() && all; ++e) {
+          if ((mask & (InteractionMask{1} << e)) != 0) all = offers(c.end(e).port);
+        }
+        enabled = enabled || all;
+      }
+    }
+    if (!enabled) return true;
+    std::size_t k = 0;
+    while (k < choice.size() && ++choice[k] == sets[k]->size()) choice[k++] = 0;
+    if (k == choice.size()) return false;
+  }
+}
+
+/// True iff `locations` is a model of CI ∧ II ∧ DIS as `df` encoded them.
+bool isModel(const System& sys, const DFinderResult& df, const std::vector<int>& locations) {
+  for (std::size_t i = 0; i < sys.instanceCount(); ++i) {
+    const std::vector<bool>& reachable = df.componentInvariants[i].reachableLocations;
+    const auto l = static_cast<std::size_t>(locations[i]);
+    if (locations[i] < 0 || l >= reachable.size() || !reachable[l]) return false;
+  }
+  return keepsEveryToken(df.traps, locations) &&
+         satisfiesDis(sys, df.componentInvariants, locations);
+}
+
+/// How often each oracle property had something to check.
+struct OracleTally {
+  std::uint64_t certified = 0;   // kDeadlockFree: no reachable deadlock
+  std::uint64_t flagged = 0;     // kPotentialDeadlock: the witness is a model
+  std::uint64_t withTraps = 0;   // adopted traps: each holds on every state
+  std::uint64_t deadlocked = 0;  // reachable deadlocks: each is a model
+  std::uint64_t pruned = 0;      // a guard ruled out at a reachable location
+  std::uint64_t dataOffers = 0;  // a feasible port a resting component may not offer
+};
+
+/// Checks one generated system's D-Finder result against its exhaustively
+/// explored state space: adopted traps are initially-marked traps that
+/// hold on every reachable state; every reachable deadlock and the
+/// witness of a potential deadlock are models of CI ∧ II ∧ DIS; a
+/// certified system has no reachable deadlock.
+void checkAgainstReachability(const System& sys, OracleTally& tally) {
+  const DFinderResult df = checkDeadlockFreedom(sys);
+  const InteractionNet net = buildInteractionNet(sys, df.componentInvariants);
+  for (const std::vector<Place>& trap : df.traps) {
+    EXPECT_TRUE(isTrap(net, trap));
+    EXPECT_TRUE(initiallyMarked(net, trap));
+  }
+  ReachOptions opt;
+  opt.maxStates = kOracleStateBudget;
+  opt.invariant = [&df](const GlobalState& g) { return keepsEveryToken(df.traps, locationsOf(g)); };
+  const ReachResult mono = explore(sys, opt);
+  ASSERT_TRUE(mono.complete) << "state budget exhausted after " << mono.states << " states";
+  EXPECT_FALSE(mono.invariantViolation.has_value()) << "an adopted trap lost its token";
+
+  for (const GlobalState& d : mono.deadlocks) {
+    EXPECT_TRUE(isModel(sys, df, locationsOf(d))) << "a reachable deadlock escapes the encoding";
+  }
+  if (df.verdict == DFinderVerdict::kDeadlockFree) {
+    EXPECT_TRUE(mono.deadlocks.empty()) << "certified, but a deadlock is reachable";
+    ++tally.certified;
+  } else {
+    ASSERT_EQ(df.witnessLocations.size(), sys.instanceCount());
+    EXPECT_TRUE(isModel(sys, df, df.witnessLocations)) << "the witness is not a model";
+    ++tally.flagged;
+  }
+  if (!df.traps.empty()) ++tally.withTraps;
+  if (!mono.deadlocks.empty()) ++tally.deadlocked;
+  bool pruned = false;
+  bool dataOffers = false;
+  for (std::size_t i = 0; i < sys.instanceCount(); ++i) {
+    const AtomicType& type = *sys.instance(i).type;
+    const ComponentInvariant& inv = df.componentInvariants[i];
+    for (std::size_t ti = 0; ti < type.transitionCount(); ++ti) {
+      const Transition& t = type.transition(static_cast<int>(ti));
+      const auto from = static_cast<std::size_t>(t.from);
+      if (!inv.reachableLocations[from]) continue;
+      pruned = pruned || !inv.guardFeasible[ti];
+      if (t.port == kInternalPort || !inv.guardFeasible[ti]) continue;
+      for (const std::vector<int>& ports : inv.restingOffers[from]) {
+        dataOffers = dataOffers || !std::binary_search(ports.begin(), ports.end(), t.port);
+      }
+    }
+  }
+  if (pruned) ++tally.pruned;
+  if (dataOffers) ++tally.dataOffers;
+}
+
+class DFinderOracle : public ::testing::TestWithParam<bool> {};
+
+TEST_P(DFinderOracle, GeneratedSystemsAgreeWithExhaustiveReachability) {
+  const CompileSwitch path(GetParam());
+  OracleTally tally;
+  for (std::uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    checkAgainstReachability(randomSystem(seed), tally);
+  }
+  RecordProperty("certified", std::to_string(tally.certified));
+  RecordProperty("flagged", std::to_string(tally.flagged));
+  RecordProperty("with_traps", std::to_string(tally.withTraps));
+  RecordProperty("deadlocked", std::to_string(tally.deadlocked));
+  RecordProperty("pruned", std::to_string(tally.pruned));
+  RecordProperty("data_offers", std::to_string(tally.dataOffers));
+  // No property may hold vacuously: each had a tenth of the seeds to bite on.
+  const std::uint64_t floor = kOracleSeeds / 10;
+  EXPECT_GE(tally.certified, floor);
+  EXPECT_GE(tally.flagged, floor);
+  EXPECT_GE(tally.withTraps, floor);
+  EXPECT_GE(tally.deadlocked, floor);
+  EXPECT_GE(tally.pruned, floor);
+  EXPECT_GE(tally.dataOffers, floor);
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, DFinderOracle, ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Compiled" : "Interpreted";
+                         });
+
+TEST(DFinderOraclePaths, CompiledAndInterpretedResultsAreBitIdentical) {
+  // Beyond agreeing with reachability, the two evaluation paths must reach
+  // the same verdict by the same search on every generated system.
+  for (std::uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const System sys = randomSystem(seed);
+    DFinderResult compiled, interpreted;
+    {
+      const CompileSwitch on(true);
+      compiled = checkDeadlockFreedom(sys);
+    }
+    {
+      const CompileSwitch off(false);
+      interpreted = checkDeadlockFreedom(sys);
+    }
+    EXPECT_EQ(compiled.verdict, interpreted.verdict);
+    EXPECT_EQ(compiled.witnessLocations, interpreted.witnessLocations);
+    EXPECT_EQ(compiled.traps, interpreted.traps);
+    EXPECT_EQ(compiled.satConflicts, interpreted.satConflicts);
+    EXPECT_EQ(compiled.satDecisions, interpreted.satDecisions);
+    for (std::size_t i = 0; i < sys.instanceCount(); ++i) {
+      EXPECT_EQ(compiled.componentInvariants[i].guardFeasible,
+                interpreted.componentInvariants[i].guardFeasible);
+      EXPECT_EQ(compiled.componentInvariants[i].restingOffers,
+                interpreted.componentInvariants[i].restingOffers);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace cbip::verify

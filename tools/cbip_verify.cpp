@@ -16,8 +16,8 @@
 // --expect turns the run into a gate: exit 0 when the verdict matches,
 // 1 when it does not. CI uses this to fail on any regression from
 // DEADLOCK_FREE over examples/models/ and the 256-component bench
-// models. --legacy selects the reference pipeline (tree-walking
-// invariants, serial, fresh encoding per round) for differential runs.
+// models. --workers K sets the width of the component-invariant
+// portfolio (1 = serial); the verdict never depends on it.
 //
 // Exit codes: 0 = verdict matches --expect (or no --expect), 1 =
 // verdict mismatch, 2 = bad usage (including a non-numeric --n or
@@ -37,14 +37,13 @@ struct Options {
   std::string model;
   int n = 8;
   std::string expect;  // "", "deadlock-free" or "potential-deadlock"
-  bool legacy = false;
   int workers = 0;
 };
 
 int usage() {
   std::cerr << "usage: cbip-verify [--model <name|file.bip>] [--n N]\n"
                "                   [--expect deadlock-free|potential-deadlock]\n"
-               "                   [--legacy] [--workers K] [file.bip]\n";
+               "                   [--workers K] [file.bip]\n";
   return 2;
 }
 
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
       if (!cli::parseCount(v, opt.n)) return usage();
     }
     else if (arg == "--expect" && (v = value())) opt.expect = v;
-    else if (arg == "--legacy") opt.legacy = true;
     else if (arg == "--workers" && (v = value())) {
       if (!cli::parseCount(v, opt.workers)) return usage();
     }
@@ -81,7 +79,6 @@ int main(int argc, char** argv) {
   if (!system) return 2;
 
   verify::DFinderOptions options;
-  options.legacyPipeline = opt.legacy;
   options.workers = opt.workers;
   verify::DFinderResult result;
   try {
@@ -96,7 +93,7 @@ int main(int argc, char** argv) {
             << " components): " << (free ? "DEADLOCK_FREE" : "POTENTIAL_DEADLOCK") << "\n"
             << "  traps=" << result.traps.size() << " vars=" << result.booleanVariables
             << " conflicts=" << result.satConflicts << " decisions=" << result.satDecisions
-            << " pipeline=" << (opt.legacy ? "legacy" : "fast") << "\n";
+            << "\n";
   if (!free && !result.witnessLocations.empty()) {
     std::cout << "  witness:";
     for (std::size_t i = 0; i < result.witnessLocations.size(); ++i) {
