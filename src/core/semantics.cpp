@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
 
 #include "obs/obs.hpp"
 #include "util/require.hpp"
@@ -92,7 +91,7 @@ std::vector<EnabledInteraction> enabledInteractions(const System& system,
                                                     const GlobalState& state) {
   EnabledInteractionCache cache(system);
   cache.reset(state);
-  return std::move(cache.flat_);
+  return cache.spans_.release();
 }
 
 EnabledInteractionCache::EnabledInteractionCache(const System& system)
@@ -100,10 +99,8 @@ EnabledInteractionCache::EnabledInteractionCache(const System& system)
       portBase_(system.instanceCount() + 1, 0),
       endBegin_(system.connectorCount() + 1, 0),
       maskBegin_(system.connectorCount() + 1, 0),
-      flatOffset_(system.connectorCount(), 0),
-      flatCount_(system.connectorCount(), 0),
-      connectorQueued_(system.connectorCount(), 0),
-      instanceSeen_(system.instanceCount(), 0) {
+      instanceSeen_(system.instanceCount(), 0),
+      spans_(system.connectorCount()) {
   // One offer slot per (instance, port); only the ports some connector
   // uses are ever evaluated.
   for (std::size_t i = 0; i < system.instanceCount(); ++i) {
@@ -241,57 +238,16 @@ void EnabledInteractionCache::buildConnector(std::size_t ci, const GlobalState& 
   }
 }
 
-void EnabledInteractionCache::splice(const GlobalState& state) {
-  if (queued_.empty()) return;
-  // One move pass: untouched spans move over as blocks, queued connectors
-  // are rebuilt in place of theirs (reusing their old elements' storage),
-  // and the offsets after the first queued connector shift by the running
-  // length change.
-  spare_.clear();
-  const auto moveOld = [&](int from, int to) {
-    spare_.insert(spare_.end(), std::make_move_iterator(flat_.begin() + from),
-                  std::make_move_iterator(flat_.begin() + to));
-  };
-  int copied = 0;  // flat_ elements before this index are in spare_
-  int delta = 0;   // offset shift of the untouched connectors passed so far
-  auto next = static_cast<std::size_t>(queued_.front());
-  for (const int q : queued_) {
-    const auto ci = static_cast<std::size_t>(q);
-    connectorQueued_[ci] = 0;
-    if (delta != 0) {
-      for (; next < ci; ++next) flatOffset_[next] += delta;
-    }
-    const int oldOffset = flatOffset_[ci];
-    const int oldEnd = oldOffset + flatCount_[ci];
-    moveOld(copied, oldOffset);
-    flatOffset_[ci] = static_cast<int>(spare_.size());
-    const auto old = std::span(flat_).subspan(static_cast<std::size_t>(oldOffset),
-                                              static_cast<std::size_t>(flatCount_[ci]));
-    buildConnector(ci, state, old, spare_);
-    flatCount_[ci] = static_cast<int>(spare_.size()) - flatOffset_[ci];
-    delta = static_cast<int>(spare_.size()) - oldEnd;
-    copied = oldEnd;
-    next = ci + 1;
-  }
-  if (delta != 0) {
-    for (; next < flatOffset_.size(); ++next) flatOffset_[next] += delta;
-  }
-  moveOld(copied, static_cast<int>(flat_.size()));
-  flat_.swap(spare_);
-}
-
 void EnabledInteractionCache::reset(const GlobalState& state) {
-  std::fill(connectorQueued_.begin(), connectorQueued_.end(), 0);
   std::fill(instanceSeen_.begin(), instanceSeen_.end(), 0);
   refresh_.resize(system_->instanceCount());
   for (std::size_t i = 0; i < refresh_.size(); ++i) refresh_[i] = static_cast<int>(i);
   refreshOffers(state);
-  flat_.clear();
-  for (std::size_t ci = 0; ci < flatOffset_.size(); ++ci) {
-    flatOffset_[ci] = static_cast<int>(flat_.size());
-    buildConnector(ci, state, {}, flat_);
-    flatCount_[ci] = static_cast<int>(flat_.size()) - flatOffset_[ci];
-  }
+  spans_.rebuild(system_->connectorCount(),
+                 [&](std::size_t ci, std::span<EnabledInteraction> reuse,
+                     std::vector<EnabledInteraction>& out) {
+                   buildConnector(ci, state, reuse, out);
+                 });
 }
 
 void EnabledInteractionCache::update(const GlobalState& state,
@@ -309,23 +265,23 @@ void EnabledInteractionCache::update(const GlobalState& state,
   // A connector of a dirty instance is rebuilt when its offers admit some
   // feasible mask, and emptied when they admit none but its span is not
   // empty yet; one with an empty span and no admissible mask is left alone.
-  queued_.clear();
   std::uint64_t built = 0;
   for (const int inst : refresh_) {
     for (const int ci : system_->connectorsOf(static_cast<std::size_t>(inst))) {
       const auto c = static_cast<std::size_t>(ci);
-      if (connectorQueued_[c]) continue;
+      if (spans_.queued(c)) continue;
       const bool feasible = portFeasible(c);
-      if (!feasible && flatCount_[c] == 0) continue;
-      connectorQueued_[c] = 1;
-      queued_.push_back(ci);
+      if (!feasible && spans_.count(c) == 0) continue;
+      spans_.queue(c);
       built += feasible ? 1 : 0;
     }
   }
-  std::sort(queued_.begin(), queued_.end());
-  splice(state);
   g_cacheRecomputes.add(built);
-  g_cacheDirty.observe(static_cast<std::int64_t>(queued_.size()));
+  g_cacheDirty.observe(static_cast<std::int64_t>(spans_.queuedCount()));
+  spans_.splice([&](std::size_t ci, std::span<EnabledInteraction> reuse,
+                    std::vector<EnabledInteraction>& out) {
+    buildConnector(ci, state, reuse, out);
+  });
 }
 
 bool EnabledInteractionCache::stationary(const Connector& c, int end,

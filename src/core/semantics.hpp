@@ -10,7 +10,10 @@
 // resolve the nondeterminism explicitly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,6 +32,105 @@ struct EnabledInteraction {
   std::vector<int> ends;
 
   friend bool operator==(const EnabledInteraction&, const EnabledInteraction&) = default;
+};
+
+/// Enabled interactions kept as per-position spans of one flat vector, in
+/// ascending position order. It stores EnabledInteractionCache's set
+/// (position = connector index) and a sharded engine worker's local set
+/// (position = index in its shard's local-connector list).
+///
+/// `queue` marks a position for re-derivation; `splice` then re-derives
+/// every queued position's span and rebuilds the vector in one move pass
+/// into a reused buffer. Untouched spans move over as blocks, and the
+/// offsets after the first queued position shift by the running length
+/// change, so a splice costs O(size) moves however many spans change
+/// length.
+class EnabledSpans {
+ public:
+  /// `positions` empty spans.
+  explicit EnabledSpans(std::size_t positions = 0)
+      : offset_(positions, 0), count_(positions, 0), queued_(positions, 0) {}
+
+  const std::vector<EnabledInteraction>& items() const { return flat_; }
+  std::size_t offset(std::size_t pos) const { return static_cast<std::size_t>(offset_[pos]); }
+  std::size_t count(std::size_t pos) const { return static_cast<std::size_t>(count_[pos]); }
+  bool queued(std::size_t pos) const { return queued_[pos] != 0; }
+  std::size_t queuedCount() const { return queue_.size(); }
+
+  /// Queues `pos` for the next splice; queuing it again is a no-op.
+  void queue(std::size_t pos) {
+    if (queued_[pos] != 0) return;
+    queued_[pos] = 1;
+    queue_.push_back(static_cast<int>(pos));
+  }
+
+  /// Derives all `positions` spans from scratch: splices an empty set with
+  /// every position queued. `build` is as for `splice`, with `reuse` empty.
+  template <typename Build>
+  void rebuild(std::size_t positions, Build&& build) {
+    flat_.clear();
+    offset_.assign(positions, 0);
+    count_.assign(positions, 0);
+    queued_.assign(positions, 1);
+    queue_.resize(positions);
+    std::iota(queue_.begin(), queue_.end(), 0);
+    splice(build);
+  }
+
+  /// Re-derives the queued positions' spans and empties the queue.
+  /// `build(pos, reuse, out)` appends position `pos`'s interactions to
+  /// `out`, and may move the storage of `reuse`, the span's previous
+  /// elements, into them. If `build` throws, the spans are unusable until
+  /// the next rebuild.
+  template <typename Build>
+  void splice(Build&& build) {
+    if (queue_.empty()) return;
+    std::sort(queue_.begin(), queue_.end());
+    spare_.clear();
+    const auto moveOld = [&](int from, int to) {
+      spare_.insert(spare_.end(), std::make_move_iterator(flat_.begin() + from),
+                    std::make_move_iterator(flat_.begin() + to));
+    };
+    int copied = 0;  // flat_ elements before this index are in spare_
+    int delta = 0;   // offset shift of the untouched positions passed so far
+    auto next = static_cast<std::size_t>(queue_.front());
+    for (const int q : queue_) {
+      const auto pos = static_cast<std::size_t>(q);
+      queued_[pos] = 0;
+      if (delta != 0) {
+        for (; next < pos; ++next) offset_[next] += delta;
+      }
+      const int oldOffset = offset_[pos];
+      const int oldEnd = oldOffset + count_[pos];
+      moveOld(copied, oldOffset);
+      offset_[pos] = static_cast<int>(spare_.size());
+      build(pos,
+            std::span(flat_).subspan(static_cast<std::size_t>(oldOffset),
+                                     static_cast<std::size_t>(count_[pos])),
+            spare_);
+      count_[pos] = static_cast<int>(spare_.size()) - offset_[pos];
+      delta = static_cast<int>(spare_.size()) - oldEnd;
+      copied = oldEnd;
+      next = pos + 1;
+    }
+    if (delta != 0) {
+      for (; next < offset_.size(); ++next) offset_[next] += delta;
+    }
+    moveOld(copied, static_cast<int>(flat_.size()));
+    flat_.swap(spare_);
+    queue_.clear();
+  }
+
+  /// Moves the vector out; the spans are unusable until the next rebuild.
+  std::vector<EnabledInteraction> release() { return std::move(flat_); }
+
+ private:
+  std::vector<EnabledInteraction> flat_;
+  std::vector<EnabledInteraction> spare_;  // splice target, swapped with flat_
+  std::vector<int> offset_;                // per position: start of its span
+  std::vector<int> count_;                 // per position: span length
+  std::vector<char> queued_;               // per position: in queue_
+  std::vector<int> queue_;                 // positions to re-derive
 };
 
 /// All enabled interactions of `system` in `state` (before priorities):
@@ -58,11 +160,9 @@ std::vector<EnabledInteraction> enabledInteractions(const System& system,
 /// offered. The `cache.recomputes` counter counts only such built
 /// connectors.
 ///
-/// *Splice.* `enabled()` is one flat vector with per-connector (offset,
-/// count) spans. An update sorts its connectors and rebuilds the vector in
-/// one move pass into a reused buffer, with the offsets fixed once from
-/// the first re-derived connector on, so a step costs O(enabled) moves no
-/// matter how many spans change length.
+/// *Splice.* `enabled()` is one EnabledSpans vector with a span per
+/// connector, and an update re-derives its connectors in one splice, so a
+/// step costs O(enabled) moves no matter how many spans change length.
 ///
 /// *Guard evaluation order* (and so which `EvalError` a doomed update
 /// raises, identical under the compiled programs and the interpreter):
@@ -102,14 +202,15 @@ class EnabledInteractionCache {
   /// leaves its state alone: every transition in its `choices` entry is an
   /// action-free self-loop, no down assignment targets its end, and its
   /// location has no tau transition. These facts are static, so the skip
-  /// holds whichever choice was fired.
+  /// holds whichever choice was fired. `executed` may be an element of
+  /// `enabled()`: it is read only before the set changes.
   void updateAfterExecute(const GlobalState& state, const EnabledInteraction& executed);
 
   /// Current enabled set, connector-ascending — element-wise equal to
   /// `enabledInteractions(system, state)` for the last reset/update state.
-  const std::vector<EnabledInteraction>& enabled() const { return flat_; }
+  const std::vector<EnabledInteraction>& enabled() const { return spans_.items(); }
 
-  bool empty() const { return flat_.empty(); }
+  bool empty() const { return spans_.items().empty(); }
 
  private:
   friend std::vector<EnabledInteraction> enabledInteractions(const System&,
@@ -126,9 +227,6 @@ class EnabledInteractionCache {
   /// of the `reuse` elements (its previous span) where it can.
   void buildConnector(std::size_t ci, const GlobalState& state,
                       std::span<EnabledInteraction> reuse, std::vector<EnabledInteraction>& out);
-  /// Rebuilds `flat_` with the spans of the (ascending) `queued_`
-  /// connectors re-derived.
-  void splice(const GlobalState& state);
   bool stationary(const Connector& c, int end, const std::vector<int>& choices) const;
 
   const System* system_;
@@ -140,9 +238,6 @@ class EnabledInteractionCache {
   std::vector<int> endSlot_;              // per connector end: its offer slot
   std::vector<int> maskBegin_;            // per connector: first entry in masks_
   std::vector<InteractionMask> masks_;    // feasible masks, per connector ascending
-  std::vector<int> flatOffset_;           // per connector: start of its span in flat_
-  std::vector<int> flatCount_;            // per connector: span length
-  std::vector<char> connectorQueued_;     // scratch: dedup within one update
   std::vector<char> instanceSeen_;        // scratch: dedup within one update
   // Offer-refresh scratch: the instances to refresh, each one's block in
   // the gathered guard frame, and one entry per candidate transition.
@@ -157,10 +252,8 @@ class EnabledInteractionCache {
   std::vector<expr::BatchOp> ops_;
   std::vector<Value> results_;
   std::vector<Value> frame_;
-  std::vector<int> queued_;        // scratch: connectors to re-derive
   std::vector<int> dirtyScratch_;  // updateAfterExecute buffer
-  std::vector<EnabledInteraction> flat_;
-  std::vector<EnabledInteraction> spare_;  // splice target, swapped with flat_
+  EnabledSpans spans_;             // the enabled set, one span per connector
 };
 
 /// Applies priority rules and (if enabled) maximal progress; keeps the

@@ -83,17 +83,16 @@ RunResult SequentialEngine::run(GlobalState start, const RunOptions& options) {
     }
     const auto [idx, choice] = policy_->pick(*system_, result.finalState, *enabled);
     require(idx < enabled->size(), "SchedulingPolicy returned out-of-range interaction");
-    // Owned copy: `*enabled` may point into the cache, which is updated
-    // below while `ei` is still needed for the trace record.
-    const EnabledInteraction ei = (*enabled)[idx];
+    // `ei` may point into the cache, so the cache update comes last.
+    const EnabledInteraction& ei = (*enabled)[idx];
     execute(*system_, result.finalState, ei, choice);
-    if (cache) cache->updateAfterExecute(result.finalState, ei);
     ++result.steps;
     g_seqSteps.add();
     if (options.recordTrace) {
       result.trace.events.push_back(TraceEvent{
           step, ei.connector, ei.mask, interactionLabel(*system_, ei)});
     }
+    if (cache) cache->updateAfterExecute(result.finalState, ei);
     if (options.stopWhen && options.stopWhen(result.finalState)) {
       result.reason = StopReason::kPredicate;
       finishStats(result);

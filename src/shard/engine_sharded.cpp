@@ -75,11 +75,13 @@ bool eventBefore(const Event& a, const Event& b) {
          std::tie(b.epoch, b.phase, b.shard, b.seq);
 }
 
-/// Per-shard worker bookkeeping. Enabled sets are cached per owned
-/// connector (local connectors of the shard + cross connectors the shard
-/// owns), maintained incrementally like EnabledInteractionCache.
+/// Per-shard worker bookkeeping. The local enabled set is one EnabledSpans
+/// vector with a span per local connector (by position in
+/// localConnectors), spliced once per step like EnabledInteractionCache, so
+/// the policy picks from it in place. Owned cross connectors keep one list
+/// each, refreshed at plan time.
 struct Worker {
-  std::vector<std::vector<EnabledInteraction>> perLocal;  // by position in localConnectors
+  EnabledSpans local;
   std::vector<std::vector<EnabledInteraction>> perCross;  // by position in ownedCross
   std::unique_ptr<SchedulingPolicy> policy;
 
@@ -94,14 +96,16 @@ struct Worker {
   std::mutex mutex;
   std::vector<int> crossDirty;
 
-  // Published at plan time, consumed by the barrier completion.
-  std::vector<EnabledInteraction> crossCandidates;
+  // Published at plan time, read by the barrier completion while every
+  // worker waits: views into `perCross` and `local`, which only this
+  // worker's plan and local phases change.
+  std::vector<const EnabledInteraction*> crossCandidates;
   std::size_t localEnabledCount = 0;
 
   // Published at plan time alongside the candidates when this shard has
-  // more enabled local work than its quota can cover: a bounded prefix of
-  // its enabled local interactions that idle shards may steal.
-  std::vector<EnabledInteraction> stealable;
+  // more enabled local work than its quota can cover: the length of a
+  // bounded prefix of `local` that idle shards may steal.
+  std::size_t stealable = 0;
 
   std::uint64_t localExecuted = 0;   // this epoch
   std::uint64_t crossExecuted = 0;   // this epoch (owned crosses only)
@@ -122,8 +126,7 @@ struct Worker {
   std::uint64_t lockWaitNs = 0;
 
   // Scratch.
-  std::vector<char> connectorQueued;  // dedup marks, sized connectorCount
-  std::vector<EnabledInteraction> flat;
+  std::vector<char> connectorQueued;  // plan-phase dedup marks, sized connectorCount
   std::vector<int> drained;
 };
 
@@ -221,7 +224,6 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   workers.reserve(K);
   for (std::size_t s = 0; s < K; ++s) {
     auto w = std::make_unique<Worker>();
-    w->perLocal.resize(ss.shard(s).localConnectors.size());
     w->perCross.resize(ss.shard(s).ownedCross.size());
     w->policy = options.policyFactory ? options.policyFactory(s)
                                       : std::make_unique<RandomPolicy>(
@@ -281,8 +283,8 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     // candidates: (connector, mask) order, greedy instance-disjoint.
     std::vector<std::pair<const EnabledInteraction*, int>> candidates;
     for (std::size_t s = 0; s < K; ++s) {
-      for (const EnabledInteraction& ei : workers[s]->crossCandidates) {
-        candidates.push_back({&ei, ss.crossIndexOf(ei.connector)});
+      for (const EnabledInteraction* ei : workers[s]->crossCandidates) {
+        candidates.push_back({ei, ss.crossIndexOf(ei->connector)});
       }
     }
     std::sort(candidates.begin(), candidates.end(),
@@ -340,7 +342,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
         // published segment is not exhausted (lowest id on ties).
         std::size_t victim = K;
         for (std::size_t v = 0; v < K; ++v) {
-          if (v == thief || cursor[v] >= workers[v]->stealable.size()) continue;
+          if (v == thief || cursor[v] >= workers[v]->stealable) continue;
           if (victim == K ||
               workers[v]->localEnabledCount > workers[victim]->localEnabledCount) {
             victim = v;
@@ -349,8 +351,8 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
         if (victim == K) continue;
         std::uint64_t grabbed = 0;
         while (grabbed < options.epochBatch && budget > 0 &&
-               cursor[victim] < workers[victim]->stealable.size()) {
-          const EnabledInteraction& ei = workers[victim]->stealable[cursor[victim]++];
+               cursor[victim] < workers[victim]->stealable) {
+          const EnabledInteraction& ei = workers[victim]->local.items()[cursor[victim]++];
           const std::vector<int>& footprint = ss.connectorInstances(ei.connector);
           bool clash = false;
           for (int inst : footprint) {
@@ -517,8 +519,8 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
           ++stats_.shards[static_cast<std::size_t>(mv.toShard)].migratedIn;
         }
         // The shard -> connector mapping changed: re-derive the position
-        // indexes, resize the workers' per-connector caches, and have the
-        // next plan phase recompute everything from scratch.
+        // indexes, resize the workers' cross lists, and have the next plan
+        // phase recompute everything from scratch.
         std::fill(localPos.begin(), localPos.end(), -1);
         ownedPos.assign(ss.crossConnectors().size(), -1);
         for (std::size_t s = 0; s < K; ++s) {
@@ -530,7 +532,6 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
           for (std::size_t i = 0; i < shard.ownedCross.size(); ++i) {
             ownedPos[static_cast<std::size_t>(shard.ownedCross[i])] = static_cast<int>(i);
           }
-          workers[s]->perLocal.assign(shard.localConnectors.size(), {});
           workers[s]->perCross.assign(shard.ownedCross.size(), {});
         }
         fullRescan = true;
@@ -548,28 +549,24 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   std::barrier crossBarrier(static_cast<std::ptrdiff_t>(K), []() noexcept {});
   std::barrier epochBarrier(static_cast<std::ptrdiff_t>(K), closeEpoch);
 
-  // Re-derives this shard's local connectors touching `inst`. Never
-  // touches cross connectors: their recompute reads foreign frames, which
-  // is only safe in the plan phase (all frames quiescent) — intra-epoch
-  // changes reach them through the dirty log instead. A local connector
-  // with an end on one of this shard's instances is necessarily homed
-  // here, so `localPos` membership is the whole ownership check.
-  const auto refreshLocalsOf = [&](Worker& w, int inst) {
+  // Queues this shard's local connectors touching `inst` for the next
+  // splice. Never touches cross connectors: their recompute reads foreign
+  // frames, which is only safe in the plan phase (all frames quiescent) —
+  // intra-epoch changes reach them through the dirty log instead. A local
+  // connector with an end on one of this shard's instances is necessarily
+  // homed here, so `localPos` membership is the whole ownership check.
+  const auto queueLocalsOf = [&](Worker& w, int inst) {
     for (int ci : system.connectorsOf(static_cast<std::size_t>(inst))) {
-      auto& queued = w.connectorQueued[static_cast<std::size_t>(ci)];
-      if (queued) continue;
-      queued = 1;
       const int li = localPos[static_cast<std::size_t>(ci)];
-      if (li < 0) continue;
-      auto& list = w.perLocal[static_cast<std::size_t>(li)];
-      list.clear();
-      ss.appendConnectorInteractions(state, ci, list);
+      if (li >= 0) w.local.queue(static_cast<std::size_t>(li));
     }
   };
-  const auto clearQueuedOf = [&](Worker& w, int inst) {
-    for (int ci : system.connectorsOf(static_cast<std::size_t>(inst))) {
-      w.connectorQueued[static_cast<std::size_t>(ci)] = 0;
-    }
+  // Builder of the local set's spans: position -> local connector.
+  const auto localBuilder = [&](std::size_t s) {
+    return [&ss, &state, s](std::size_t li, std::span<EnabledInteraction>,
+                            std::vector<EnabledInteraction>& out) {
+      ss.appendConnectorInteractions(state, ss.shard(s).localConnectors[li], out);
+    };
   };
 
   const auto planPhase = [&](std::size_t s) {
@@ -579,10 +576,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       // First epoch, or the epoch right after a migration (the member /
       // connector layout changed): full recompute of everything this
       // shard owns.
-      for (std::size_t i = 0; i < shard.localConnectors.size(); ++i) {
-        w.perLocal[i].clear();
-        ss.appendConnectorInteractions(state, shard.localConnectors[i], w.perLocal[i]);
-      }
+      w.local.rebuild(shard.localConnectors.size(), localBuilder(s));
       for (std::size_t i = 0; i < shard.ownedCross.size(); ++i) {
         const int ci =
             ss.crossConnectors()[static_cast<std::size_t>(shard.ownedCross[i])].connector;
@@ -623,26 +617,17 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     }
     w.crossCandidates.clear();
     for (const auto& list : w.perCross) {
-      w.crossCandidates.insert(w.crossCandidates.end(), list.begin(), list.end());
+      for (const EnabledInteraction& ei : list) w.crossCandidates.push_back(&ei);
     }
-    w.localEnabledCount = 0;
-    for (const auto& list : w.perLocal) w.localEnabledCount += list.size();
+    w.localEnabledCount = w.local.items().size();
     // Publish a bounded surplus segment for work stealing when this shard
     // has more enabled local work than one epoch's quota can drain. The
     // segment is a deterministic prefix (connector-list order) of the
     // enabled set; the plan barrier hands footprint-disjoint entries to
     // idle shards.
-    w.stealable.clear();
-    if (stealOn && w.localEnabledCount > options.epochBatch) {
-      const std::size_t cap = 2 * options.epochBatch;
-      for (const auto& list : w.perLocal) {
-        for (const EnabledInteraction& ei : list) {
-          if (w.stealable.size() >= cap) break;
-          w.stealable.push_back(ei);
-        }
-        if (w.stealable.size() >= cap) break;
-      }
-    }
+    w.stealable = stealOn && w.localEnabledCount > options.epochBatch
+                      ? std::min<std::size_t>(2 * options.epochBatch, w.localEnabledCount)
+                      : 0;
   };
 
   const auto crossPhase = [&](std::size_t s) {
@@ -730,36 +715,34 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       w.drained.assign(w.crossDirty.begin(), w.crossDirty.end());
       w.crossDirty.clear();
     }
-    for (int inst : w.drained) refreshLocalsOf(w, inst);
-    for (int inst : w.drained) clearQueuedOf(w, inst);
+    for (int inst : w.drained) queueLocalsOf(w, inst);
+    const auto build = localBuilder(s);
+    w.local.splice(build);
     // Shard-local run loop: the sequential engine's step loop confined to
     // this shard's frame.
     const std::uint64_t quota = localQuota[s];
     while (w.localExecuted < quota) {
-      w.flat.clear();
-      for (const auto& list : w.perLocal) {
-        w.flat.insert(w.flat.end(), list.begin(), list.end());
-      }
-      if (w.flat.empty()) break;
-      const auto [idx, choice] = w.policy->pick(system, placeholder, w.flat);
-      require(idx < w.flat.size(), "SchedulingPolicy returned out-of-range interaction");
-      const EnabledInteraction ei = w.flat[idx];
+      const std::vector<EnabledInteraction>& enabled = w.local.items();
+      if (enabled.empty()) break;
+      const auto [idx, choice] = w.policy->pick(system, placeholder, enabled);
+      require(idx < enabled.size(), "SchedulingPolicy returned out-of-range interaction");
+      // `ei` points into the local set, so the splice comes last.
+      const EnabledInteraction& ei = enabled[idx];
       ss.executeInteraction(state, ei, choice);
       if (options.recordTrace) {
         w.events.push_back(Event{epoch, 1, static_cast<int>(s), w.localExecuted, ei.connector,
                                  ei.mask, interactionLabel(system, ei)});
       }
       ++w.localExecuted;
-      // Incremental cache maintenance: re-derive the local connectors
-      // touching the dirtied instances now; cross connectors are deferred
-      // to the next plan phase through the dirty log.
-      const std::vector<int>& dirty = ss.connectorInstances(ei.connector);
-      for (int inst : dirty) {
+      // Incremental maintenance: re-derive the local connectors touching
+      // the dirtied instances now; cross connectors are deferred to the
+      // next plan phase through the dirty log.
+      for (int inst : ss.connectorInstances(ei.connector)) {
         w.dirtyLog.push_back(inst);
-        refreshLocalsOf(w, inst);
+        queueLocalsOf(w, inst);
         if (rebalanceOn) bumpActivity(w, inst);
       }
-      for (int inst : dirty) clearQueuedOf(w, inst);
+      w.local.splice(build);
     }
   };
 

@@ -30,10 +30,11 @@
 //           the affected shards. [barrier]
 //
 //   local   Every shard drains its dirty queue, then runs up to its quota
-//           of shard-local interactions: pick via its own seeded policy,
-//           execute in place on the shard frame, update its local enabled
-//           caches incrementally. [barrier: count the epoch's executed
-//           interactions; 0 executed means global deadlock.]
+//           of shard-local interactions: pick via its own seeded policy
+//           from its local enabled set in place, execute on the shard
+//           frame, and splice the set's dirtied connector spans once.
+//           [barrier: count the epoch's executed interactions; 0 executed
+//           means global deadlock.]
 //
 // Because every interaction executed within one epoch has a pairwise
 // disjoint instance footprint against the concurrent ones (accepted

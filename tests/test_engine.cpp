@@ -13,6 +13,7 @@
 #include "expr/compile.hpp"
 #include "models/models.hpp"
 #include "shard/engine_sharded.hpp"
+#include "trace_hash.hpp"
 #include "util/require.hpp"
 
 namespace cbip {
@@ -327,23 +328,6 @@ TEST(MultiThreadEngine, ActionEvalErrorSurfacesFromRun) {
 }
 
 // ---- Golden sequential traces ----------------------------------------------
-
-/// FNV-1a over the (connector, mask) sequence of a trace and its length.
-std::uint64_t traceHash(const Trace& trace) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(trace.events.size());
-  for (const TraceEvent& e : trace.events) {
-    mix(static_cast<std::uint64_t>(e.connector));
-    mix(e.mask);
-  }
-  return h;
-}
 
 TEST(SequentialEngine, GoldenTracesArePinned) {
   // The engine's pick depends on the exact enabled set and its order, so

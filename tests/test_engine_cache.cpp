@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,67 @@ TEST(EnabledInteractionCache, AgreesUnderDirtySupersets) {
     ASSERT_FALSE(fresh.empty());
     executeDefault(sys, g, fresh[rng.index(fresh.size())]);
     cache.update(g, all);
+  }
+}
+
+TEST(EnabledSpans, SpliceMatchesRebuildFromScratch) {
+  // Each position's span holds `length[pos]` elements stamped with the
+  // position, its generation and the element's index, so a stale, lost or
+  // misplaced element shows. The builder move-reuses the old span's
+  // storage the way the cache does.
+  Rng rng(31);
+  for (int round = 0; round < 40 && !HasFailure(); ++round) {
+    const std::size_t positions = 1 + rng.index(24);
+    std::vector<int> length(positions, 0);
+    std::vector<int> generation(positions, 0);
+    const auto build = [&](std::size_t pos, std::span<EnabledInteraction> reuse,
+                           std::vector<EnabledInteraction>& out) {
+      std::size_t reused = 0;
+      for (int k = 0; k < length[pos]; ++k) {
+        EnabledInteraction& ei = reused < reuse.size()
+                                     ? out.emplace_back(std::move(reuse[reused++]))
+                                     : out.emplace_back();
+        ei.connector = static_cast<int>(pos);
+        ei.mask = static_cast<InteractionMask>(generation[pos]);
+        ei.ends.assign(1, k);
+        ei.choices.assign(1, std::vector<int>(static_cast<std::size_t>(k % 3), generation[pos]));
+      }
+    };
+    const auto randomLength = [&] {
+      return rng.chance(1, 3) ? 0 : static_cast<int>(rng.range(1, 4));
+    };
+    for (int& len : length) len = randomLength();
+    EnabledSpans spans;
+    // From scratch: every span built in position order, back to back.
+    const auto expectFromScratch = [&] {
+      std::vector<EnabledInteraction> fresh;
+      for (std::size_t pos = 0; pos < positions; ++pos) {
+        EXPECT_FALSE(spans.queued(pos));
+        EXPECT_EQ(spans.offset(pos), fresh.size()) << "position " << pos;
+        EXPECT_EQ(spans.count(pos), static_cast<std::size_t>(length[pos])) << "position " << pos;
+        build(pos, {}, fresh);
+      }
+      EXPECT_EQ(spans.items(), fresh);
+    };
+    spans.rebuild(positions, build);
+    expectFromScratch();
+    for (int splice = 0; splice < 30 && !HasFailure(); ++splice) {
+      SCOPED_TRACE("round " + std::to_string(round) + " splice " + std::to_string(splice));
+      // Random positions, queued in random order and sometimes twice;
+      // the first and last positions are forced in now and then.
+      if (rng.chance(1, 4)) spans.queue(0);
+      if (rng.chance(1, 4)) spans.queue(positions - 1);
+      const std::size_t picks = rng.index(positions + 1);
+      for (std::size_t i = 0; i < picks; ++i) spans.queue(rng.index(positions));
+      for (std::size_t pos = 0; pos < positions; ++pos) {
+        if (!spans.queued(pos)) continue;
+        length[pos] = randomLength();
+        ++generation[pos];
+      }
+      spans.splice(build);
+      EXPECT_EQ(spans.queuedCount(), 0u);
+      expectFromScratch();
+    }
   }
 }
 

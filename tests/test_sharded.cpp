@@ -14,6 +14,7 @@
 #include "engine/engine_mt.hpp"
 #include "models/models.hpp"
 #include "shard/engine_sharded.hpp"
+#include "trace_hash.hpp"
 #include "util/require.hpp"
 #include "verify/dfinder.hpp"
 
@@ -645,6 +646,60 @@ TEST(Rebalancing, EscapeHatchBitIdenticalToStaticScheduler) {
     EXPECT_EQ(o->stats.stealEvents, 0u);
   }
   EXPECT_GT(adaptive.stats.rebalanceDecisions + adaptive.stats.stealEvents, 0u);
+}
+
+// ---- golden sharded schedules ----
+
+TEST(ShardedEngine, GoldenTracesArePinned) {
+  // K=2 over the greedy partition with the default adaptive layer. Every
+  // shard's pick depends on the exact order of its published enabled set,
+  // so drift in the set, its order, the plan or the steal assignment, on
+  // either evaluation path, shows up as a different trace or final state.
+  // Gas steals local work and the skewed pairs migrate components, so the
+  // published steal prefix and the full rescan after a migration are
+  // pinned too.
+  const ForceRebalancingOn forceOn;
+  struct Golden {
+    const char* name;
+    System system;
+    std::uint64_t seed;
+    std::uint64_t trace;
+    std::uint64_t state;
+  };
+  const Golden runs[] = {
+      {"gas16x16/1", models::gasStation(16, 16), 1, 0x2b479bf8bd7b32ebull,
+       0xd087758fc7730934ull},
+      {"gas16x16/2", models::gasStation(16, 16), 2, 0x535afaeeb05dffb9ull,
+       0xbb888b4443eac403ull},
+      {"philo128/1", models::philosophersAtomic(128), 1, 0x613921c1d04adf37ull,
+       0x7d73b90ed41b6316ull},
+      {"philo128/2", models::philosophersAtomic(128), 2, 0x31f372ee3ba453d8ull,
+       0xfc985f0684327687ull},
+      {"prodcons256/1", models::producerConsumer(256), 1, 0x103ed3483a6127faull,
+       0xb61bac5bb347392dull},
+      {"prodcons256/2", models::producerConsumer(256), 2, 0x103ed3483a6127faull,
+       0xb61bac5bb347392dull},
+      {"skewed32/1", models::skewedPairs(32, 4, 4), 1, 0xa9efced0677b37fbull,
+       0x2ee56d4b60ef7d7bull},
+      {"skewed32/2", models::skewedPairs(32, 4, 4), 2, 0x74e236e814fcb7fbull,
+       0xbf8532c58d5063fbull},
+  };
+  for (const bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+    const CompileSwitch path(compiled);
+    for (const Golden& g : runs) {
+      PartitionOptions po;
+      po.shards = 2;
+      ShardedEngine engine(g.system, shard::partitionSystem(g.system, po));
+      ShardedOptions opt;
+      opt.maxSteps = 2000;
+      opt.seed = g.seed;
+      const RunResult r = engine.run(opt);
+      EXPECT_EQ(r.steps, 2000u) << g.name;
+      EXPECT_EQ(traceHash(r.trace), g.trace) << g.name;
+      EXPECT_EQ(hashState(r.finalState), g.state) << g.name;
+    }
+  }
 }
 
 // ---- satellite: the unified Engine interface ----
