@@ -1,7 +1,5 @@
 #include "core/connector.hpp"
 
-#include <sstream>
-
 #include "util/require.hpp"
 
 namespace cbip {
@@ -55,21 +53,6 @@ std::vector<InteractionMask> Connector::feasibleMasks() const {
     if ((m & triggers) != 0) out.push_back(m);
   }
   return out;
-}
-
-std::string Connector::maskLabel(InteractionMask mask,
-                                 const std::vector<std::string>& endLabels) const {
-  std::ostringstream os;
-  os << name_ << "{";
-  bool first = true;
-  for (std::size_t i = 0; i < ends_.size(); ++i) {
-    if ((mask & (InteractionMask{1} << i)) == 0) continue;
-    if (!first) os << ", ";
-    first = false;
-    os << (i < endLabels.size() ? endLabels[i] : "?");
-  }
-  os << "}";
-  return os.str();
 }
 
 Connector rendezvous(std::string name, std::vector<PortRef> ports) {

@@ -92,10 +92,6 @@ class Connector {
     return ends_.empty() ? 0 : (InteractionMask{1} << ends_.size()) - 1;
   }
 
-  /// Human-readable name of an interaction, e.g. "sync{a.p, b.q}".
-  std::string maskLabel(InteractionMask mask,
-                        const std::vector<std::string>& endLabels) const;
-
  private:
   std::string name_;
   std::vector<ConnectorEnd> ends_;

@@ -114,7 +114,6 @@ FusedComponent fuse(const System& system) {
 
   for (std::size_t ci = 0; ci < system.connectorCount(); ++ci) {
     const Connector& c = system.connector(ci);
-    const std::vector<std::string> labels = system.endLabels(c);
     for (InteractionMask mask : c.feasibleMasks()) {
       std::vector<int> ends;
       std::vector<std::vector<const Transition*>> options;
@@ -150,7 +149,7 @@ FusedComponent fuse(const System& system) {
           ft.connector = static_cast<int>(ci);
           ft.mask = mask;
           ft.guard = guard;
-          ft.label = c.maskLabel(mask, labels);
+          ft.label = interactionLabel(system, static_cast<int>(ci), mask);
           // Data transfer first (up, then down to participating ends)...
           for (const expr::Assign& up : c.ups()) {
             ft.actions.push_back(expr::Assign{

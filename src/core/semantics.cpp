@@ -457,9 +457,30 @@ std::vector<GlobalState> successors(const System& system, const GlobalState& sta
   return out;
 }
 
+std::string interactionLabel(const System& system, int connector, InteractionMask mask) {
+  const Connector& c = system.connector(static_cast<std::size_t>(connector));
+  std::string out;
+  // About 16 bytes per "inst.port, " keeps typical labels to one allocation.
+  out.reserve(c.name().size() + 2 + 16 * static_cast<std::size_t>(std::popcount(mask)));
+  out += c.name();
+  out += '{';
+  const char* separator = "";
+  for (std::size_t i = 0; i < c.endCount(); ++i) {
+    if ((mask & (InteractionMask{1} << i)) == 0) continue;
+    const PortRef& p = c.end(i).port;
+    const System::Instance& inst = system.instance(static_cast<std::size_t>(p.instance));
+    out += separator;
+    out += inst.name;
+    out += '.';
+    out += inst.type->port(p.port).name;
+    separator = ", ";
+  }
+  out += '}';
+  return out;
+}
+
 std::string interactionLabel(const System& system, const EnabledInteraction& interaction) {
-  const Connector& c = system.connector(static_cast<std::size_t>(interaction.connector));
-  return c.maskLabel(interaction.mask, system.endLabels(c));
+  return interactionLabel(system, interaction.connector, interaction.mask);
 }
 
 bool isDeadlocked(const System& system, const GlobalState& state) {

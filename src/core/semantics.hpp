@@ -291,7 +291,10 @@ std::size_t choiceCount(const EnabledInteraction& interaction);
 std::vector<GlobalState> successors(const System& system, const GlobalState& state,
                                     bool withPriorities = true);
 
-/// Display label of an enabled interaction, e.g. "eat{p0.eat, f0.use}".
+/// Display label of connector `connector` firing under `mask`: the
+/// connector name, then "inst.port" for each selected end in end order,
+/// e.g. "eat{p0.eat, f0.use}".
+std::string interactionLabel(const System& system, int connector, InteractionMask mask);
 std::string interactionLabel(const System& system, const EnabledInteraction& interaction);
 
 /// True iff no interaction is enabled (global deadlock; internal steps are

@@ -196,13 +196,6 @@ std::string System::endLabel(const ConnectorEnd& end) const {
   return inst.name + "." + inst.type->port(end.port.port).name;
 }
 
-std::vector<std::string> System::endLabels(const Connector& c) const {
-  std::vector<std::string> out;
-  out.reserve(c.endCount());
-  for (const ConnectorEnd& e : c.ends()) out.push_back(endLabel(e));
-  return out;
-}
-
 GlobalState initialState(const System& system) {
   GlobalState g;
   g.components.reserve(system.instanceCount());

@@ -120,8 +120,6 @@ class System {
 
   /// Label "instanceName.portName" for a connector end.
   std::string endLabel(const ConnectorEnd& end) const;
-  /// Display labels for all ends of connector `c`.
-  std::vector<std::string> endLabels(const Connector& c) const;
 
  private:
   void rebuildReverseIndexIfNeeded() const;

@@ -1,8 +1,17 @@
 #include "engine/common.hpp"
 
+#include <algorithm>
 #include <ostream>
 
+#include "obs/obs.hpp"
+
 namespace cbip {
+
+namespace {
+// Telemetry (src/obs): labels rendered into TraceLabels; every other
+// recorded event copies one of them.
+const obs::Counter g_labelsRendered("trace.labels.rendered");
+}  // namespace
 
 std::pair<std::size_t, std::vector<int>> RandomPolicy::pick(
     const System&, const GlobalState&, const std::vector<EnabledInteraction>& enabled) {
@@ -19,6 +28,20 @@ std::pair<std::size_t, std::vector<int>> RandomPolicy::pick(
 std::pair<std::size_t, std::vector<int>> FirstPolicy::pick(
     const System&, const GlobalState&, const std::vector<EnabledInteraction>& enabled) {
   return {0, std::vector<int>(enabled.front().choices.size(), 0)};
+}
+
+TraceEvent TraceLabels::event(const System& system, std::uint64_t step, int connector,
+                              InteractionMask mask) {
+  const auto c = static_cast<std::size_t>(connector);
+  if (c >= byConnector_.size()) byConnector_.resize(system.connectorCount());
+  std::vector<Rendered>& rendered = byConnector_[c];
+  auto it = std::lower_bound(rendered.begin(), rendered.end(), mask,
+                             [](const Rendered& r, InteractionMask m) { return r.mask < m; });
+  if (it == rendered.end() || it->mask != mask) {
+    it = rendered.insert(it, Rendered{mask, interactionLabel(system, connector, mask)});
+    g_labelsRendered.add();
+  }
+  return TraceEvent{step, connector, mask, it->label};
 }
 
 const char* to_string(StopReason reason) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -58,6 +59,24 @@ enum class StopReason { kStepLimit, kDeadlock, kPredicate };
 /// Enumerator name ("kStepLimit", ...) for diagnostics and test output.
 const char* to_string(StopReason reason);
 std::ostream& operator<<(std::ostream& os, StopReason reason);
+
+/// The label of every (connector, mask) pair an engine has recorded. A
+/// label is a pure function of the pair, so an engine renders it once, at
+/// the pair's first recorded fire, and copies it into later events. Sized
+/// lazily: nothing is rendered or allocated until a trace is recorded.
+class TraceLabels {
+ public:
+  /// The trace event of `connector` firing under `mask` at `step`.
+  TraceEvent event(const System& system, std::uint64_t step, int connector,
+                   InteractionMask mask);
+
+ private:
+  struct Rendered {
+    InteractionMask mask;
+    std::string label;
+  };
+  std::vector<std::vector<Rendered>> byConnector_;  // each sorted by mask
+};
 
 struct RunResult {
   StopReason reason = StopReason::kStepLimit;

@@ -89,8 +89,7 @@ RunResult SequentialEngine::run(GlobalState start, const RunOptions& options) {
     ++result.steps;
     g_seqSteps.add();
     if (options.recordTrace) {
-      result.trace.events.push_back(TraceEvent{
-          step, ei.connector, ei.mask, interactionLabel(*system_, ei)});
+      result.trace.events.push_back(labels_.event(*system_, step, ei.connector, ei.mask));
     }
     if (cache) cache->updateAfterExecute(result.finalState, ei);
     if (options.stopWhen && options.stopWhen(result.finalState)) {

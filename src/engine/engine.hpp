@@ -64,6 +64,7 @@ class SequentialEngine final : public Engine {
   SchedulingPolicy* policy_;
   RunOptions defaults_;
   RunStats stats_;
+  TraceLabels labels_;
 };
 
 }  // namespace cbip

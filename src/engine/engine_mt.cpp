@@ -263,8 +263,7 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
         dispatched.push_back(inst);
       }
       if (options.recordTrace) {
-        result.trace.events.push_back(
-            TraceEvent{executed, ei.connector, ei.mask, interactionLabel(system, ei)});
+        result.trace.events.push_back(labels_.event(system, executed, ei.connector, ei.mask));
       }
       ++executed;
     }

@@ -65,6 +65,7 @@ class MultiThreadEngine final : public Engine {
   SchedulingPolicy* policy_;
   MtOptions defaults_;
   RunStats stats_;
+  TraceLabels labels_;
 };
 
 }  // namespace cbip

@@ -3,6 +3,11 @@
 // A trace is the sequence of executed interactions with enough structure
 // for the equivalence checks used throughout the flow (observational
 // equivalence of refinements, Fig 5.4; fusion bisimulation, E12).
+//
+// An event's label is `interactionLabel(system, connector, mask)`, a pure
+// function of (connector, mask). Every engine renders each label once per
+// (connector, mask) through its TraceLabels memo (engine/common.hpp) and
+// copies it into later events; nothing is rendered when recordTrace is off.
 #pragma once
 
 #include <cstdint>

@@ -67,7 +67,6 @@ struct Event {
   std::uint64_t seq = 0;
   int connector = 0;
   InteractionMask mask = 0;
-  std::string label;
 };
 
 bool eventBefore(const Event& a, const Event& b) {
@@ -668,9 +667,8 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       }
       ++w.crossExecuted;
       if (options.recordTrace) {
-        w.events.push_back(Event{epoch, 0, 0, idx, entry.interaction.connector,
-                                 entry.interaction.mask,
-                                 interactionLabel(system, entry.interaction)});
+        w.events.push_back(
+            Event{epoch, 0, 0, idx, entry.interaction.connector, entry.interaction.mask});
       }
     }
     // Stolen work: execute the victims' surplus local interactions this
@@ -701,8 +699,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       ++w.stolenExecuted;
       if (options.recordTrace) {
         w.events.push_back(Event{epoch, 0, 0, accepted.size() + j, st.interaction.connector,
-                                 st.interaction.mask,
-                                 interactionLabel(system, st.interaction)});
+                                 st.interaction.mask});
       }
     }
   };
@@ -730,8 +727,8 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       const EnabledInteraction& ei = enabled[idx];
       ss.executeInteraction(state, ei, choice);
       if (options.recordTrace) {
-        w.events.push_back(Event{epoch, 1, static_cast<int>(s), w.localExecuted, ei.connector,
-                                 ei.mask, interactionLabel(system, ei)});
+        w.events.push_back(
+            Event{epoch, 1, static_cast<int>(s), w.localExecuted, ei.connector, ei.mask});
       }
       ++w.localExecuted;
       // Incremental maintenance: re-derive the local connectors touching
@@ -862,8 +859,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     std::sort(all.begin(), all.end(), eventBefore);
     result.trace.events.reserve(all.size());
     for (std::size_t i = 0; i < all.size(); ++i) {
-      result.trace.events.push_back(TraceEvent{i, all[i].connector, all[i].mask,
-                                               std::move(all[i].label)});
+      result.trace.events.push_back(labels_.event(system, i, all[i].connector, all[i].mask));
     }
   }
   return result;

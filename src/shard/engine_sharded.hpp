@@ -174,6 +174,7 @@ class ShardedEngine final : public Engine {
   ShardedSystem sharded_;
   ShardedOptions defaults_;
   ShardedStats stats_;
+  TraceLabels labels_;
 };
 
 }  // namespace cbip::shard

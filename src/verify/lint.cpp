@@ -7,6 +7,7 @@
 
 #include "core/atomic.hpp"
 #include "core/connector.hpp"
+#include "core/semantics.hpp"
 
 namespace cbip::verify {
 
@@ -52,7 +53,6 @@ std::vector<Diagnostic> lintVerify(const System& system, const DFinderOptions& o
   // condition the DIS encoding uses to drop the interaction.
   for (std::size_t ci = 0; ci < system.connectorCount(); ++ci) {
     const Connector& c = system.connector(ci);
-    const std::vector<std::string> labels = system.endLabels(c);
     const std::string where =
         "connector " + (c.name().empty() ? "#" + std::to_string(ci) : c.name());
     for (InteractionMask mask : c.feasibleMasks()) {
@@ -70,8 +70,9 @@ std::vector<Diagnostic> lintVerify(const System& system, const DFinderOptions& o
         if (hasSource) continue;
         out.push_back(Diagnostic{
             LintKind::kInteractionNeverEnabled, where,
-            "interaction " + c.maskLabel(mask, labels) + " is provably never enabled: end " +
-                labels[e] + " has no feasible transition on port '" + type.port(p.port).name +
+            "interaction " + interactionLabel(system, static_cast<int>(ci), mask) +
+                " is provably never enabled: end " + system.endLabel(c.end(e)) +
+                " has no feasible transition on port '" + type.port(p.port).name +
                 "' under the component invariant"});
         break;  // one finding per interaction is enough
       }

@@ -273,6 +273,49 @@ TEST(Semantics, InteractionLabelIsReadable) {
   EXPECT_NE(label.find("p0.eat"), std::string::npos);
 }
 
+/// Index of the connector named `name`; fails the test if there is none.
+int connectorNamed(const System& sys, const std::string& name) {
+  for (std::size_t ci = 0; ci < sys.connectorCount(); ++ci) {
+    if (sys.connector(ci).name() == name) return static_cast<int>(ci);
+  }
+  ADD_FAILURE() << "no connector " << name;
+  return 0;
+}
+
+TEST(InteractionLabel, FormatIsPinned) {
+  // Label text is part of every recorded trace, and the golden-trace tests
+  // hash only (connector, mask), so the text is pinned here.
+  const auto label = [](const System& sys, int connector, InteractionMask mask) {
+    const std::string direct = interactionLabel(sys, connector, mask);
+    EXPECT_EQ(interactionLabel(sys, EnabledInteraction{connector, mask, {}, {}}), direct);
+    return direct;
+  };
+  auto t = std::make_shared<AtomicType>("T");
+  const int l = t->addLocation("l");
+  const int snd = t->addPort("snd");
+  const int rcv = t->addPort("rcv");
+  t->addTransition(l, snd, l);
+  t->addTransition(l, rcv, l);
+  t->setInitialLocation(l);
+  System sys;
+  const int a = sys.addInstance("a", t);
+  const int b = sys.addInstance("b", t);
+  const int c = sys.addInstance("c", t);
+  sys.addConnector(rendezvous("sync", {PortRef{a, snd}, PortRef{b, rcv}}));
+  sys.addConnector(broadcast("cast", PortRef{a, snd}, {PortRef{b, rcv}, PortRef{c, rcv}}));
+  sys.validate();
+  EXPECT_EQ(label(sys, 0, 0b11), "sync{a.snd, b.rcv}");
+  EXPECT_EQ(label(sys, 1, 0b001), "cast{a.snd}");
+  EXPECT_EQ(label(sys, 1, 0b101), "cast{a.snd, c.rcv}");
+  EXPECT_EQ(label(sys, 1, 0b111), "cast{a.snd, b.rcv, c.rcv}");
+
+  const System philo = models::philosophersAtomic(3);
+  EXPECT_EQ(label(philo, connectorNamed(philo, "eat1"), 0b111), "eat1{p1.eat, f1.use, f2.use}");
+  const System gas = models::gasStation(2, 3);
+  EXPECT_EQ(label(gas, connectorNamed(gas, "finish_c2_p1"), 0b11),
+            "finish_c2_p1{c2.finish, pump1.finish}");
+}
+
 TEST(GlobalState, HashAndFormat) {
   System sys = models::philosophersAtomic(2);
   GlobalState a = initialState(sys);

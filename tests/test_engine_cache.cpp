@@ -4,7 +4,9 @@
 // the cache on or off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "engine/engine_mt.hpp"
 #include "models/models.hpp"
 #include "obs/obs.hpp"
+#include "shard/engine_sharded.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -475,6 +478,82 @@ TEST(EnabledInteractionCache, RaisingGuardOnConnectedPortRaisesOnBothPaths) {
     crossCheck(sys, 1, 10, &raisedAt);
     EXPECT_EQ(raisedAt, 3);
   });
+}
+
+TEST(TraceLabels, EveryEngineRendersEachFiredPairOnce) {
+  // Each `cast` broadcasts to receivers that flip in and out of reach, so
+  // it fires under several masks in one run, and runs never deadlock. The
+  // two groups are disjoint, so K=2 shards keep each cast shard-local,
+  // where the shard's policy picks its mask.
+  auto sender = std::make_shared<AtomicType>("S");
+  const int snd = sender->addPort("snd");
+  sender->addTransition(sender->addLocation("l"), snd, 0);
+  sender->setInitialLocation(0);
+  auto receiver = std::make_shared<AtomicType>("R");
+  const int in = receiver->addLocation("in");
+  const int out = receiver->addLocation("out");
+  const int rcv = receiver->addPort("rcv");
+  const int flip = receiver->addPort("flip");
+  receiver->addTransition(in, rcv, in);
+  receiver->addTransition(in, flip, out);
+  receiver->addTransition(out, flip, in);
+  receiver->setInitialLocation(in);
+  System sys;
+  for (const std::string g : {"a", "b"}) {
+    const int s = sys.addInstance("s" + g, sender);
+    std::vector<PortRef> receivers;
+    for (int i = 0; i < 3; ++i) {
+      const int r = sys.addInstance("r" + g + std::to_string(i), receiver);
+      receivers.push_back(PortRef{r, rcv});
+      sys.addConnector(rendezvous("flip" + g + std::to_string(i), {PortRef{r, flip}}));
+    }
+    sys.addConnector(broadcast("cast" + g, PortRef{s, snd}, receivers));
+  }
+  sys.validate();
+  RandomPolicy seqPolicy(5);
+  RandomPolicy mtPolicy(5);
+  SequentialEngine seq(sys, seqPolicy);
+  MultiThreadEngine mt(sys, mtPolicy);
+  shard::ShardedEngine sharded(sys, 2);
+  sharded.defaultOptions().seed = 5;
+  const std::vector<std::pair<Engine*, RandomPolicy*>> engines{
+      {&seq, &seqPolicy}, {&mt, &mtPolicy}, {&sharded, nullptr}};
+  EngineOptions options;
+  options.maxSteps = 400;
+  for (const auto& [engine, policy] : engines) {
+    SCOPED_TRACE(engine->name());
+    std::vector<std::string> firstLabels;
+    for (const int run : {1, 2}) {
+      SCOPED_TRACE(run);
+      if (policy != nullptr) *policy = RandomPolicy(5);
+      const std::uint64_t before = obs::snapshot().counter("trace.labels.rendered");
+      const RunResult r = engine->run(options);
+      const std::uint64_t rendered =
+          obs::snapshot().counter("trace.labels.rendered") - before;
+      ASSERT_EQ(r.trace.events.size(), options.maxSteps);
+      std::set<std::pair<int, InteractionMask>> pairs;
+      std::vector<int> masksOf(sys.connectorCount(), 0);
+      for (const TraceEvent& e : r.trace.events) {
+        EXPECT_EQ(e.label, interactionLabel(sys, e.connector, e.mask));
+        if (pairs.emplace(e.connector, e.mask).second) {
+          ++masksOf[static_cast<std::size_t>(e.connector)];
+        }
+      }
+      EXPECT_GE(*std::max_element(masksOf.begin(), masksOf.end()), 2);
+      if (run == 1) {
+        firstLabels = r.trace.labels();
+        if (obs::enabled()) {
+          EXPECT_EQ(rendered, pairs.size());
+        }
+      } else {
+        // Same seed, same engine: the same trace, rendered from the memo.
+        EXPECT_EQ(r.trace.labels(), firstLabels);
+        if (obs::enabled()) {
+          EXPECT_EQ(rendered, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(System, ConnectorsOfReverseIndex) {
