@@ -205,13 +205,10 @@ bool EnabledInteractionCache::portFeasible(std::size_t ci) const {
 }
 
 void EnabledInteractionCache::buildConnector(std::size_t ci, const GlobalState& state,
-                                             std::span<EnabledInteraction> reuse,
-                                             std::vector<EnabledInteraction>& out) {
+                                             EnabledSpans::Shells& shells) {
   const InteractionMask offered = offeredEnds(ci);
   const int* slots = endSlot_.data() + endBegin_[ci];
-  const std::size_t endCount = static_cast<std::size_t>(endBegin_[ci + 1] - endBegin_[ci]);
   bool guardKnown = system_->connector(ci).guard().isTrue();
-  std::size_t reused = 0;
   for (int m = maskBegin_[ci]; m < maskBegin_[ci + 1]; ++m) {
     const InteractionMask mask = masks_[static_cast<std::size_t>(m)];
     if ((mask & ~offered) != 0) continue;
@@ -222,19 +219,10 @@ void EnabledInteractionCache::buildConnector(std::size_t ci, const GlobalState& 
       if (!connectorGuardHolds(*system_, ci, state)) return;
       guardKnown = true;
     }
-    EnabledInteraction& ei = reused < reuse.size() ? out.emplace_back(std::move(reuse[reused++]))
-                                                   : out.emplace_back();
-    ei.connector = static_cast<int>(ci);
-    ei.mask = mask;
-    ei.ends.clear();
-    ei.choices.resize(static_cast<std::size_t>(std::popcount(mask)));
-    std::size_t k = 0;
-    for (std::size_t e = 0; e < endCount; ++e) {
-      if ((mask & (InteractionMask{1} << e)) == 0) continue;
-      ei.ends.push_back(static_cast<int>(e));
-      const std::vector<int>& offer = offers_[static_cast<std::size_t>(slots[e])];
-      ei.choices[k++].assign(offer.begin(), offer.end());
-    }
+    fillInteraction(shells.next(), static_cast<int>(ci), mask,
+                    [&](std::size_t e) -> const std::vector<int>& {
+                      return offers_[static_cast<std::size_t>(slots[e])];
+                    });
   }
 }
 
@@ -243,11 +231,9 @@ void EnabledInteractionCache::reset(const GlobalState& state) {
   refresh_.resize(system_->instanceCount());
   for (std::size_t i = 0; i < refresh_.size(); ++i) refresh_[i] = static_cast<int>(i);
   refreshOffers(state);
-  spans_.rebuild(system_->connectorCount(),
-                 [&](std::size_t ci, std::span<EnabledInteraction> reuse,
-                     std::vector<EnabledInteraction>& out) {
-                   buildConnector(ci, state, reuse, out);
-                 });
+  spans_.rebuild(system_->connectorCount(), [&](std::size_t ci, auto& shells) {
+    buildConnector(ci, state, shells);
+  });
 }
 
 void EnabledInteractionCache::update(const GlobalState& state,
@@ -278,10 +264,7 @@ void EnabledInteractionCache::update(const GlobalState& state,
   }
   g_cacheRecomputes.add(built);
   g_cacheDirty.observe(static_cast<std::int64_t>(spans_.queuedCount()));
-  spans_.splice([&](std::size_t ci, std::span<EnabledInteraction> reuse,
-                    std::vector<EnabledInteraction>& out) {
-    buildConnector(ci, state, reuse, out);
-  });
+  spans_.splice([&](std::size_t ci, auto& shells) { buildConnector(ci, state, shells); });
 }
 
 bool EnabledInteractionCache::stationary(const Connector& c, int end,

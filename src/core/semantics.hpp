@@ -10,12 +10,12 @@
 // resolve the nondeterminism explicitly.
 #pragma once
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
-#include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.hpp"
@@ -32,105 +32,225 @@ struct EnabledInteraction {
   std::vector<int> ends;
 
   friend bool operator==(const EnabledInteraction&, const EnabledInteraction&) = default;
+
+  /// Member-wise: the vectors trade buffers, nothing is allocated.
+  friend void swap(EnabledInteraction& a, EnabledInteraction& b) noexcept {
+    std::swap(a.connector, b.connector);
+    std::swap(a.mask, b.mask);
+    a.choices.swap(b.choices);
+    a.ends.swap(b.ends);
+  }
 };
+
+/// Overwrites every field of `ei` with connector `connector` firing under
+/// `mask`: the mask's ends ascending, each with `offer(e)`, the enabled
+/// transitions of end `e`. `ei` may be a recycled element; its vectors
+/// keep their capacity, so a refill of the same arity allocates only when
+/// an offer outgrows it.
+template <typename Offer>
+void fillInteraction(EnabledInteraction& ei, int connector, InteractionMask mask, Offer&& offer) {
+  ei.connector = connector;
+  ei.mask = mask;
+  ei.ends.clear();
+  ei.choices.resize(static_cast<std::size_t>(std::popcount(mask)));
+  std::size_t k = 0;
+  for (InteractionMask rest = mask; rest != 0; rest &= rest - 1) {
+    const int e = std::countr_zero(rest);
+    ei.ends.push_back(e);
+    const std::vector<int>& transitions = offer(static_cast<std::size_t>(e));
+    ei.choices[k++].assign(transitions.begin(), transitions.end());
+  }
+}
 
 /// Enabled interactions kept as per-position spans of one flat vector, in
 /// ascending position order. It stores EnabledInteractionCache's set
-/// (position = connector index) and a sharded engine worker's local set
-/// (position = index in its shard's local-connector list).
+/// (position = connector index) and a sharded engine worker's local and
+/// owned-cross sets (position = index in its shard's connector lists).
 ///
 /// `queue` marks a position for re-derivation; `splice` then re-derives
-/// every queued position's span and rebuilds the vector in one move pass
-/// into a reused buffer. Untouched spans move over as blocks, and the
-/// offsets after the first queued position shift by the running length
-/// change, so a splice costs O(size) moves however many spans change
-/// length.
+/// every queued position's span in place, in three passes:
+/// - *Stage.* The builder fills each queued span, back to back, into
+///   recycled elements (shells) handed out by `Shells::next`.
+/// - *Relocate.* Elements before the first queued position are never
+///   touched. Each untouched run after it moves by the running length
+///   change of the spans queued before it, by swaps inside the vector,
+///   and only when that change is non-zero: runs shifting left in
+///   ascending order, then runs shifting right in descending order.
+/// - *Fill.* The staged spans are swapped into their holes, and the
+///   elements swapped out become free shells. When the set shrinks, the
+///   leftover tail joins them; growth draws from them first.
+///
+/// A splice therefore costs the queued spans' builds plus one swap per
+/// element of the runs that shift, at most O(size). Shells keep their
+/// vectors' capacity, so once the set and its interactions have reached
+/// their largest sizes a splice allocates nothing.
 class EnabledSpans {
  public:
+  /// The builder's element source: `next()` appends one element to the
+  /// span being built and returns it. The element is a recycled shell
+  /// with stale fields (see fillInteraction), so the builder must
+  /// overwrite every field. The reference is valid until the next call.
+  class Shells {
+   public:
+    EnabledInteraction& next() {
+      std::vector<EnabledInteraction>& stage = spans_->stage_;
+      if (spans_->staged_ == stage.size()) stage.emplace_back();
+      return stage[spans_->staged_++];
+    }
+
+   private:
+    friend class EnabledSpans;
+    explicit Shells(EnabledSpans& spans) : spans_(&spans) {}
+    EnabledSpans* spans_;
+  };
+
   /// `positions` empty spans.
   explicit EnabledSpans(std::size_t positions = 0)
-      : offset_(positions, 0), count_(positions, 0), queued_(positions, 0) {}
+      : offset_(positions, 0), count_(positions, 0), queued_(words(positions), 0) {}
 
   const std::vector<EnabledInteraction>& items() const { return flat_; }
+  std::span<const EnabledInteraction> span(std::size_t pos) const {
+    return std::span(flat_).subspan(offset(pos), count(pos));
+  }
   std::size_t offset(std::size_t pos) const { return static_cast<std::size_t>(offset_[pos]); }
   std::size_t count(std::size_t pos) const { return static_cast<std::size_t>(count_[pos]); }
-  bool queued(std::size_t pos) const { return queued_[pos] != 0; }
-  std::size_t queuedCount() const { return queue_.size(); }
+  bool queued(std::size_t pos) const { return ((queued_[pos / 64] >> (pos % 64)) & 1) != 0; }
+  std::size_t queuedCount() const { return queuedCount_; }
+  /// Shells held for later growth, outside items().
+  std::size_t freeShells() const { return stage_.size(); }
 
   /// Queues `pos` for the next splice; queuing it again is a no-op.
   void queue(std::size_t pos) {
-    if (queued_[pos] != 0) return;
-    queued_[pos] = 1;
-    queue_.push_back(static_cast<int>(pos));
+    std::uint64_t& word = queued_[pos / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+    if ((word & bit) != 0) return;
+    word |= bit;
+    ++queuedCount_;
   }
 
-  /// Derives all `positions` spans from scratch: splices an empty set with
-  /// every position queued. `build` is as for `splice`, with `reuse` empty.
+  /// Derives all `positions` spans from scratch, in position order, into
+  /// shells recycled from the current elements. `build` is as for
+  /// `splice`.
   template <typename Build>
   void rebuild(std::size_t positions, Build&& build) {
+    stage_.insert(stage_.end(), std::make_move_iterator(flat_.begin()),
+                  std::make_move_iterator(flat_.end()));
     flat_.clear();
     offset_.assign(positions, 0);
     count_.assign(positions, 0);
-    queued_.assign(positions, 1);
-    queue_.resize(positions);
-    std::iota(queue_.begin(), queue_.end(), 0);
-    splice(build);
+    queued_.assign(words(positions), 0);
+    queuedCount_ = 0;
+    staged_ = 0;
+    Shells shells(*this);
+    for (std::size_t pos = 0; pos < positions; ++pos) {
+      offset_[pos] = static_cast<int>(staged_);
+      build(pos, shells);
+      count_[pos] = static_cast<int>(staged_) - offset_[pos];
+    }
+    // The staged spans are the set; the shells left over stay free.
+    flat_.swap(stage_);
+    const auto end = static_cast<std::ptrdiff_t>(staged_);
+    stage_.insert(stage_.end(), std::make_move_iterator(flat_.begin() + end),
+                  std::make_move_iterator(flat_.end()));
+    flat_.erase(flat_.begin() + end, flat_.end());
   }
 
   /// Re-derives the queued positions' spans and empties the queue.
-  /// `build(pos, reuse, out)` appends position `pos`'s interactions to
-  /// `out`, and may move the storage of `reuse`, the span's previous
-  /// elements, into them. If `build` throws, the spans are unusable until
-  /// the next rebuild.
+  /// `build(pos, shells)` fills position `pos`'s interactions, in order,
+  /// into the elements `shells.next()` returns. If `build` throws, the
+  /// spans are unusable until the next rebuild.
   template <typename Build>
   void splice(Build&& build) {
-    if (queue_.empty()) return;
-    std::sort(queue_.begin(), queue_.end());
-    spare_.clear();
-    const auto moveOld = [&](int from, int to) {
-      spare_.insert(spare_.end(), std::make_move_iterator(flat_.begin() + from),
-                    std::make_move_iterator(flat_.begin() + to));
-    };
-    int copied = 0;  // flat_ elements before this index are in spare_
-    int delta = 0;   // offset shift of the untouched positions passed so far
-    auto next = static_cast<std::size_t>(queue_.front());
+    if (queuedCount_ == 0) return;
+    // The queued positions, ascending, read off the marks word by word.
+    queue_.clear();
+    for (std::size_t w = 0; queue_.size() < queuedCount_; ++w) {
+      for (std::uint64_t bits = std::exchange(queued_[w], 0); bits != 0; bits &= bits - 1) {
+        queue_.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
+      }
+    }
+    queuedCount_ = 0;
+    // Stage each queued span, then fix its offset and count and note the
+    // untouched run after it: [its old end, the next queued position's
+    // old offset), shifted by the length change so far.
+    staged_ = 0;
+    runs_.resize(queue_.size());
+    Shells shells(*this);
+    int delta = 0;
+    for (std::size_t k = 0; k < queue_.size(); ++k) {
+      const auto pos = static_cast<std::size_t>(queue_[k]);
+      const std::size_t before = staged_;
+      build(pos, shells);
+      const int built = static_cast<int>(staged_ - before);
+      const bool last = k + 1 == queue_.size();
+      const std::size_t stop = last ? offset_.size() : static_cast<std::size_t>(queue_[k + 1]);
+      Run& run = runs_[k];
+      run.begin = offset_[pos] + count_[pos];
+      run.end = last ? static_cast<int>(flat_.size()) : offset_[stop];
+      offset_[pos] += delta;
+      delta += built - count_[pos];
+      count_[pos] = built;
+      run.shift = delta;
+      if (delta != 0) {
+        for (std::size_t p = pos + 1; p < stop; ++p) offset_[p] += delta;
+      }
+    }
+    // Growth takes free shells first.
+    const auto size = static_cast<std::size_t>(static_cast<int>(flat_.size()) + delta);
+    while (flat_.size() < size) {
+      if (stage_.size() > staged_) {
+        flat_.push_back(std::move(stage_.back()));
+        stage_.pop_back();
+      } else {
+        flat_.emplace_back();
+      }
+    }
+    // Left shifts ascending, then right shifts descending: no run is
+    // swapped onto one that has not moved yet.
+    for (const Run& run : runs_) {
+      if (run.shift >= 0) continue;
+      for (int i = run.begin; i < run.end; ++i) swap(flat_[at(i + run.shift)], flat_[at(i)]);
+    }
+    for (auto it = runs_.rbegin(); it != runs_.rend(); ++it) {
+      if (it->shift <= 0) continue;
+      for (int i = it->end - 1; i >= it->begin; --i) swap(flat_[at(i + it->shift)], flat_[at(i)]);
+    }
+    // The elements the staged spans displace from their holes are free.
+    std::size_t from = 0;
     for (const int q : queue_) {
       const auto pos = static_cast<std::size_t>(q);
-      queued_[pos] = 0;
-      if (delta != 0) {
-        for (; next < pos; ++next) offset_[next] += delta;
+      for (std::size_t i = offset(pos); i < offset(pos) + count(pos); ++i) {
+        swap(flat_[i], stage_[from++]);
       }
-      const int oldOffset = offset_[pos];
-      const int oldEnd = oldOffset + count_[pos];
-      moveOld(copied, oldOffset);
-      offset_[pos] = static_cast<int>(spare_.size());
-      build(pos,
-            std::span(flat_).subspan(static_cast<std::size_t>(oldOffset),
-                                     static_cast<std::size_t>(count_[pos])),
-            spare_);
-      count_[pos] = static_cast<int>(spare_.size()) - offset_[pos];
-      delta = static_cast<int>(spare_.size()) - oldEnd;
-      copied = oldEnd;
-      next = pos + 1;
     }
-    if (delta != 0) {
-      for (; next < offset_.size(); ++next) offset_[next] += delta;
+    while (flat_.size() > size) {
+      stage_.push_back(std::move(flat_.back()));
+      flat_.pop_back();
     }
-    moveOld(copied, static_cast<int>(flat_.size()));
-    flat_.swap(spare_);
-    queue_.clear();
   }
 
   /// Moves the vector out; the spans are unusable until the next rebuild.
   std::vector<EnabledInteraction> release() { return std::move(flat_); }
 
  private:
+  /// An untouched run of elements [begin, end) and its shift.
+  struct Run {
+    int begin = 0;
+    int end = 0;
+    int shift = 0;
+  };
+  static std::size_t at(int i) { return static_cast<std::size_t>(i); }
+  static std::size_t words(std::size_t positions) { return (positions + 63) / 64; }
+
   std::vector<EnabledInteraction> flat_;
-  std::vector<EnabledInteraction> spare_;  // splice target, swapped with flat_
+  std::vector<EnabledInteraction> stage_;  // staged spans, then free shells
+  std::size_t staged_ = 0;                 // stage_ elements handed out
   std::vector<int> offset_;                // per position: start of its span
   std::vector<int> count_;                 // per position: span length
-  std::vector<char> queued_;               // per position: in queue_
-  std::vector<int> queue_;                 // positions to re-derive
+  std::vector<std::uint64_t> queued_;      // bit per position: queued
+  std::size_t queuedCount_ = 0;            // set bits in queued_
+  std::vector<int> queue_;                 // splice scratch: queued positions, ascending
+  std::vector<Run> runs_;                  // splice scratch, parallel to queue_
 };
 
 /// All enabled interactions of `system` in `state` (before priorities):
@@ -161,8 +281,11 @@ std::vector<EnabledInteraction> enabledInteractions(const System& system,
 /// connectors.
 ///
 /// *Splice.* `enabled()` is one EnabledSpans vector with a span per
-/// connector, and an update re-derives its connectors in one splice, so a
-/// step costs O(enabled) moves no matter how many spans change length.
+/// connector, and an update re-derives its connectors in one in-place
+/// splice into recycled elements. The enabled interactions before the
+/// first re-derived connector stay where they are, the ones after it are
+/// swapped along only when the spans before them changed length, and a
+/// steady-state update allocates nothing.
 ///
 /// *Guard evaluation order* (and so which `EvalError` a doomed update
 /// raises, identical under the compiled programs and the interpreter):
@@ -223,10 +346,8 @@ class EnabledInteractionCache {
   InteractionMask offeredEnds(std::size_t ci) const;
   /// True iff some feasible mask of connector `ci` has every end offered.
   bool portFeasible(std::size_t ci) const;
-  /// Appends connector `ci`'s interactions to `out`, reusing the storage
-  /// of the `reuse` elements (its previous span) where it can.
-  void buildConnector(std::size_t ci, const GlobalState& state,
-                      std::span<EnabledInteraction> reuse, std::vector<EnabledInteraction>& out);
+  /// Fills connector `ci`'s interactions into shells from `shells`.
+  void buildConnector(std::size_t ci, const GlobalState& state, EnabledSpans::Shells& shells);
   bool stationary(const Connector& c, int end, const std::vector<int>& choices) const;
 
   const System* system_;

@@ -13,21 +13,21 @@ namespace {
 const obs::Counter g_labelsRendered("trace.labels.rendered");
 }  // namespace
 
-std::pair<std::size_t, std::vector<int>> RandomPolicy::pick(
-    const System&, const GlobalState&, const std::vector<EnabledInteraction>& enabled) {
+std::pair<std::size_t, std::span<const int>> RandomPolicy::pick(
+    const System&, const GlobalState&, std::span<const EnabledInteraction> enabled) {
   const std::size_t i = rng_.index(enabled.size());
   const EnabledInteraction& ei = enabled[i];
-  std::vector<int> choice;
-  choice.reserve(ei.choices.size());
+  choice_.clear();
   for (const std::vector<int>& options : ei.choices) {
-    choice.push_back(static_cast<int>(rng_.index(options.size())));
+    choice_.push_back(static_cast<int>(rng_.index(options.size())));
   }
-  return {i, std::move(choice)};
+  return {i, choice_};
 }
 
-std::pair<std::size_t, std::vector<int>> FirstPolicy::pick(
-    const System&, const GlobalState&, const std::vector<EnabledInteraction>& enabled) {
-  return {0, std::vector<int>(enabled.front().choices.size(), 0)};
+std::pair<std::size_t, std::span<const int>> FirstPolicy::pick(
+    const System&, const GlobalState&, std::span<const EnabledInteraction> enabled) {
+  choice_.assign(enabled.front().choices.size(), 0);
+  return {0, choice_};
 }
 
 TraceEvent TraceLabels::event(const System& system, std::uint64_t step, int connector,

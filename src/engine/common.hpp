@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,31 +27,36 @@ namespace cbip {
 class SchedulingPolicy {
  public:
   virtual ~SchedulingPolicy() = default;
-  /// `enabled` is non-empty. Returns (interaction index, per-participant
-  /// transition-choice vector).
-  virtual std::pair<std::size_t, std::vector<int>> pick(
+  /// `enabled` is non-empty. Returns the picked interaction's index and
+  /// its per-participant transition choice: a view into a buffer the
+  /// policy owns, valid until the next pick.
+  virtual std::pair<std::size_t, std::span<const int>> pick(
       const System& system, const GlobalState& state,
-      const std::vector<EnabledInteraction>& enabled) = 0;
+      std::span<const EnabledInteraction> enabled) = 0;
 };
 
 /// Uniformly random choice among interactions and transition options.
 class RandomPolicy final : public SchedulingPolicy {
  public:
   explicit RandomPolicy(std::uint64_t seed) : rng_(seed) {}
-  std::pair<std::size_t, std::vector<int>> pick(
+  std::pair<std::size_t, std::span<const int>> pick(
       const System& system, const GlobalState& state,
-      const std::vector<EnabledInteraction>& enabled) override;
+      std::span<const EnabledInteraction> enabled) override;
 
  private:
   Rng rng_;
+  std::vector<int> choice_;
 };
 
 /// Deterministic: first interaction, first transitions.
 class FirstPolicy final : public SchedulingPolicy {
  public:
-  std::pair<std::size_t, std::vector<int>> pick(
+  std::pair<std::size_t, std::span<const int>> pick(
       const System& system, const GlobalState& state,
-      const std::vector<EnabledInteraction>& enabled) override;
+      std::span<const EnabledInteraction> enabled) override;
+
+ private:
+  std::vector<int> choice_;
 };
 
 /// Why a run stopped.

@@ -234,7 +234,7 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
       require(idx < candidates.size(), "SchedulingPolicy returned out-of-range interaction");
       const EnabledInteraction picked = candidates[idx];
       for (int i : footprint(system, picked)) used[static_cast<std::size_t>(i)] = true;
-      batch.push_back(Selected{picked, choice});
+      batch.push_back(Selected{picked, {choice.begin(), choice.end()}});
       std::vector<EnabledInteraction> rest;
       for (std::size_t k = 0; k < candidates.size(); ++k) {
         if (k == idx) continue;

@@ -77,11 +77,11 @@ bool eventBefore(const Event& a, const Event& b) {
 /// Per-shard worker bookkeeping. The local enabled set is one EnabledSpans
 /// vector with a span per local connector (by position in
 /// localConnectors), spliced once per step like EnabledInteractionCache, so
-/// the policy picks from it in place. Owned cross connectors keep one list
-/// each, refreshed at plan time.
+/// the policy picks from it in place. The owned cross connectors' set is
+/// another, by position in ownedCross, spliced at plan time.
 struct Worker {
   EnabledSpans local;
-  std::vector<std::vector<EnabledInteraction>> perCross;  // by position in ownedCross
+  EnabledSpans cross;
   std::unique_ptr<SchedulingPolicy> policy;
 
   // Instances this shard dirtied during the epoch (cross + local
@@ -96,8 +96,9 @@ struct Worker {
   std::vector<int> crossDirty;
 
   // Published at plan time, read by the barrier completion while every
-  // worker waits: views into `perCross` and `local`, which only this
-  // worker's plan and local phases change.
+  // worker waits: views into `cross` and `local`, which only this
+  // worker's plan and local phases change. One candidate per owned cross
+  // connector with an enabled interaction.
   std::vector<const EnabledInteraction*> crossCandidates;
   std::size_t localEnabledCount = 0;
 
@@ -125,20 +126,22 @@ struct Worker {
   std::uint64_t lockWaitNs = 0;
 
   // Scratch.
-  std::vector<char> connectorQueued;  // plan-phase dedup marks, sized connectorCount
   std::vector<int> drained;
 };
 
+/// A cross candidate accepted at the plan barrier. `interaction` points
+/// into its owner's `cross` set, which only the next plan phase changes.
 struct AcceptedCross {
-  EnabledInteraction interaction;
+  const EnabledInteraction* interaction = nullptr;
   int crossIndex = 0;  // into ShardedSystem::crossConnectors()
 };
 
 /// A work-stealing assignment resolved at the plan barrier: `thief`
 /// executes one of `victim`'s enabled local interactions during the cross
-/// phase, under the victim's frame lock.
+/// phase, under the victim's frame lock. `interaction` points into the
+/// victim's `local` set, which only the victim's local phase changes.
 struct StolenLocal {
-  EnabledInteraction interaction;
+  const EnabledInteraction* interaction = nullptr;
   int victim = 0;
   int thief = 0;
 };
@@ -223,11 +226,9 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   workers.reserve(K);
   for (std::size_t s = 0; s < K; ++s) {
     auto w = std::make_unique<Worker>();
-    w->perCross.resize(ss.shard(s).ownedCross.size());
     w->policy = options.policyFactory ? options.policyFactory(s)
                                       : std::make_unique<RandomPolicy>(
                                             shardSeed(options.seed, s));
-    w->connectorQueued.assign(connectorCount, 0);
     workers.push_back(std::move(w));
   }
 
@@ -279,18 +280,16 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     if (abort.load(std::memory_order_relaxed)) return;
     const std::uint64_t remaining = options.maxSteps - executedTotal;
     // Deterministic conflict resolution over all published cross-shard
-    // candidates: (connector, mask) order, greedy instance-disjoint.
+    // candidates: connector order, greedy instance-disjoint.
     std::vector<std::pair<const EnabledInteraction*, int>> candidates;
     for (std::size_t s = 0; s < K; ++s) {
       for (const EnabledInteraction* ei : workers[s]->crossCandidates) {
         candidates.push_back({ei, ss.crossIndexOf(ei->connector)});
       }
     }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const auto& a, const auto& b) {
-                return std::tie(a.first->connector, a.first->mask) <
-                       std::tie(b.first->connector, b.first->mask);
-              });
+    std::sort(candidates.begin(), candidates.end(), [](const auto& a, const auto& b) {
+      return a.first->connector < b.first->connector;
+    });
     std::fill(instanceUsed.begin(), instanceUsed.end(), 0);
     stats_.crossCandidates += candidates.size();
     for (const auto& [ei, xi] : candidates) {
@@ -308,7 +307,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
         continue;
       }
       for (int inst : footprint) instanceUsed[static_cast<std::size_t>(inst)] = 1;
-      accepted.push_back(AcceptedCross{*ei, xi});
+      accepted.push_back(AcceptedCross{ei, xi});
     }
     stats_.crossAccepted += accepted.size();
     // Local step quotas: rotate the deal across shards that reported
@@ -363,7 +362,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
           if (clash) continue;
           for (int inst : footprint) instanceUsed[static_cast<std::size_t>(inst)] = 1;
           stolen.push_back(
-              StolenLocal{ei, static_cast<int>(victim), static_cast<int>(thief)});
+              StolenLocal{&ei, static_cast<int>(victim), static_cast<int>(thief)});
           ++grabbed;
           --budget;
         }
@@ -518,8 +517,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
           ++stats_.shards[static_cast<std::size_t>(mv.toShard)].migratedIn;
         }
         // The shard -> connector mapping changed: re-derive the position
-        // indexes, resize the workers' cross lists, and have the next plan
-        // phase recompute everything from scratch.
+        // indexes and have the next plan phase rebuild both sets.
         std::fill(localPos.begin(), localPos.end(), -1);
         ownedPos.assign(ss.crossConnectors().size(), -1);
         for (std::size_t s = 0; s < K; ++s) {
@@ -531,7 +529,6 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
           for (std::size_t i = 0; i < shard.ownedCross.size(); ++i) {
             ownedPos[static_cast<std::size_t>(shard.ownedCross[i])] = static_cast<int>(i);
           }
-          workers[s]->perCross.assign(shard.ownedCross.size(), {});
         }
         fullRescan = true;
       }
@@ -560,11 +557,18 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       if (li >= 0) w.local.queue(static_cast<std::size_t>(li));
     }
   };
-  // Builder of the local set's spans: position -> local connector.
+  // Builders of the local and owned-cross sets' spans: position -> local
+  // connector, position -> owned cross connector.
   const auto localBuilder = [&](std::size_t s) {
-    return [&ss, &state, s](std::size_t li, std::span<EnabledInteraction>,
-                            std::vector<EnabledInteraction>& out) {
-      ss.appendConnectorInteractions(state, ss.shard(s).localConnectors[li], out);
+    return [&ss, &state, s](std::size_t li, EnabledSpans::Shells& shells) {
+      ss.appendConnectorInteractions(state, ss.shard(s).localConnectors[li], shells);
+    };
+  };
+  const auto crossBuilder = [&](std::size_t s) {
+    return [&ss, &state, s](std::size_t oi, EnabledSpans::Shells& shells) {
+      const int xi = ss.shard(s).ownedCross[oi];
+      ss.appendConnectorInteractions(
+          state, ss.crossConnectors()[static_cast<std::size_t>(xi)].connector, shells);
     };
   };
 
@@ -576,12 +580,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       // connector layout changed): full recompute of everything this
       // shard owns.
       w.local.rebuild(shard.localConnectors.size(), localBuilder(s));
-      for (std::size_t i = 0; i < shard.ownedCross.size(); ++i) {
-        const int ci =
-            ss.crossConnectors()[static_cast<std::size_t>(shard.ownedCross[i])].connector;
-        w.perCross[i].clear();
-        ss.appendConnectorInteractions(state, ci, w.perCross[i]);
-      }
+      w.cross.rebuild(shard.ownedCross.size(), crossBuilder(s));
     } else {
       // Refresh owned cross connectors touched by any shard's executions
       // last epoch. (Local connectors never need this pass: only cross
@@ -591,32 +590,30 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
         for (int inst : workers[t]->dirtyLog) {
           for (int ci : system.connectorsOf(static_cast<std::size_t>(inst))) {
             const int xi = ss.crossIndexOf(ci);
-            if (xi < 0 ||
-                ss.crossConnectors()[static_cast<std::size_t>(xi)].owner !=
-                    static_cast<int>(s)) {
-              continue;
+            if (xi < 0) continue;
+            const auto x = static_cast<std::size_t>(xi);
+            if (ss.crossConnectors()[x].owner == static_cast<int>(s)) {
+              w.cross.queue(static_cast<std::size_t>(ownedPos[x]));
             }
-            auto& queued = w.connectorQueued[static_cast<std::size_t>(ci)];
-            if (queued) continue;
-            queued = 1;
-            auto& list =
-                w.perCross[static_cast<std::size_t>(ownedPos[static_cast<std::size_t>(xi)])];
-            list.clear();
-            ss.appendConnectorInteractions(state, ci, list);
           }
         }
       }
-      for (std::size_t t = 0; t < K; ++t) {
-        for (int inst : workers[t]->dirtyLog) {
-          for (int ci : system.connectorsOf(static_cast<std::size_t>(inst))) {
-            w.connectorQueued[static_cast<std::size_t>(ci)] = 0;
-          }
-        }
-      }
+      w.cross.splice(crossBuilder(s));
     }
+    // One candidate per enabled cross connector. Its footprint is all its
+    // instances whatever the mask, so at most one of its interactions can
+    // be accepted: where several are enabled (a broadcast), the owner's
+    // policy picks which, as the sequential engine's would.
     w.crossCandidates.clear();
-    for (const auto& list : w.perCross) {
-      for (const EnabledInteraction& ei : list) w.crossCandidates.push_back(&ei);
+    for (std::size_t i = 0; i < shard.ownedCross.size(); ++i) {
+      const std::span<const EnabledInteraction> list = w.cross.span(i);
+      if (list.empty()) continue;
+      std::size_t pick = 0;
+      if (list.size() > 1) {
+        pick = w.policy->pick(system, placeholder, list).first;
+        require(pick < list.size(), "SchedulingPolicy returned out-of-range interaction");
+      }
+      w.crossCandidates.push_back(&list[pick]);
     }
     w.localEnabledCount = w.local.items().size();
     // Publish a bounded surplus segment for work stealing when this shard
@@ -642,8 +639,8 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       if (x.owner != static_cast<int>(s)) continue;
       // Transition choices come from the owner's policy, consumed in
       // deterministic accepted order.
-      std::vector<EnabledInteraction> one{entry.interaction};
-      const auto [pick, choice] = w.policy->pick(system, placeholder, one);
+      const EnabledInteraction& ei = *entry.interaction;
+      const auto [pick, choice] = w.policy->pick(system, placeholder, std::span(&ei, 1));
       require(pick == 0, "SchedulingPolicy returned out-of-range interaction");
       // Ordered locking of every involved shard (ascending shard id,
       // deadlock-free): serializes frame access and dirty-queue pushes
@@ -658,8 +655,8 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
           locks.emplace_back(workers[static_cast<std::size_t>(t)]->mutex);
         }
         if (timed) w.lockWaitNs += obs::nowNanos() - lockT0;
-        ss.executeInteraction(state, entry.interaction, choice);
-        for (int inst : ss.connectorInstances(entry.interaction.connector)) {
+        ss.executeInteraction(state, ei, choice);
+        for (int inst : ss.connectorInstances(ei.connector)) {
           w.dirtyLog.push_back(inst);
           workers[static_cast<std::size_t>(ss.shardOf(inst))]->crossDirty.push_back(inst);
           if (rebalanceOn) bumpActivity(w, inst);
@@ -667,8 +664,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       }
       ++w.crossExecuted;
       if (options.recordTrace) {
-        w.events.push_back(
-            Event{epoch, 0, 0, idx, entry.interaction.connector, entry.interaction.mask});
+        w.events.push_back(Event{epoch, 0, 0, idx, ei.connector, ei.mask});
       }
     }
     // Stolen work: execute the victims' surplus local interactions this
@@ -682,15 +678,15 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       const StolenLocal& st = stolen[j];
       if (st.thief != static_cast<int>(s)) continue;
       Worker& victim = *workers[static_cast<std::size_t>(st.victim)];
-      std::vector<EnabledInteraction> one{st.interaction};
-      const auto [pick, choice] = w.policy->pick(system, placeholder, one);
+      const EnabledInteraction& ei = *st.interaction;
+      const auto [pick, choice] = w.policy->pick(system, placeholder, std::span(&ei, 1));
       require(pick == 0, "SchedulingPolicy returned out-of-range interaction");
       {
         const std::uint64_t lockT0 = timed ? obs::nowNanos() : 0;
         const std::scoped_lock lock(victim.mutex);
         if (timed) w.lockWaitNs += obs::nowNanos() - lockT0;
-        ss.executeInteraction(state, st.interaction, choice);
-        for (int inst : ss.connectorInstances(st.interaction.connector)) {
+        ss.executeInteraction(state, ei, choice);
+        for (int inst : ss.connectorInstances(ei.connector)) {
           w.dirtyLog.push_back(inst);
           victim.crossDirty.push_back(inst);
           if (rebalanceOn) bumpActivity(w, inst);
@@ -698,8 +694,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       }
       ++w.stolenExecuted;
       if (options.recordTrace) {
-        w.events.push_back(Event{epoch, 0, 0, accepted.size() + j, st.interaction.connector,
-                                 st.interaction.mask});
+        w.events.push_back(Event{epoch, 0, 0, accepted.size() + j, ei.connector, ei.mask});
       }
     }
   };

@@ -16,10 +16,12 @@
 //           sets of the connectors it owns (cross-shard connectors are
 //           owned by their lowest involved shard) from the dirty-instance
 //           logs of the previous epoch, and publishes its cross-shard
-//           candidates. [barrier: one thread deterministically resolves
-//           conflicts — candidates sorted by (connector, mask), greedily
-//           accepted while their instance footprints stay disjoint — and
-//           deals out per-shard step quotas for the local phase.]
+//           candidates, one per enabled connector (where a broadcast has
+//           several masks enabled, the shard's policy picks one).
+//           [barrier: one thread deterministically resolves conflicts —
+//           candidates sorted by connector, greedily accepted while their
+//           instance footprints stay disjoint — and deals out per-shard
+//           step quotas for the local phase.]
 //
 //   cross   Owners execute the accepted cross-shard interactions. Each
 //           acquires the involved shards' mutexes in ascending shard

@@ -1,8 +1,6 @@
 #include "shard/sharded.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <optional>
 
 #include "obs/obs.hpp"
 #include "util/require.hpp"
@@ -111,41 +109,29 @@ struct ScanScratch {
   std::vector<std::vector<int>> endEnabled;      // per end: enabled transitions
 };
 
-/// Shared tail of the batched scan: derives the enabled mask set from the
+/// Shared tail of every scan: derives the enabled mask set from the
 /// per-end lists in `s` with bit operations over the cached feasible
-/// masks and materializes one EnabledInteraction per enabled mask. The
+/// masks and fills one element from `next()` per enabled mask. The
 /// connector guard is pure over the current state (its value is shared by
 /// every mask), so `guardHolds` is invoked lazily — at the first
 /// port-feasible mask, where the interpreter's scalar scan evaluates it —
 /// and at most once; a false guard rejects every mask.
-template <typename GuardHolds>
+template <typename Next, typename GuardHolds>
 void appendScannedMasks(const Connector& c, int ci, const std::vector<InteractionMask>& masks,
-                        const ScanScratch& s,
-                        std::vector<EnabledInteraction>& out, GuardHolds&& guardHolds) {
-  const std::size_t nEnds = c.endCount();
+                        const ScanScratch& s, Next&& next, GuardHolds&& guardHolds) {
   InteractionMask enabledEnds = 0;
-  for (std::size_t e = 0; e < nEnds; ++e) {
+  for (std::size_t e = 0; e < c.endCount(); ++e) {
     if (!s.endEnabled[e].empty()) enabledEnds |= InteractionMask{1} << e;
   }
-  std::optional<bool> guardOk;
+  bool guardKnown = c.guard().isTrue();
   for (InteractionMask mask : masks) {
     if ((mask & ~enabledEnds) != 0) continue;
-    if (!c.guard().isTrue()) {
-      if (!guardOk.has_value()) guardOk = guardHolds();
-      if (!*guardOk) return;
+    if (!guardKnown) {
+      if (!guardHolds()) return;
+      guardKnown = true;
     }
-    EnabledInteraction ei;
-    ei.connector = ci;
-    ei.mask = mask;
-    const int participants = std::popcount(mask);
-    ei.ends.reserve(static_cast<std::size_t>(participants));
-    ei.choices.reserve(static_cast<std::size_t>(participants));
-    for (std::size_t e = 0; e < nEnds; ++e) {
-      if ((mask & (InteractionMask{1} << e)) == 0) continue;
-      ei.ends.push_back(static_cast<int>(e));
-      ei.choices.push_back(s.endEnabled[e]);
-    }
-    out.push_back(std::move(ei));
+    fillInteraction(next(), ci, mask,
+                    [&](std::size_t e) -> const std::vector<int>& { return s.endEnabled[e]; });
   }
 }
 
@@ -553,7 +539,21 @@ void ShardedSystem::runInternalAt(ShardedState& state, int instance, int maxStep
 
 void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int ci,
                                                 std::vector<EnabledInteraction>& out) const {
+  scanConnector(state, ci, [&]() -> EnabledInteraction& { return out.emplace_back(); });
+}
+
+void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int ci,
+                                                EnabledSpans::Shells& shells) const {
+  scanConnector(state, ci, [&]() -> EnabledInteraction& { return shells.next(); });
+}
+
+template <typename Next>
+void ShardedSystem::scanConnector(const ShardedState& state, int ci, Next&& next) const {
   const Connector& c = system_->connector(static_cast<std::size_t>(ci));
+  const std::vector<InteractionMask>& masks = masks_[static_cast<std::size_t>(ci)];
+  const std::size_t nEnds = c.endCount();
+  static thread_local ScanScratch s;
+  if (s.endEnabled.size() < nEnds) s.endEnabled.resize(nEnds);
   if (expr::compilationEnabled()) {
     g_scanBatch.add();
     // Batched scan twin of the interpreter's scalar path below: per-end
@@ -572,9 +572,6 @@ void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int c
     // (same type, same end order) additionally takes the block-parallel
     // executor — both transparent here, because the batch keeps the
     // scalar op order and first-EvalError contract bit for bit.
-    const std::size_t nEnds = c.endCount();
-    static thread_local ScanScratch s;
-    if (s.endEnabled.size() < nEnds) s.endEnabled.resize(nEnds);
     const int xi = crossIndex_[static_cast<std::size_t>(ci)];
     if (xi < 0) {
       const LocalProgram& lp = localPrograms_[static_cast<std::size_t>(ci)];
@@ -609,7 +606,7 @@ void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int c
           if (s.trivial[k++] != 0 || s.results[r++] != 0) list.push_back(ti);
         }
       }
-      appendScannedMasks(c, ci, masks_[static_cast<std::size_t>(ci)], s, out, [&] {
+      appendScannedMasks(c, ci, masks, s, next, [&] {
         requireEval(compiledBuilt_, "ShardedSystem: ensureCompiled() has not run");
         return lp.guard.run(frame) != 0;
       });
@@ -618,7 +615,7 @@ void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int c
         const PortRef& p = c.end(e).port;
         enabledTransitionsAt(state, p.instance, p.port, s.endEnabled[e]);
       }
-      appendScannedMasks(c, ci, masks_[static_cast<std::size_t>(ci)], s, out, [&] {
+      appendScannedMasks(c, ci, masks, s, next, [&] {
         requireEval(compiledBuilt_, "ShardedSystem: ensureCompiled() has not run");
         const CrossConnector& x = cross_[static_cast<std::size_t>(xi)];
         static thread_local std::vector<Value> scratch;
@@ -632,47 +629,19 @@ void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int c
     }
     return;
   }
-  // Interpreter (the semantic oracle), mirroring the reference
-  // appendConnectorInteractions expression for expression.
+  // Interpreter (the semantic oracle): per-end enabled transitions in end
+  // order, then the same lazy mask set, with the guard through the tree
+  // interpreter and its empty connector-variable vector.
   g_scanInterp.add();
-  std::vector<std::vector<int>> endEnabled(c.endCount());
-  for (std::size_t e = 0; e < c.endCount(); ++e) {
-    enabledTransitionsAt(state, c.end(e).port.instance, c.end(e).port.port, endEnabled[e]);
+  for (std::size_t e = 0; e < nEnds; ++e) {
+    enabledTransitionsAt(state, c.end(e).port.instance, c.end(e).port.port, s.endEnabled[e]);
   }
-  // Lazy single guard evaluation per scan, like the reference
-  // appendConnectorInteractions.
-  std::optional<bool> guardOk;
-  const auto guardHolds = [&]() {
-    if (!guardOk.has_value()) {
-      // Including the interpreter's empty connector-variable vector
-      // during guard evaluation.
-      auto& mutableState = const_cast<ShardedState&>(state);
-      std::vector<Value> noVars;
-      ShardInteractionContext ctx(*this, c, mutableState, noVars);
-      guardOk = c.guard().eval(ctx) != 0;
-    }
-    return *guardOk;
-  };
-  for (InteractionMask mask : c.feasibleMasks()) {
-    bool allEnabled = true;
-    for (std::size_t e = 0; e < c.endCount(); ++e) {
-      if ((mask & (InteractionMask{1} << e)) != 0 && endEnabled[e].empty()) {
-        allEnabled = false;
-        break;
-      }
-    }
-    if (!allEnabled) continue;
-    if (!c.guard().isTrue() && !guardHolds()) continue;
-    EnabledInteraction ei;
-    ei.connector = ci;
-    ei.mask = mask;
-    for (std::size_t e = 0; e < c.endCount(); ++e) {
-      if ((mask & (InteractionMask{1} << e)) == 0) continue;
-      ei.ends.push_back(static_cast<int>(e));
-      ei.choices.push_back(endEnabled[e]);
-    }
-    out.push_back(std::move(ei));
-  }
+  appendScannedMasks(c, ci, masks, s, next, [&] {
+    auto& mutableState = const_cast<ShardedState&>(state);
+    std::vector<Value> noVars;
+    ShardInteractionContext ctx(*this, c, mutableState, noVars);
+    return c.guard().eval(ctx) != 0;
+  });
 }
 
 void ShardedSystem::connectorTransfer(ShardedState& state,

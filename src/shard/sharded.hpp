@@ -147,10 +147,14 @@ class ShardedSystem {
 
   // ---- connector semantics (mirror core/semantics.cpp) ----
   /// Appends the enabled interactions of connector `ci`, element-wise
-  /// identical to the reference appendConnectorInteractions on the
-  /// equivalent GlobalState.
+  /// identical to connector `ci`'s span of an EnabledInteractionCache on
+  /// the equivalent GlobalState.
   void appendConnectorInteractions(const ShardedState& state, int ci,
                                    std::vector<EnabledInteraction>& out) const;
+  /// The same interactions, filled in order into shells from `shells`:
+  /// the builder form for an EnabledSpans splice.
+  void appendConnectorInteractions(const ShardedState& state, int ci,
+                                   EnabledSpans::Shells& shells) const;
 
   /// Executes `interaction` (transfer, fire one transition per
   /// participant, run taus) exactly like semantics execute(). The caller
@@ -164,6 +168,10 @@ class ShardedSystem {
   }
 
  private:
+  /// Both appendConnectorInteractions: fills each enabled interaction of
+  /// `ci` into the element `next()` returns.
+  template <typename Next>
+  void scanConnector(const ShardedState& state, int ci, Next&& next) const;
   void connectorTransfer(ShardedState& state, const EnabledInteraction& interaction) const;
   /// (Re)compiles the programs of local connector `ci` against the current
   /// layout (frame bases + its LocalProgram var slots).

@@ -172,29 +172,27 @@ TEST(EnabledInteractionCache, AgreesUnderDirtySupersets) {
 TEST(EnabledSpans, SpliceMatchesRebuildFromScratch) {
   // Each position's span holds `length[pos]` elements stamped with the
   // position, its generation and the element's index, so a stale, lost or
-  // misplaced element shows. The builder move-reuses the old span's
-  // storage the way the cache does.
+  // misplaced element shows. Every field is overwritten, as the builder
+  // contract asks of recycled shells.
   Rng rng(31);
-  for (int round = 0; round < 40 && !HasFailure(); ++round) {
-    const std::size_t positions = 1 + rng.index(24);
-    std::vector<int> length(positions, 0);
-    std::vector<int> generation(positions, 0);
-    const auto build = [&](std::size_t pos, std::span<EnabledInteraction> reuse,
-                           std::vector<EnabledInteraction>& out) {
-      std::size_t reused = 0;
-      for (int k = 0; k < length[pos]; ++k) {
-        EnabledInteraction& ei = reused < reuse.size()
-                                     ? out.emplace_back(std::move(reuse[reused++]))
-                                     : out.emplace_back();
-        ei.connector = static_cast<int>(pos);
-        ei.mask = static_cast<InteractionMask>(generation[pos]);
-        ei.ends.assign(1, k);
-        ei.choices.assign(1, std::vector<int>(static_cast<std::size_t>(k % 3), generation[pos]));
-      }
-    };
-    const auto randomLength = [&] {
-      return rng.chance(1, 3) ? 0 : static_cast<int>(rng.range(1, 4));
-    };
+  std::vector<int> length;
+  std::vector<int> generation;
+  const auto stamp = [&](EnabledInteraction& ei, std::size_t pos, int k) {
+    ei.connector = static_cast<int>(pos);
+    ei.mask = static_cast<InteractionMask>(generation[pos]);
+    ei.ends.assign(1, k);
+    ei.choices.assign(1, std::vector<int>(static_cast<std::size_t>(k % 3), generation[pos]));
+  };
+  const auto build = [&](std::size_t pos, EnabledSpans::Shells& shells) {
+    for (int k = 0; k < length[pos]; ++k) stamp(shells.next(), pos, k);
+  };
+  const auto randomLength = [&] {
+    return rng.chance(1, 3) ? 0 : static_cast<int>(rng.range(1, 4));
+  };
+  for (int round = 0; round < 60 && !HasFailure(); ++round) {
+    const std::size_t positions = 1 + rng.index(64);
+    length.assign(positions, 0);
+    generation.assign(positions, 0);
     for (int& len : length) len = randomLength();
     EnabledSpans spans;
     // From scratch: every span built in position order, back to back.
@@ -204,7 +202,7 @@ TEST(EnabledSpans, SpliceMatchesRebuildFromScratch) {
         EXPECT_FALSE(spans.queued(pos));
         EXPECT_EQ(spans.offset(pos), fresh.size()) << "position " << pos;
         EXPECT_EQ(spans.count(pos), static_cast<std::size_t>(length[pos])) << "position " << pos;
-        build(pos, {}, fresh);
+        for (int k = 0; k < length[pos]; ++k) stamp(fresh.emplace_back(), pos, k);
       }
       EXPECT_EQ(spans.items(), fresh);
     };
@@ -212,20 +210,89 @@ TEST(EnabledSpans, SpliceMatchesRebuildFromScratch) {
     expectFromScratch();
     for (int splice = 0; splice < 30 && !HasFailure(); ++splice) {
       SCOPED_TRACE("round " + std::to_string(round) + " splice " + std::to_string(splice));
-      // Random positions, queued in random order and sometimes twice;
-      // the first and last positions are forced in now and then.
-      if (rng.chance(1, 4)) spans.queue(0);
-      if (rng.chance(1, 4)) spans.queue(positions - 1);
-      const std::size_t picks = rng.index(positions + 1);
-      for (std::size_t i = 0; i < picks; ++i) spans.queue(rng.index(positions));
+      switch (rng.index(4)) {
+        case 0:  // every position
+          for (std::size_t pos = 0; pos < positions; ++pos) spans.queue(pos);
+          break;
+        case 1:  // only the last
+          spans.queue(positions - 1);
+          break;
+        default:  // random positions in random order, sometimes twice; the
+                  // first and last are forced in now and then
+          if (rng.chance(1, 4)) spans.queue(0);
+          if (rng.chance(1, 4)) spans.queue(positions - 1);
+          for (std::size_t i = rng.index(positions + 1); i > 0; --i) {
+            spans.queue(rng.index(positions));
+          }
+      }
+      // Random lengths, or, in mixed-sign rounds, queued spans that
+      // alternately grow and shrink so untouched runs shift both ways.
+      const bool mixed = rng.chance(1, 2);
+      bool grow = rng.chance(1, 2);
       for (std::size_t pos = 0; pos < positions; ++pos) {
         if (!spans.queued(pos)) continue;
-        length[pos] = randomLength();
+        if (!mixed) {
+          length[pos] = randomLength();
+        } else if (grow) {
+          length[pos] += static_cast<int>(rng.range(1, 3));
+        } else {
+          length[pos] = length[pos] == 0 ? 0 : static_cast<int>(rng.index(length[pos]));
+        }
+        grow = !grow;
         ++generation[pos];
       }
       spans.splice(build);
       EXPECT_EQ(spans.queuedCount(), 0u);
       expectFromScratch();
+    }
+  }
+}
+
+TEST(EnabledSpans, RecycledShellsKeepTheirCapacity) {
+  // Builders that fill wide vectors, then narrow ones: every shell the
+  // narrow splices recycle still holds the wide capacity, and shells are
+  // only ever moved between the set and the free list, never re-made.
+  constexpr std::size_t kWide = 32;
+  const std::size_t positions = 8;
+  std::vector<int> length(positions, 2);
+  std::size_t width = kWide;
+  const auto build = [&](std::size_t pos, EnabledSpans::Shells& shells) {
+    for (int k = 0; k < length[pos]; ++k) {
+      EnabledInteraction& ei = shells.next();
+      ei.connector = static_cast<int>(pos);
+      ei.mask = 1;
+      ei.ends.assign(width, k);
+      ei.choices.resize(1);
+      ei.choices[0].assign(width, k);
+    }
+  };
+  EnabledSpans spans(positions);
+  spans.rebuild(positions, build);
+  EXPECT_EQ(spans.freeShells(), 0u);
+  const auto queueAll = [&] {
+    for (std::size_t pos = 0; pos < positions; ++pos) spans.queue(pos);
+  };
+  // Re-deriving every span stages it into new shells while the old set is
+  // still in place; the old shells then become free.
+  queueAll();
+  spans.splice(build);
+  EXPECT_EQ(spans.freeShells(), spans.items().size());
+  const std::size_t shells = 2 * spans.items().size();
+  width = 1;
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE(round);
+    // Shrink to 7 elements, then grow back to 16.
+    for (std::size_t pos = 0; pos < positions; ++pos) {
+      length[pos] = round % 2 == 0 ? static_cast<int>(pos % 3) : 2;
+    }
+    queueAll();
+    spans.splice(build);
+    EXPECT_EQ(spans.items().size() + spans.freeShells(), shells);
+    for (const EnabledInteraction& ei : spans.items()) {
+      EXPECT_EQ(ei.ends.size(), 1u);
+      EXPECT_GE(ei.ends.capacity(), kWide);
+      ASSERT_EQ(ei.choices.size(), 1u);
+      EXPECT_GE(ei.choices[0].capacity(), kWide);
     }
   }
 }

@@ -4,6 +4,8 @@
 // one-shard run is bit-identical to SequentialEngine.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -35,9 +37,8 @@ class ReplayPolicy final : public SchedulingPolicy {
  public:
   explicit ReplayPolicy(const Trace& trace) : trace_(&trace) {}
 
-  std::pair<std::size_t, std::vector<int>> pick(
-      const System&, const GlobalState&,
-      const std::vector<EnabledInteraction>& enabled) override {
+  std::pair<std::size_t, std::span<const int>> pick(
+      const System&, const GlobalState&, std::span<const EnabledInteraction> enabled) override {
     const TraceEvent& e = trace_->events.at(next_);
     ++next_;
     for (std::size_t i = 0; i < enabled.size(); ++i) {
@@ -46,7 +47,8 @@ class ReplayPolicy final : public SchedulingPolicy {
           EXPECT_EQ(options.size(), 1u)
               << "replay requires a unique transition choice per participant";
         }
-        return {i, std::vector<int>(enabled[i].choices.size(), 0)};
+        choice_.assign(enabled[i].choices.size(), 0);
+        return {i, choice_};
       }
     }
     ADD_FAILURE() << "trace event #" << (next_ - 1) << " (" << e.label
@@ -57,6 +59,7 @@ class ReplayPolicy final : public SchedulingPolicy {
  private:
   const Trace* trace_;
   std::size_t next_ = 0;
+  std::vector<int> choice_;
 };
 
 /// Asserts that `sharded` (trace + final state) is reproducible by
@@ -698,6 +701,58 @@ TEST(ShardedEngine, GoldenTracesArePinned) {
       EXPECT_EQ(r.steps, 2000u) << g.name;
       EXPECT_EQ(traceHash(r.trace), g.trace) << g.name;
       EXPECT_EQ(hashState(r.finalState), g.state) << g.name;
+    }
+  }
+}
+
+TEST(ShardedEngine, CrossShardBroadcastFiresUnderSeveralMasks) {
+  // `cast` broadcasts from s to three receivers that flip in and out of
+  // reach, and spans both shards, so its owner publishes it as a cross
+  // candidate. The owner's policy must pick among its enabled masks, as
+  // the sequential engine does, not always fire the smallest one (the
+  // trigger alone). Rebalancing stays off so `cast` stays cross-shard.
+  auto sender = std::make_shared<AtomicType>("S");
+  const int snd = sender->addPort("snd");
+  sender->addTransition(sender->addLocation("l"), snd, 0);
+  sender->setInitialLocation(0);
+  auto receiver = std::make_shared<AtomicType>("R");
+  const int in = receiver->addLocation("in");
+  const int out = receiver->addLocation("out");
+  const int rcv = receiver->addPort("rcv");
+  const int flip = receiver->addPort("flip");
+  receiver->addTransition(in, rcv, in);
+  receiver->addTransition(in, flip, out);
+  receiver->addTransition(out, flip, in);
+  receiver->setInitialLocation(in);
+  System sys;
+  const int s = sys.addInstance("s", sender);
+  std::vector<PortRef> receivers;
+  for (int i = 0; i < 3; ++i) {
+    const int r = sys.addInstance("r" + std::to_string(i), receiver);
+    receivers.push_back(PortRef{r, rcv});
+    sys.addConnector(rendezvous("flip" + std::to_string(i), {PortRef{r, flip}}));
+  }
+  const int cast = sys.addConnector(broadcast("cast", PortRef{s, snd}, receivers));
+  sys.validate();
+  for (const bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+    const CompileSwitch path(compiled);
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(seed);
+      ShardedEngine engine(sys, Partition({0, 1, 1, 0}, 2));
+      ASSERT_GE(engine.sharded().crossIndexOf(cast), 0);
+      ShardedOptions opt;
+      opt.maxSteps = 2000;
+      opt.seed = seed;
+      opt.rebalance = false;
+      const RunResult r = engine.run(opt);
+      ASSERT_EQ(r.steps, 2000u);
+      std::set<InteractionMask> masks;
+      for (const TraceEvent& e : r.trace.events) {
+        if (e.connector == cast) masks.insert(e.mask);
+      }
+      EXPECT_GT(masks.size(), 1u);
+      expectSequentiallyReplayable(sys, r);
     }
   }
 }
