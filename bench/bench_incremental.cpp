@@ -6,16 +6,10 @@
 // invariants, keep the traps the new interactions preserve, top up) or
 // from scratch. Reported shape: total time over the construction sequence,
 // incremental << from-scratch, gap widening with n.
-// E7b — incremental enabled-interaction maintenance in the engine: the
-// dirty-set cache re-derives only connectors touching components changed
-// by the last interaction (via System::connectorsOf) instead of rescanning
-// every connector per step. Shape: dirty-set beats full rescan, gap
-// widening with component count.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
-#include "engine/engine.hpp"
 #include "models/models.hpp"
 #include "verify/incremental.hpp"
 
@@ -60,30 +54,6 @@ void BM_FromScratchBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FromScratchBuild)->DenseRange(2, 8, 2)->Unit(benchmark::kMillisecond);
-
-void runEngine(benchmark::State& state, bool incremental) {
-  // philosophersAtomic(n) has 2n components (philosophers + forks), so
-  // n >= 64 exercises the >= 100-component regime.
-  const System sys = models::philosophersAtomic(static_cast<int>(state.range(0)));
-  RandomPolicy policy(13);
-  for (auto _ : state) {
-    SequentialEngine engine(sys, policy);
-    RunOptions opt;
-    opt.maxSteps = 1000;
-    opt.recordTrace = false;
-    opt.incrementalCache = incremental;
-    benchmark::DoNotOptimize(engine.run(opt));
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-  state.counters["components"] =
-      benchmark::Counter(static_cast<double>(sys.instanceCount()));
-}
-
-void BM_EngineFullRescan(benchmark::State& state) { runEngine(state, false); }
-BENCHMARK(BM_EngineFullRescan)->Arg(16)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
-
-void BM_EngineDirtySetCache(benchmark::State& state) { runEngine(state, true); }
-BENCHMARK(BM_EngineDirtySetCache)->Arg(16)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 void printReuseTable() {
   std::printf("\n== E7: invariant reuse during incremental construction ==\n");

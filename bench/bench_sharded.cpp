@@ -4,7 +4,7 @@
 // The multithreaded engine pays one offer/execute message round through
 // per-component worker threads for every interaction; the sharded engine
 // pays three barriers per epoch of up to shards * epochBatch interactions
-// and runs everything shard-local lock-free on per-shard frames. The
+// and runs everything shard-local without locks. The
 // acceptance shape for the shard subsystem is >= 1.5x engine-step
 // throughput over MtEngine at 256 components / 4 shards (Release).
 //
@@ -80,29 +80,6 @@ void BM_SequentialEngine256(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSteps));
 }
 BENCHMARK(BM_SequentialEngine256)->Unit(benchmark::kMillisecond);
-
-/// Enabled-set-scan throughput over shard-local frames: scans every
-/// connector of the 4-shard partition through the zero-gather batched
-/// scan (transition and connector guards run frame-base-relative against
-/// the live shard frame in one ExprProgram::runBatch pass). items/s =
-/// connector scans per second.
-void BM_ShardedScan256(benchmark::State& state) {
-  const System sys = models::philosophersAtomic(kPhilosophers);
-  shard::ShardedSystem ss(
-      sys, shard::partitionSystem(sys, shard::PartitionOptions{4, 1.125, {}}));
-  ss.ensureCompiled();
-  const shard::ShardedState st = ss.initialState();
-  std::vector<EnabledInteraction> out;
-  for (auto _ : state) {
-    out.clear();
-    for (std::size_t ci = 0; ci < sys.connectorCount(); ++ci) {
-      ss.appendConnectorInteractions(st, static_cast<int>(ci), out);
-    }
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(sys.connectorCount()));
-}
-BENCHMARK(BM_ShardedScan256)->Unit(benchmark::kMillisecond);
 
 void BM_Partition256(benchmark::State& state) {
   const System sys = models::philosophersAtomic(kPhilosophers);

@@ -93,16 +93,10 @@ def load(path):
 def report_obs(base_obs, new_obs):
     """Informational (never gating) report of the telemetry counters each
     suite exported (src/obs, attached by run_benches.sh): execution-path
-    mix shifts — batch-scan hit rate dropping, EvalError scalar replays
+    mix shifts — tryfire hit rate dropping, EvalError scalar replays
     appearing — that a pure timing diff cannot attribute."""
 
-    def rate(counters, hits, *alternatives):
-        total = counters.get(hits, 0) + sum(counters.get(a, 0) for a in alternatives)
-        return (counters.get(hits, 0) / total) if total else None
-
     derived = [
-        ("sharded batch-scan hit rate",
-         lambda c: rate(c, "shard.scan.batch.calls", "shard.scan.interp.calls")),
         ("tryfire hit rate",
          lambda c: (c.get("vm.tryfire.hits", 0) / c["vm.tryfire.calls"]
                     if c.get("vm.tryfire.calls") else None)),

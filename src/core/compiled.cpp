@@ -6,19 +6,8 @@
 namespace cbip {
 
 CompiledConnector::CompiledConnector(const System& system, const Connector& connector) {
-  build(system, connector, nullptr);
-}
-
-CompiledConnector::CompiledConnector(const System& system, const Connector& connector,
-                                     const std::function<FramePlacement(int instance)>& place) {
-  build(system, connector, &place);
-}
-
-void CompiledConnector::build(const System& system, const Connector& connector,
-                              const std::function<FramePlacement(int instance)>* place) {
   // Scratch-frame layout: each end's exports contiguously, then connector
-  // vars. Identical in both build modes; only the load/write-back targets
-  // differ (GlobalState (instance, var) vs shard-frame (frame, offset)).
+  // vars.
   std::vector<int> endBase(connector.endCount(), 0);
   int next = 0;
   for (std::size_t e = 0; e < connector.endCount(); ++e) {
@@ -27,13 +16,7 @@ void CompiledConnector::build(const System& system, const Connector& connector,
     const AtomicType& type = *system.instance(static_cast<std::size_t>(end.port.instance)).type;
     const PortDecl& port = type.port(end.port.port);
     for (std::size_t k = 0; k < port.exports.size(); ++k) {
-      Load l{next, end.port.instance, port.exports[k], -1, 0};
-      if (place != nullptr) {
-        const FramePlacement p = (*place)(end.port.instance);
-        l.frame = p.frame;
-        l.offset = p.base + port.exports[k];
-      }
-      loads_.push_back(l);
+      loads_.push_back(Load{next, end.port.instance, port.exports[k]});
       ++next;
     }
   }
@@ -74,15 +57,8 @@ void CompiledConnector::build(const System& system, const Connector& connector,
     const ConnectorEnd& end = connector.end(static_cast<std::size_t>(d.end));
     const AtomicType& type = *system.instance(static_cast<std::size_t>(end.port.instance)).type;
     const int var = type.port(end.port.port).exports[static_cast<std::size_t>(d.exportIndex)];
-    Down down{d.end, slot, end.port.instance, var, -1, 0, expr::compile(d.value, slots)};
-    if (place != nullptr) {
-      const FramePlacement p = (*place)(end.port.instance);
-      down.frame = p.frame;
-      down.offset = p.base + var;
-    }
-    downs_.push_back(std::move(down));
+    downs_.push_back(Down{d.end, slot, end.port.instance, var, expr::compile(d.value, slots)});
   }
-
 }
 
 void CompiledConnector::gather(const GlobalState& state, std::span<Value> frame) const {
@@ -103,26 +79,6 @@ void CompiledConnector::transfer(GlobalState& state, std::span<Value> frame,
     frame[static_cast<std::size_t>(d.targetSlot)] = v;
     state.components[static_cast<std::size_t>(d.instance)].vars[static_cast<std::size_t>(d.var)] =
         v;
-  }
-}
-
-void CompiledConnector::gather(std::span<const std::span<const Value>> frames,
-                               std::span<Value> scratch) const {
-  for (const Load& l : loads_) {
-    scratch[static_cast<std::size_t>(l.slot)] =
-        frames[static_cast<std::size_t>(l.frame)][static_cast<std::size_t>(l.offset)];
-  }
-  for (std::size_t s = loads_.size(); s < scratch.size(); ++s) scratch[s] = 0;
-}
-
-void CompiledConnector::transfer(std::span<const std::span<Value>> frames,
-                                 std::span<Value> scratch, InteractionMask mask) const {
-  if (!upBlock_.empty()) upBlock_.run(scratch, 0);
-  for (const Down& d : downs_) {
-    if ((mask & (InteractionMask{1} << static_cast<unsigned>(d.end))) == 0) continue;
-    const Value v = d.value.run(scratch);
-    scratch[static_cast<std::size_t>(d.targetSlot)] = v;
-    frames[static_cast<std::size_t>(d.frame)][static_cast<std::size_t>(d.offset)] = v;
   }
 }
 

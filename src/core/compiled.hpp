@@ -16,17 +16,10 @@
 //
 // The symbolic Connector stays authoritative for the verifier; this layer
 // is rebuilt from it on demand (System::compiled()) and never feeds back.
-//
-// A second build mode serves the sharded execution subsystem (src/shard/):
-// there component variables live in per-shard contiguous frames, so the
-// per-slot load/write targets are (frame, offset) pairs — where `frame`
-// is an ordinal into the connector's list of involved shard frames —
-// instead of (instance, variable) pairs resolved through GlobalState. A
-// cross-shard connector typically spans two frames (its home shard plus
-// one foreign shard); the representation supports any number.
+// Every engine, the sharded one included, runs these programs against a
+// GlobalState.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -41,20 +34,6 @@ struct GlobalState;
 class CompiledConnector {
  public:
   CompiledConnector(const System& system, const Connector& connector);
-
-  /// Placement of one instance's variable block for the sharded build:
-  /// which of the connector's frames holds it, and at which base offset.
-  struct FramePlacement {
-    int frame = 0;
-    int base = 0;
-  };
-
-  /// Sharded build: every end-export load and down write targets
-  /// `frames[place(instance).frame][place(instance).base + var]`. The
-  /// GlobalState gather/transfer overloads must not be called on a
-  /// connector built this way (and vice versa).
-  CompiledConnector(const System& system, const Connector& connector,
-                    const std::function<FramePlacement(int instance)>& place);
 
   /// End-export slots plus connector-local variable slots.
   std::size_t frameSize() const { return static_cast<std::size_t>(frameSize_); }
@@ -79,46 +58,25 @@ class CompiledConnector {
   /// interaction mask.
   void transfer(GlobalState& state, std::span<Value> frame, InteractionMask mask) const;
 
-  /// Sharded-build counterpart of `gather`: copies every end-export value
-  /// out of the shard frames into `scratch` and zeroes the
-  /// connector-variable slots. `frames[i]` is the frame of the i-th
-  /// involved shard (the ordinal the build-time `place` callback
-  /// assigned); `scratch.size()` must be `frameSize()`.
-  void gather(std::span<const std::span<const Value>> frames, std::span<Value> scratch) const;
-
-  /// Sharded-build counterpart of `transfer`: down results are written
-  /// back into the owning shard frames (possibly a foreign shard's)
-  /// instead of a GlobalState.
-  void transfer(std::span<const std::span<Value>> frames, std::span<Value> scratch,
-                InteractionMask mask) const;
-
  private:
   struct Load {
     int slot = 0;      // scratch-frame offset
-    int instance = 0;  // classic build: component instance index
-    int var = 0;       // classic build: index into the instance's variables
-    int frame = -1;    // sharded build: involved-shard frame ordinal
-    int offset = 0;    // sharded build: offset into that frame
+    int instance = 0;  // component instance index
+    int var = 0;       // index into the instance's variables
   };
   struct Down {
     int end = 0;  // participation bit
     int targetSlot = 0;
-    int instance = 0;  // classic build (see Load)
+    int instance = 0;  // write-back target (see Load)
     int var = 0;
-    int frame = -1;  // sharded build (see Load)
-    int offset = 0;
     expr::ExprProgram value;
   };
-
-  void build(const System& system, const Connector& connector,
-             const std::function<FramePlacement(int instance)>* place);
 
   std::int32_t frameSize_ = 0;
   std::vector<Load> loads_;
   expr::ExprProgram guard_;  // empty when trivially true
   expr::ExprProgram upBlock_;  // all ups fused into one program (empty when no ups)
   std::vector<Down> downs_;
-
 };
 
 /// Compiled forms of every connector of a System, built once per System

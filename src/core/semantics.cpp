@@ -95,33 +95,63 @@ std::vector<EnabledInteraction> enabledInteractions(const System& system,
 }
 
 EnabledInteractionCache::EnabledInteractionCache(const System& system)
+    : EnabledInteractionCache(system, {}, false) {}
+
+EnabledInteractionCache::EnabledInteractionCache(const System& system,
+                                                 std::vector<int> connectors)
+    : EnabledInteractionCache(system, std::move(connectors), true) {}
+
+EnabledInteractionCache::EnabledInteractionCache(const System& system,
+                                                 std::vector<int> connectors, bool subset)
     : system_(&system),
-      portBase_(system.instanceCount() + 1, 0),
-      endBegin_(system.connectorCount() + 1, 0),
-      maskBegin_(system.connectorCount() + 1, 0),
-      instanceSeen_(system.instanceCount(), 0),
-      spans_(system.connectorCount()) {
-  // One offer slot per (instance, port); only the ports some connector
-  // uses are ever evaluated.
-  for (std::size_t i = 0; i < system.instanceCount(); ++i) {
-    portBase_[i + 1] = portBase_[i] + static_cast<int>(system.instance(i).type->portCount());
+      subset_(subset),
+      connectors_(std::move(connectors)),
+      portBase_(system.instanceCount(), subset ? -1 : 0),
+      instanceSeen_(system.instanceCount(), 0) {
+  const std::size_t positions = subset_ ? connectors_.size() : system.connectorCount();
+  if (subset_) {
+    position_.assign(system.connectorCount(), -1);
+    for (std::size_t pos = 0; pos < positions; ++pos) {
+      const int ci = connectors_[pos];
+      require(ci >= 0 && static_cast<std::size_t>(ci) < system.connectorCount() &&
+                  (pos == 0 || connectors_[pos - 1] < ci),
+              "EnabledInteractionCache: connectors must be ascending connector indices");
+      position_[static_cast<std::size_t>(ci)] = static_cast<int>(pos);
+      for (const ConnectorEnd& e : system.connector(static_cast<std::size_t>(ci)).ends()) {
+        instanceSeen_[static_cast<std::size_t>(e.port.instance)] = 1;
+      }
+    }
   }
-  const auto slots = static_cast<std::size_t>(portBase_.back());
-  connected_.assign(slots, 0);
-  offered_.assign(slots, 0);
-  offers_.resize(slots);
-  for (std::size_t ci = 0; ci < system.connectorCount(); ++ci) {
-    const Connector& c = system.connector(ci);
+  // One offer slot per (covered instance, port); only the ports some
+  // covered connector uses are ever evaluated.
+  int slots = 0;
+  for (std::size_t i = 0; i < system.instanceCount(); ++i) {
+    if (subset_) {
+      if (instanceSeen_[i] == 0) continue;
+      instanceSeen_[i] = 0;
+      covered_.push_back(static_cast<int>(i));
+    }
+    portBase_[i] = slots;
+    slots += static_cast<int>(system.instance(i).type->portCount());
+  }
+  connected_.assign(static_cast<std::size_t>(slots), 0);
+  offered_.assign(static_cast<std::size_t>(slots), 0);
+  offers_.resize(static_cast<std::size_t>(slots));
+  endBegin_.assign(positions + 1, 0);
+  maskBegin_.assign(positions + 1, 0);
+  for (std::size_t pos = 0; pos < positions; ++pos) {
+    const Connector& c = system.connector(static_cast<std::size_t>(connectorAt(pos)));
     for (const ConnectorEnd& e : c.ends()) {
       const int slot = portBase_[static_cast<std::size_t>(e.port.instance)] + e.port.port;
       connected_[static_cast<std::size_t>(slot)] = 1;
       endSlot_.push_back(slot);
     }
-    endBegin_[ci + 1] = static_cast<int>(endSlot_.size());
+    endBegin_[pos + 1] = static_cast<int>(endSlot_.size());
     const std::vector<InteractionMask> masks = c.feasibleMasks();
     masks_.insert(masks_.end(), masks.begin(), masks.end());
-    maskBegin_[ci + 1] = static_cast<int>(masks_.size());
+    maskBegin_[pos + 1] = static_cast<int>(masks_.size());
   }
+  spans_ = EnabledSpans(positions);
 }
 
 void EnabledInteractionCache::refreshOffers(const GlobalState& state) {
@@ -186,30 +216,31 @@ void EnabledInteractionCache::refreshOffers(const GlobalState& state) {
   }
 }
 
-InteractionMask EnabledInteractionCache::offeredEnds(std::size_t ci) const {
+InteractionMask EnabledInteractionCache::offeredEnds(std::size_t pos) const {
   InteractionMask offered = 0;
-  for (int e = endBegin_[ci]; e < endBegin_[ci + 1]; ++e) {
+  for (int e = endBegin_[pos]; e < endBegin_[pos + 1]; ++e) {
     if (offered_[static_cast<std::size_t>(endSlot_[static_cast<std::size_t>(e)])]) {
-      offered |= InteractionMask{1} << (e - endBegin_[ci]);
+      offered |= InteractionMask{1} << (e - endBegin_[pos]);
     }
   }
   return offered;
 }
 
-bool EnabledInteractionCache::portFeasible(std::size_t ci) const {
-  const InteractionMask offered = offeredEnds(ci);
-  for (int m = maskBegin_[ci]; m < maskBegin_[ci + 1]; ++m) {
+bool EnabledInteractionCache::portFeasible(std::size_t pos) const {
+  const InteractionMask offered = offeredEnds(pos);
+  for (int m = maskBegin_[pos]; m < maskBegin_[pos + 1]; ++m) {
     if ((masks_[static_cast<std::size_t>(m)] & ~offered) == 0) return true;
   }
   return false;
 }
 
-void EnabledInteractionCache::buildConnector(std::size_t ci, const GlobalState& state,
+void EnabledInteractionCache::buildConnector(std::size_t pos, const GlobalState& state,
                                              EnabledSpans::Shells& shells) {
-  const InteractionMask offered = offeredEnds(ci);
-  const int* slots = endSlot_.data() + endBegin_[ci];
+  const InteractionMask offered = offeredEnds(pos);
+  const int* slots = endSlot_.data() + endBegin_[pos];
+  const auto ci = static_cast<std::size_t>(connectorAt(pos));
   bool guardKnown = system_->connector(ci).guard().isTrue();
-  for (int m = maskBegin_[ci]; m < maskBegin_[ci + 1]; ++m) {
+  for (int m = maskBegin_[pos]; m < maskBegin_[pos + 1]; ++m) {
     const InteractionMask mask = masks_[static_cast<std::size_t>(m)];
     if ((mask & ~offered) != 0) continue;
     if (!guardKnown) {
@@ -228,11 +259,15 @@ void EnabledInteractionCache::buildConnector(std::size_t ci, const GlobalState& 
 
 void EnabledInteractionCache::reset(const GlobalState& state) {
   std::fill(instanceSeen_.begin(), instanceSeen_.end(), 0);
-  refresh_.resize(system_->instanceCount());
-  for (std::size_t i = 0; i < refresh_.size(); ++i) refresh_[i] = static_cast<int>(i);
+  if (subset_) {
+    refresh_.assign(covered_.begin(), covered_.end());
+  } else {
+    refresh_.resize(system_->instanceCount());
+    for (std::size_t i = 0; i < refresh_.size(); ++i) refresh_[i] = static_cast<int>(i);
+  }
   refreshOffers(state);
-  spans_.rebuild(system_->connectorCount(), [&](std::size_t ci, auto& shells) {
-    buildConnector(ci, state, shells);
+  spans_.rebuild(endBegin_.size() - 1, [&](std::size_t pos, auto& shells) {
+    buildConnector(pos, state, shells);
   });
 }
 
@@ -240,9 +275,11 @@ void EnabledInteractionCache::update(const GlobalState& state,
                                      std::span<const int> dirtyInstances) {
   g_cacheUpdates.add();
   refresh_.clear();
+  // Instances on no covered connector are dropped here, before any guard
+  // runs: a subset cache touches nothing outside its connectors.
   for (const int inst : dirtyInstances) {
     const auto i = static_cast<std::size_t>(inst);
-    if (instanceSeen_[i]) continue;
+    if (instanceSeen_[i] || portBase_[i] < 0) continue;
     instanceSeen_[i] = 1;
     refresh_.push_back(inst);
   }
@@ -254,17 +291,19 @@ void EnabledInteractionCache::update(const GlobalState& state,
   std::uint64_t built = 0;
   for (const int inst : refresh_) {
     for (const int ci : system_->connectorsOf(static_cast<std::size_t>(inst))) {
-      const auto c = static_cast<std::size_t>(ci);
-      if (spans_.queued(c)) continue;
-      const bool feasible = portFeasible(c);
-      if (!feasible && spans_.count(c) == 0) continue;
-      spans_.queue(c);
+      const int pos = positionOf(ci);
+      if (pos < 0) continue;
+      const auto p = static_cast<std::size_t>(pos);
+      if (spans_.queued(p)) continue;
+      const bool feasible = portFeasible(p);
+      if (!feasible && spans_.count(p) == 0) continue;
+      spans_.queue(p);
       built += feasible ? 1 : 0;
     }
   }
   g_cacheRecomputes.add(built);
   g_cacheDirty.observe(static_cast<std::int64_t>(spans_.queuedCount()));
-  spans_.splice([&](std::size_t ci, auto& shells) { buildConnector(ci, state, shells); });
+  spans_.splice([&](std::size_t pos, auto& shells) { buildConnector(pos, state, shells); });
 }
 
 bool EnabledInteractionCache::stationary(const Connector& c, int end,

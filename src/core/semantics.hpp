@@ -63,9 +63,8 @@ void fillInteraction(EnabledInteraction& ei, int connector, InteractionMask mask
 }
 
 /// Enabled interactions kept as per-position spans of one flat vector, in
-/// ascending position order. It stores EnabledInteractionCache's set
-/// (position = connector index) and a sharded engine worker's local and
-/// owned-cross sets (position = index in its shard's connector lists).
+/// ascending position order. It stores EnabledInteractionCache's set, one
+/// position per covered connector.
 ///
 /// `queue` marks a position for re-derivation; `splice` then re-derives
 /// every queued position's span in place, in three passes:
@@ -262,42 +261,51 @@ std::vector<EnabledInteraction> enabledInteractions(const System& system,
 /// Incrementally maintained enabled-interaction set, built from component
 /// offers the way the BIP engine combines them.
 ///
-/// *Offers.* For every port that some connector uses, the cache keeps the
-/// port's guard-true transitions from the component's current location;
-/// the component *offers* the port iff that list is non-empty. A port on
-/// no connector is never evaluated. The offers of an instance are
-/// refreshed once per update in which it is dirty, however many
-/// connectors it sits on.
+/// *Coverage.* A cache covers either every connector of the system or an
+/// ascending subset of them; span i of `enabled()` holds the i-th covered
+/// connector's interactions. Only the instances at some end of a covered
+/// connector have offers; a dirty instance on no covered connector is
+/// dropped before any guard runs, so a subset cache never reads or
+/// evaluates anything of an instance outside its connectors. The sharded
+/// engine's workers rely on this: each keeps one cache over its shard's
+/// local connectors and one over the cross connectors it owns.
+///
+/// *Offers.* For every port that some covered connector uses, the cache
+/// keeps the port's guard-true transitions from the component's current
+/// location; the component *offers* the port iff that list is non-empty. A
+/// port on no covered connector is never evaluated. The offers of an
+/// instance are refreshed once per update in which it is dirty, however
+/// many connectors it sits on.
 ///
 /// *Skip.* A connector's enabledness depends only on the components at
 /// its ends (guards and up/down expressions are validated to reference end
 /// scopes exclusively), so an update re-derives only the connectors of
-/// dirty instances (`System::connectorsOf`). Each one first ANDs its ends'
-/// offers into an offered-ends mask; when no feasible mask lies inside it,
-/// the connector's span is emptied with no guard run. Otherwise its
-/// interactions are built from the offer lists, and the connector guard is
-/// evaluated once, lazily, at the first feasible mask whose ends are all
-/// offered. The `cache.recomputes` counter counts only such built
+/// dirty instances (`System::connectorsOf`, restricted to the covered
+/// ones). Each one first ANDs its ends' offers into an offered-ends mask;
+/// when no feasible mask lies inside it, the connector's span is emptied
+/// with no guard run. Otherwise its interactions are built from the offer
+/// lists, and the connector guard is evaluated once, lazily, at the first
+/// feasible mask whose ends are all offered. The `cache.recomputes` counter counts only such built
 /// connectors.
 ///
 /// *Splice.* `enabled()` is one EnabledSpans vector with a span per
-/// connector, and an update re-derives its connectors in one in-place
-/// splice into recycled elements. The enabled interactions before the
-/// first re-derived connector stay where they are, the ones after it are
-/// swapped along only when the spans before them changed length, and a
+/// covered connector, and an update re-derives its connectors in one
+/// in-place splice into recycled elements. The enabled interactions before
+/// the first re-derived connector stay where they are, the ones after it
+/// are swapped along only when the spans before them changed length, and a
 /// steady-state update allocates nothing.
 ///
 /// *Guard evaluation order* (and so which `EvalError` a doomed update
 /// raises, identical under the compiled programs and the interpreter):
 /// first the transition guards, port-major — for each port index p
-/// ascending, each dirty instance (in the order given, first occurrence
-/// only) whose port p is on a connector, that port's transitions from the
-/// current location in transition order; then the connector guards of
-/// the re-derived connectors in ascending index, each where the skip rule
-/// above first needs it. `reset` is an update with every instance dirty,
-/// in ascending order. Port-major order puts the same guard of sibling
-/// instances side by side, so the compiled batch can run them as one
-/// block.
+/// ascending, each covered dirty instance (in the order given, first
+/// occurrence only) whose port p is on a covered connector, that port's
+/// transitions from the current location in transition order; then the
+/// connector guards of the re-derived connectors in ascending index, each
+/// where the skip rule above first needs it. `reset` is an update with
+/// every covered instance dirty, in ascending order. Port-major order puts
+/// the same guard of sibling instances side by side, so the compiled batch
+/// can run them as one block.
 ///
 /// After `reset` or `update` raises, the cache holds no usable set until
 /// the next `reset`.
@@ -307,11 +315,17 @@ std::vector<EnabledInteraction> enabledInteractions(const System& system,
 /// the cache.
 class EnabledInteractionCache {
  public:
-  /// The system must outlive the cache; its connectors must not change
-  /// while the cache is live.
+  /// Covers every connector: span i is connector i. The system must
+  /// outlive the cache; its connectors must not change while the cache is
+  /// live.
   explicit EnabledInteractionCache(const System& system);
 
-  /// Refreshes every instance's offers and re-derives every connector.
+  /// Covers only `connectors`, which must be ascending connector indices:
+  /// span i is connector `connectors[i]`.
+  EnabledInteractionCache(const System& system, std::vector<int> connectors);
+
+  /// Refreshes every covered instance's offers and re-derives every
+  /// covered connector.
   void reset(const GlobalState& state);
 
   /// Refreshes the offers of `dirtyInstances` (duplicates allowed, any
@@ -330,8 +344,16 @@ class EnabledInteractionCache {
   void updateAfterExecute(const GlobalState& state, const EnabledInteraction& executed);
 
   /// Current enabled set, connector-ascending — element-wise equal to
-  /// `enabledInteractions(system, state)` for the last reset/update state.
+  /// `enabledInteractions(system, state)`, filtered to the covered
+  /// connectors, for the last reset/update state.
   const std::vector<EnabledInteraction>& enabled() const { return spans_.items(); }
+
+  /// The enabled interactions of the i-th covered connector.
+  std::span<const EnabledInteraction> span(std::size_t i) const { return spans_.span(i); }
+
+  /// The connector subset given at construction; empty for a cache that
+  /// covers every connector.
+  const std::vector<int>& connectors() const { return connectors_; }
 
   bool empty() const { return spans_.items().empty(); }
 
@@ -339,26 +361,40 @@ class EnabledInteractionCache {
   friend std::vector<EnabledInteraction> enabledInteractions(const System&,
                                                              const GlobalState&);
 
+  EnabledInteractionCache(const System& system, std::vector<int> connectors, bool subset);
+
+  /// Connector index of position `pos`.
+  int connectorAt(std::size_t pos) const {
+    return subset_ ? connectors_[pos] : static_cast<int>(pos);
+  }
+  /// Position of connector `ci`, or -1 when it is not covered.
+  int positionOf(int ci) const {
+    return subset_ ? position_[static_cast<std::size_t>(ci)] : ci;
+  }
   /// Re-evaluates the connected ports' transition guards of the
   /// `refresh_` instances in one batch.
   void refreshOffers(const GlobalState& state);
-  /// Ends of connector `ci` whose port the component currently offers.
-  InteractionMask offeredEnds(std::size_t ci) const;
-  /// True iff some feasible mask of connector `ci` has every end offered.
-  bool portFeasible(std::size_t ci) const;
-  /// Fills connector `ci`'s interactions into shells from `shells`.
-  void buildConnector(std::size_t ci, const GlobalState& state, EnabledSpans::Shells& shells);
+  /// Ends of position `pos`'s connector whose port the component offers.
+  InteractionMask offeredEnds(std::size_t pos) const;
+  /// True iff some feasible mask of position `pos` has every end offered.
+  bool portFeasible(std::size_t pos) const;
+  /// Fills position `pos`'s interactions into shells from `shells`.
+  void buildConnector(std::size_t pos, const GlobalState& state, EnabledSpans::Shells& shells);
   bool stationary(const Connector& c, int end, const std::vector<int>& choices) const;
 
   const System* system_;
-  std::vector<int> portBase_;             // per instance: first offer slot
-  std::vector<char> connected_;           // per slot: the port is on a connector
+  bool subset_;
+  std::vector<int> connectors_;           // subset: per position, its connector
+  std::vector<int> position_;             // subset: per connector, its position or -1
+  std::vector<int> covered_;              // subset: covered instances, ascending
+  std::vector<int> portBase_;             // per instance: first offer slot; -1 = not covered
+  std::vector<char> connected_;           // per slot: the port is on a covered connector
   std::vector<char> offered_;             // per slot: some transition is guard-true
   std::vector<std::vector<int>> offers_;  // per slot: guard-true transitions
-  std::vector<int> endBegin_;             // per connector: first entry in endSlot_
+  std::vector<int> endBegin_;             // per position: first entry in endSlot_
   std::vector<int> endSlot_;              // per connector end: its offer slot
-  std::vector<int> maskBegin_;            // per connector: first entry in masks_
-  std::vector<InteractionMask> masks_;    // feasible masks, per connector ascending
+  std::vector<int> maskBegin_;            // per position: first entry in masks_
+  std::vector<InteractionMask> masks_;    // feasible masks, per position ascending
   std::vector<char> instanceSeen_;        // scratch: dedup within one update
   // Offer-refresh scratch: the instances to refresh, each one's block in
   // the gathered guard frame, and one entry per candidate transition.
@@ -374,7 +410,7 @@ class EnabledInteractionCache {
   std::vector<Value> results_;
   std::vector<Value> frame_;
   std::vector<int> dirtyScratch_;  // updateAfterExecute buffer
-  EnabledSpans spans_;             // the enabled set, one span per connector
+  EnabledSpans spans_;             // the enabled set, one span per position
 };
 
 /// Applies priority rules and (if enabled) maximal progress; keeps the

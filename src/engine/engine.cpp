@@ -54,31 +54,21 @@ RunResult SequentialEngine::run(GlobalState start, const RunOptions& options) {
   for (std::size_t i = 0; i < system_->instanceCount(); ++i) {
     runInternal(*system_->instance(i).type, result.finalState.components[i]);
   }
-  std::optional<EnabledInteractionCache> cache;
-  if (options.incrementalCache) {
-    cache.emplace(*system_);
-    cache->reset(result.finalState);
-  }
+  EnabledInteractionCache cache(*system_);
+  cache.reset(result.finalState);
   const bool mustFilter = system_->maximalProgress() || !system_->priorities().empty();
   for (std::uint64_t step = 0; step < options.maxSteps; ++step) {
     // Without priority filtering the cached set is used in place; only the
     // filtering path needs a mutable copy.
     std::vector<EnabledInteraction> scratch;
-    const std::vector<EnabledInteraction>* enabled;
-    if (cache) {
-      enabled = &cache->enabled();
-    } else {
-      scratch = enabledInteractions(*system_, result.finalState);
-      enabled = &scratch;
-    }
+    const std::vector<EnabledInteraction>* enabled = &cache.enabled();
     if (enabled->empty()) {
       result.reason = StopReason::kDeadlock;
       finishStats(result);
       return result;
     }
     if (mustFilter) {
-      scratch = applyPriorities(*system_, result.finalState,
-                                cache ? *enabled : std::move(scratch));
+      scratch = applyPriorities(*system_, result.finalState, *enabled);
       enabled = &scratch;
     }
     const auto [idx, choice] = policy_->pick(*system_, result.finalState, *enabled);
@@ -91,7 +81,7 @@ RunResult SequentialEngine::run(GlobalState start, const RunOptions& options) {
     if (options.recordTrace) {
       result.trace.events.push_back(labels_.event(*system_, step, ei.connector, ei.mask));
     }
-    if (cache) cache->updateAfterExecute(result.finalState, ei);
+    cache.updateAfterExecute(result.finalState, ei);
     if (options.stopWhen && options.stopWhen(result.finalState)) {
       result.reason = StopReason::kPredicate;
       finishStats(result);

@@ -30,11 +30,6 @@ namespace cbip {
 /// SequentialEngine options: the portable EngineOptions core (maxSteps,
 /// recordTrace) plus the engine-specific knobs below.
 struct RunOptions : EngineOptions {
-  /// Maintain the enabled set incrementally (dirty-set cache over the
-  /// component->connector reverse index) instead of rescanning every
-  /// connector each step. Identical traces either way; off is only useful
-  /// as the baseline in benchmarks.
-  bool incrementalCache = true;
   /// Optional stop predicate checked after every step.
   std::function<bool(const GlobalState&)> stopWhen;
 };

@@ -199,11 +199,8 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
   snapshot.components.resize(n);
   for (std::size_t i = 0; i < n; ++i) snapshot.components[i] = workers[i]->snapshot();
 
-  std::optional<EnabledInteractionCache> cache;
-  if (options.incrementalCache) {
-    cache.emplace(system);
-    cache->reset(snapshot);
-  }
+  EnabledInteractionCache cache(system);
+  cache.reset(snapshot);
 
   std::uint64_t executed = 0;
   result.reason = StopReason::kStepLimit;
@@ -212,8 +209,7 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
     // dispatch, re-synchronize.
     ++stats_.scanRounds;
     // Batch selection consumes the vector, so the cached set is copied.
-    std::vector<EnabledInteraction> enabled =
-        cache ? cache->enabled() : enabledInteractions(system, snapshot);
+    std::vector<EnabledInteraction> enabled = cache.enabled();
     if (enabled.empty()) {
       result.reason = StopReason::kDeadlock;
       break;
@@ -276,7 +272,7 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
           workers[static_cast<std::size_t>(inst)]->snapshot();
     }
     // Only the dispatched instances changed, so they are the dirty set.
-    if (cache) cache->update(snapshot, dispatched);
+    cache.update(snapshot, dispatched);
   }
 
   workers.clear();  // stops and joins every worker thread

@@ -38,10 +38,6 @@ struct MtOptions : EngineOptions {
   /// Upper bound on interactions dispatched concurrently per cycle
   /// (0 = unlimited; forced to 1 when priorities are present).
   std::size_t maxBatch = 0;
-  /// Maintain the enabled set incrementally across cycles (the dirty set
-  /// is exactly the instances dispatched last cycle). Identical traces
-  /// either way; off is only useful as the baseline in benchmarks.
-  bool incrementalCache = true;
 };
 
 class MultiThreadEngine final : public Engine {

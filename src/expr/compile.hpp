@@ -161,10 +161,10 @@ class ExprProgram {
   /// Frame-base-relative evaluation: every kLoad reads
   /// `frame[base + slot]`. Lets one program compiled against a local
   /// layout (slot = variable index, see compileLocal) execute against any
-  /// region of a larger shared frame — the sharded engine runs a
-  /// component type's transition programs against the owning shard's
-  /// contiguous variable frame this way, with `base` the instance's
-  /// offset in that frame. Read-only programs only: a program holding
+  /// region of a larger shared frame — the batched offer refresh runs a
+  /// component type's guard programs against one frame gathered from many
+  /// instances this way, with `base` the instance's offset in that frame.
+  /// Read-only programs only: a program holding
   /// kStore instructions (compileFused) must use the mutable overload.
   Value run(std::span<const Value> frame, std::int32_t base) const;
 

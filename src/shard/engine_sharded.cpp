@@ -4,7 +4,6 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -36,19 +35,6 @@ const obs::Counter g_rebalanceDecisions("engine.sharded.rebalance.decisions");
 const obs::Counter g_rebalanceMoved("engine.sharded.rebalance.moved");
 const obs::Counter g_stealEvents("engine.sharded.steal.events");
 
-/// CBIP_NO_REBALANCE escape hatch (same pattern as CBIP_NO_COMPILE in
-/// expr/compile): adaptive scheduling defaults to on; the env var (any value but
-/// "0") or setRebalancingEnabled(false) restores the static-partition
-/// scheduler bit for bit.
-std::atomic<bool>& rebalanceFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CBIP_NO_REBALANCE");
-    const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-    return !disabled;
-  }();
-  return flag;
-}
-
 /// Independent deterministic policy seed per shard; shard 0 keeps the
 /// user seed so a K=1 run consumes the identical RandomPolicy stream as
 /// SequentialEngine with RandomPolicy(seed).
@@ -74,14 +60,13 @@ bool eventBefore(const Event& a, const Event& b) {
          std::tie(b.epoch, b.phase, b.shard, b.seq);
 }
 
-/// Per-shard worker bookkeeping. The local enabled set is one EnabledSpans
-/// vector with a span per local connector (by position in
-/// localConnectors), spliced once per step like EnabledInteractionCache, so
-/// the policy picks from it in place. The owned cross connectors' set is
-/// another, by position in ownedCross, spliced at plan time.
+/// Per-shard worker bookkeeping. `local` and `cross` are the engine's
+/// enabled-set caches over this shard's local connectors and owned cross
+/// connectors: the local one is updated after every local step, so the
+/// policy picks from it in place; the cross one is updated at plan time.
 struct Worker {
-  EnabledSpans local;
-  EnabledSpans cross;
+  EnabledInteractionCache* local = nullptr;
+  EnabledInteractionCache* cross = nullptr;
   std::unique_ptr<SchedulingPolicy> policy;
 
   // Instances this shard dirtied during the epoch (cross + local
@@ -91,14 +76,15 @@ struct Worker {
 
   // Instances of this shard dirtied by cross-shard executions (possibly
   // performed by another shard's worker). Guarded by `mutex`, which
-  // doubles as the shard's frame lock during the cross phase.
+  // doubles as the lock on the shard's members' state during the cross
+  // phase.
   std::mutex mutex;
   std::vector<int> crossDirty;
 
   // Published at plan time, read by the barrier completion while every
-  // worker waits: views into `cross` and `local`, which only this
-  // worker's plan and local phases change. One candidate per owned cross
-  // connector with an enabled interaction.
+  // worker waits: views into `cross`, which only this worker's plan phase
+  // changes. One candidate per owned cross connector with an enabled
+  // interaction.
   std::vector<const EnabledInteraction*> crossCandidates;
   std::size_t localEnabledCount = 0;
 
@@ -109,7 +95,7 @@ struct Worker {
 
   std::uint64_t localExecuted = 0;   // this epoch
   std::uint64_t crossExecuted = 0;   // this epoch (owned crosses only)
-  std::uint64_t stolenExecuted = 0;  // this epoch (as thief, on victims' frames)
+  std::uint64_t stolenExecuted = 0;  // this epoch (as thief, on victims' members)
   std::vector<Event> events;
 
   // Instances whose shared activity cell this worker raised from zero in
@@ -127,6 +113,30 @@ struct Worker {
 
   // Scratch.
   std::vector<int> drained;
+  std::vector<int> planDirty;     // every shard's dirty log, at plan time
+  std::vector<std::mutex*> held;  // cross-phase locks; capacity >= shard count
+};
+
+/// Ordered shard locks over reused storage: `lock` acquires a mutex and
+/// records it, and the destructor releases every recorded one, also when
+/// an execution throws. `held` must have capacity for every lock taken,
+/// so recording one never allocates.
+class ShardLocks {
+ public:
+  explicit ShardLocks(std::vector<std::mutex*>& held) : held_(held) {}
+  ShardLocks(const ShardLocks&) = delete;
+  ShardLocks& operator=(const ShardLocks&) = delete;
+  ~ShardLocks() {
+    for (std::mutex* m : held_) m->unlock();
+    held_.clear();
+  }
+  void lock(std::mutex& m) {
+    m.lock();
+    held_.push_back(&m);
+  }
+
+ private:
+  std::vector<std::mutex*>& held_;
 };
 
 /// A cross candidate accepted at the plan barrier. `interaction` points
@@ -138,8 +148,8 @@ struct AcceptedCross {
 
 /// A work-stealing assignment resolved at the plan barrier: `thief`
 /// executes one of `victim`'s enabled local interactions during the cross
-/// phase, under the victim's frame lock. `interaction` points into the
-/// victim's `local` set, which only the victim's local phase changes.
+/// phase, under the victim's lock. `interaction` points into the victim's
+/// `local` set, which only the victim's local phase changes.
 struct StolenLocal {
   const EnabledInteraction* interaction = nullptr;
   int victim = 0;
@@ -148,17 +158,16 @@ struct StolenLocal {
 
 }  // namespace
 
-bool rebalancingEnabled() { return rebalanceFlag().load(std::memory_order_relaxed); }
-
-void setRebalancingEnabled(bool enabled) {
-  rebalanceFlag().store(enabled, std::memory_order_relaxed);
+ShardedEngine::ShardedEngine(const System& system, Partition partition)
+    : sharded_(system, std::move(partition)) {
+  for (std::size_t s = 0; s < sharded_.shardCount(); ++s) {
+    localCaches_.emplace_back(system, sharded_.shard(s).localConnectors);
+    crossCaches_.emplace_back(system, sharded_.shard(s).ownedCross);
+  }
 }
 
-ShardedEngine::ShardedEngine(const System& system, Partition partition)
-    : sharded_(system, std::move(partition)) {}
-
 ShardedEngine::ShardedEngine(const System& system, std::size_t shards)
-    : sharded_(system, partitionSystem(system, PartitionOptions{shards, 1.125, {}})) {}
+    : ShardedEngine(system, partitionSystem(system, PartitionOptions{shards, 1.125, {}})) {}
 
 RunResult ShardedEngine::run(const EngineOptions& options) {
   ShardedOptions full = defaults_;
@@ -173,23 +182,24 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   ShardedSystem& ss = sharded_;
   const System& system = ss.system();
   const std::size_t K = ss.shardCount();
-  const std::size_t connectorCount = system.connectorCount();
   // Compilation may have been toggled on after construction; re-warm every
   // lazy index and program now, while still single-threaded (mirrors the
   // other engines), and assert the warm-up actually happened — under TSan
   // a missed build would otherwise surface only as a data race between
   // workers.
   system.warmIndices();
-  ss.ensureCompiled();
   require(system.indicesWarm(), "ShardedEngine: indices must be warm before workers start");
 
-  ShardedState state = ss.initialState();
+  // One state for every shard. Workers write disjoint components: their
+  // own members in the local phase, footprint-disjoint interactions under
+  // the involved shards' locks in the cross phase. Foreign members are
+  // read only in the plan phase, while nobody writes.
+  GlobalState state = initialState(system);
 
-  // Adaptive-scheduling switches: per-run options gated by the global
-  // escape hatch. K=1 degenerates to the sequential loop either way, and
-  // the bit-identity guarantee of that configuration must survive, so the
-  // adaptive layer disarms itself entirely.
-  const bool adaptive = rebalancingEnabled() && K > 1;
+  // Adaptive-scheduling switches. K=1 degenerates to the sequential loop,
+  // and the bit-identity guarantee of that configuration must survive, so
+  // the adaptive layer disarms itself entirely.
+  const bool adaptive = K > 1;
   const bool rebalanceOn = adaptive && options.rebalance;
   const bool stealOn = adaptive && options.workStealing;
 
@@ -208,27 +218,16 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   const bool timed = obs::enabled() || sink != nullptr;
 #endif
 
-  // Position of each local connector within its home shard's list, and of
-  // each cross connector within its owner's list.
-  std::vector<int> localPos(connectorCount, -1);
-  std::vector<int> ownedPos(ss.crossConnectors().size(), -1);
-  for (std::size_t s = 0; s < K; ++s) {
-    const ShardedSystem::Shard& shard = ss.shard(s);
-    for (std::size_t i = 0; i < shard.localConnectors.size(); ++i) {
-      localPos[static_cast<std::size_t>(shard.localConnectors[i])] = static_cast<int>(i);
-    }
-    for (std::size_t i = 0; i < shard.ownedCross.size(); ++i) {
-      ownedPos[static_cast<std::size_t>(shard.ownedCross[i])] = static_cast<int>(i);
-    }
-  }
-
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(K);
   for (std::size_t s = 0; s < K; ++s) {
     auto w = std::make_unique<Worker>();
+    w->local = &localCaches_[s];
+    w->cross = &crossCaches_[s];
     w->policy = options.policyFactory ? options.policyFactory(s)
                                       : std::make_unique<RandomPolicy>(
                                             shardSeed(options.seed, s));
+    w->held.reserve(K);
     workers.push_back(std::move(w));
   }
 
@@ -241,6 +240,9 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   StopReason reason = StopReason::kStepLimit;
   std::vector<AcceptedCross> accepted;
   std::vector<StolenLocal> stolen;
+  // Plan-resolution scratch, reused every epoch.
+  std::vector<std::pair<const EnabledInteraction*, int>> candidates;
+  std::vector<std::size_t> cursor;
   std::vector<std::uint64_t> localQuota(K, 0);
   std::vector<char> instanceUsed(system.instanceCount(), 0);
   // Rebalancer load window (epoch-grained, maintained at barrier
@@ -252,7 +254,20 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   std::vector<std::uint64_t> windowLoad(K, 0);
   std::vector<std::uint32_t> activity(rebalanceOn ? system.instanceCount() : 0, 0);
   std::uint64_t windowEpochs = 0;
-  bool fullRescan = false;  // set after a migration; next plan recomputes all
+  // Rebalancer scratch, reused every window: the flood-fill marks (reset
+  // sparsely), the active groups of the overloaded shard (the first
+  // `groupCount` entries; their member vectors keep their capacity), the
+  // predicted loads and the moves.
+  struct Group {
+    std::uint64_t activity = 0;
+    std::vector<int> members;
+  };
+  std::vector<char> seen(rebalanceOn ? system.instanceCount() : 0, 0);
+  std::vector<Group> groups;
+  std::vector<int> frontier;
+  std::vector<double> predicted;
+  std::vector<ShardedSystem::Move> moves;
+  bool migrated = false;  // set after a migration; the next plan checks the caches
   std::atomic<bool> abort{false};
   std::mutex errorMutex;
   std::exception_ptr firstError;
@@ -281,7 +296,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     const std::uint64_t remaining = options.maxSteps - executedTotal;
     // Deterministic conflict resolution over all published cross-shard
     // candidates: connector order, greedy instance-disjoint.
-    std::vector<std::pair<const EnabledInteraction*, int>> candidates;
+    candidates.clear();
     for (std::size_t s = 0; s < K; ++s) {
       for (const EnabledInteraction* ei : workers[s]->crossCandidates) {
         candidates.push_back({ei, ss.crossIndexOf(ei->connector)});
@@ -328,12 +343,12 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     // Work stealing: hand shards with no enabled local work a segment of
     // an overloaded shard's published surplus, footprint-disjoint against
     // the accepted crosses and each other (instanceUsed covers both), to
-    // execute during the cross phase under the victim's frame lock. Pure
+    // execute during the cross phase under the victim's lock. Pure
     // function of the published plan data — deterministic, and every
     // stolen interaction commutes with the rest of the epoch, so the
     // serialized trace stays a valid sequential schedule.
     if (stealOn && budget > 0) {
-      std::vector<std::size_t> cursor(K, 0);
+      cursor.assign(K, 0);
       for (std::size_t thief = 0; thief < K && budget > 0; ++thief) {
         if (workers[thief]->localEnabledCount != 0) continue;
         // Victim: the shard with the most enabled local work whose
@@ -350,7 +365,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
         std::uint64_t grabbed = 0;
         while (grabbed < options.epochBatch && budget > 0 &&
                cursor[victim] < workers[victim]->stealable) {
-          const EnabledInteraction& ei = workers[victim]->local.items()[cursor[victim]++];
+          const EnabledInteraction& ei = workers[victim]->local->enabled()[cursor[victim]++];
           const std::vector<int>& footprint = ss.connectorInstances(ei.connector);
           bool clash = false;
           for (int inst : footprint) {
@@ -376,7 +391,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       bootstrap = false;
       return;
     }
-    fullRescan = false;  // consumed by the plan phase that just ran
+    migrated = false;  // consumed by the plan phase that just ran
     std::uint64_t epochExec = accepted.size();
     for (const auto& w : workers) epochExec += w->localExecuted + w->stolenExecuted;
     executedTotal += epochExec;
@@ -438,19 +453,16 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       // groups migrate together: splitting one would turn its connectors
       // cross-shard and serialize them on the epoch scheduler — worse
       // than the skew being fixed.
-      struct Group {
-        std::uint64_t activity = 0;
-        std::vector<int> members;
-      };
-      std::vector<char> seen(system.instanceCount(), 0);
-      std::vector<Group> groups;
-      std::vector<int> frontier;
+      std::size_t groupCount = 0;
       for (int start : ss.shard(maxShard).members) {
         if (seen[static_cast<std::size_t>(start)] != 0 ||
             activity[static_cast<std::size_t>(start)] == 0) {
           continue;
         }
-        Group g;
+        if (groupCount == groups.size()) groups.emplace_back();
+        Group& g = groups[groupCount++];
+        g.activity = 0;
+        g.members.clear();
         frontier.assign(1, start);
         seen[static_cast<std::size_t>(start)] = 1;
         while (!frontier.empty()) {
@@ -470,20 +482,23 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
           }
         }
         std::sort(g.members.begin(), g.members.end());
-        groups.push_back(std::move(g));
       }
-      std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
+      const auto active = std::span(groups).first(groupCount);
+      for (const Group& g : active) {
+        for (int inst : g.members) seen[static_cast<std::size_t>(inst)] = 0;
+      }
+      std::sort(active.begin(), active.end(), [](const Group& a, const Group& b) {
         return std::tie(b.activity, a.members.front()) <
                std::tie(a.activity, b.members.front());
       });
       // Shed whole groups to the predicted-least-loaded shards until the
       // source drops to the average, capped so a single window cannot
       // evacuate the shard.
-      std::vector<double> predicted(windowLoad.begin(), windowLoad.end());
+      predicted.assign(windowLoad.begin(), windowLoad.end());
       const std::size_t maxMoves =
           std::max<std::size_t>(1, ss.shard(maxShard).members.size() / 4);
-      std::vector<ShardedSystem::Move> moves;
-      for (const Group& g : groups) {
+      moves.clear();
+      for (const Group& g : active) {
         if (predicted[maxShard] <= avg) break;
         if (!moves.empty() && moves.size() + g.members.size() > maxMoves) break;
         // A group spanning most of the shard cannot be rebalanced by
@@ -505,7 +520,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       }
       if (!moves.empty()) {
         try {
-          ss.migrate(state, moves);
+          ss.migrate(moves);
         } catch (...) {
           capture();
           return;
@@ -516,21 +531,9 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
         for (const ShardedSystem::Move& mv : moves) {
           ++stats_.shards[static_cast<std::size_t>(mv.toShard)].migratedIn;
         }
-        // The shard -> connector mapping changed: re-derive the position
-        // indexes and have the next plan phase rebuild both sets.
-        std::fill(localPos.begin(), localPos.end(), -1);
-        ownedPos.assign(ss.crossConnectors().size(), -1);
-        for (std::size_t s = 0; s < K; ++s) {
-          const ShardedSystem::Shard& shard = ss.shard(s);
-          for (std::size_t i = 0; i < shard.localConnectors.size(); ++i) {
-            localPos[static_cast<std::size_t>(shard.localConnectors[i])] =
-                static_cast<int>(i);
-          }
-          for (std::size_t i = 0; i < shard.ownedCross.size(); ++i) {
-            ownedPos[static_cast<std::size_t>(shard.ownedCross[i])] = static_cast<int>(i);
-          }
-        }
-        fullRescan = true;
+        // The connector lists changed: the next plan phase rebuilds the
+        // caches whose list differs.
+        migrated = true;
       }
     }
     // Close the window (sparse activity reset; see activityTouched).
@@ -545,60 +548,40 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   std::barrier crossBarrier(static_cast<std::ptrdiff_t>(K), []() noexcept {});
   std::barrier epochBarrier(static_cast<std::ptrdiff_t>(K), closeEpoch);
 
-  // Queues this shard's local connectors touching `inst` for the next
-  // splice. Never touches cross connectors: their recompute reads foreign
-  // frames, which is only safe in the plan phase (all frames quiescent) —
-  // intra-epoch changes reach them through the dirty log instead. A local
-  // connector with an end on one of this shard's instances is necessarily
-  // homed here, so `localPos` membership is the whole ownership check.
-  const auto queueLocalsOf = [&](Worker& w, int inst) {
-    for (int ci : system.connectorsOf(static_cast<std::size_t>(inst))) {
-      const int li = localPos[static_cast<std::size_t>(ci)];
-      if (li >= 0) w.local.queue(static_cast<std::size_t>(li));
-    }
-  };
-  // Builders of the local and owned-cross sets' spans: position -> local
-  // connector, position -> owned cross connector.
-  const auto localBuilder = [&](std::size_t s) {
-    return [&ss, &state, s](std::size_t li, EnabledSpans::Shells& shells) {
-      ss.appendConnectorInteractions(state, ss.shard(s).localConnectors[li], shells);
-    };
-  };
-  const auto crossBuilder = [&](std::size_t s) {
-    return [&ss, &state, s](std::size_t oi, EnabledSpans::Shells& shells) {
-      const int xi = ss.shard(s).ownedCross[oi];
-      ss.appendConnectorInteractions(
-          state, ss.crossConnectors()[static_cast<std::size_t>(xi)].connector, shells);
-    };
-  };
-
   const auto planPhase = [&](std::size_t s) {
     Worker& w = *workers[s];
     const ShardedSystem::Shard& shard = ss.shard(s);
-    if (epoch == 0 || fullRescan) {
-      // First epoch, or the epoch right after a migration (the member /
-      // connector layout changed): full recompute of everything this
-      // shard owns.
-      w.local.rebuild(shard.localConnectors.size(), localBuilder(s));
-      w.cross.rebuild(shard.ownedCross.size(), crossBuilder(s));
-    } else {
-      // Refresh owned cross connectors touched by any shard's executions
-      // last epoch. (Local connectors never need this pass: only cross
-      // executions and this shard's own local executions can dirty them,
-      // and both update them within the epoch.)
-      for (std::size_t t = 0; t < K; ++t) {
-        for (int inst : workers[t]->dirtyLog) {
-          for (int ci : system.connectorsOf(static_cast<std::size_t>(inst))) {
-            const int xi = ss.crossIndexOf(ci);
-            if (xi < 0) continue;
-            const auto x = static_cast<std::size_t>(xi);
-            if (ss.crossConnectors()[x].owner == static_cast<int>(s)) {
-              w.cross.queue(static_cast<std::size_t>(ownedPos[x]));
-            }
-          }
-        }
+    EnabledInteractionCache& local = *w.local;
+    EnabledInteractionCache& cross = *w.cross;
+    // A run starts from the initial state, so both caches are reset. Only
+    // a migration changes a connector list; a cache whose list changed is
+    // rebuilt over the new one, and one whose list did not is still exact.
+    bool resetLocal = epoch == 0;
+    bool resetCross = epoch == 0;
+    if (epoch == 0 || migrated) {
+      if (local.connectors() != shard.localConnectors) {
+        local = EnabledInteractionCache(system, shard.localConnectors);
+        resetLocal = true;
       }
-      w.cross.splice(crossBuilder(s));
+      if (cross.connectors() != shard.ownedCross) {
+        cross = EnabledInteractionCache(system, shard.ownedCross);
+        resetCross = true;
+      }
+    }
+    if (resetLocal) local.reset(state);
+    if (resetCross) {
+      cross.reset(state);
+    } else {
+      // Refresh the owned cross connectors from every shard's dirty log of
+      // the last epoch; the cache drops the instances on none of them.
+      // (The local cache never needs this pass: only cross executions and
+      // this shard's own local executions can dirty it, and both update
+      // it within the epoch.)
+      w.planDirty.clear();
+      for (const auto& t : workers) {
+        w.planDirty.insert(w.planDirty.end(), t->dirtyLog.begin(), t->dirtyLog.end());
+      }
+      cross.update(state, w.planDirty);
     }
     // One candidate per enabled cross connector. Its footprint is all its
     // instances whatever the mask, so at most one of its interactions can
@@ -606,7 +589,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     // policy picks which, as the sequential engine's would.
     w.crossCandidates.clear();
     for (std::size_t i = 0; i < shard.ownedCross.size(); ++i) {
-      const std::span<const EnabledInteraction> list = w.cross.span(i);
+      const std::span<const EnabledInteraction> list = cross.span(i);
       if (list.empty()) continue;
       std::size_t pick = 0;
       if (list.size() > 1) {
@@ -615,7 +598,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       }
       w.crossCandidates.push_back(&list[pick]);
     }
-    w.localEnabledCount = w.local.items().size();
+    w.localEnabledCount = local.enabled().size();
     // Publish a bounded surplus segment for work stealing when this shard
     // has more enabled local work than one epoch's quota can drain. The
     // segment is a deterministic prefix (connector-list order) of the
@@ -643,19 +626,17 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       const auto [pick, choice] = w.policy->pick(system, placeholder, std::span(&ei, 1));
       require(pick == 0, "SchedulingPolicy returned out-of-range interaction");
       // Ordered locking of every involved shard (ascending shard id,
-      // deadlock-free): serializes frame access and dirty-queue pushes
-      // against the other accepted crosses sharing a shard. RAII locks so
-      // an EvalError out of executeInteraction (rethrown after the run)
-      // cannot leave a mutex held and wedge the other owners.
+      // deadlock-free): serializes access to their members and the
+      // dirty-queue pushes against the other accepted crosses sharing a
+      // shard. The locks are released on scope exit, so an EvalError out
+      // of execute (rethrown after the run) cannot leave a mutex held and
+      // wedge the other owners.
       {
-        std::vector<std::unique_lock<std::mutex>> locks;
-        locks.reserve(x.shards.size());
+        ShardLocks locks(w.held);
         const std::uint64_t lockT0 = timed ? obs::nowNanos() : 0;
-        for (int t : x.shards) {
-          locks.emplace_back(workers[static_cast<std::size_t>(t)]->mutex);
-        }
+        for (int t : x.shards) locks.lock(workers[static_cast<std::size_t>(t)]->mutex);
         if (timed) w.lockWaitNs += obs::nowNanos() - lockT0;
-        ss.executeInteraction(state, ei, choice);
+        execute(system, state, ei, choice);
         for (int inst : ss.connectorInstances(ei.connector)) {
           w.dirtyLog.push_back(inst);
           workers[static_cast<std::size_t>(ss.shardOf(inst))]->crossDirty.push_back(inst);
@@ -668,12 +649,12 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       }
     }
     // Stolen work: execute the victims' surplus local interactions this
-    // shard was assigned at the plan barrier, under the victim's frame
-    // lock. Footprint-disjoint against everything else in the epoch, so
-    // the victim's own local phase (after the cross barrier) sees a
-    // consistent frame and refreshes its caches through crossDirty just
-    // like for a cross execution. Events serialize after the accepted
-    // crosses (seq offset), in assignment order.
+    // shard was assigned at the plan barrier, under the victim's lock.
+    // Footprint-disjoint against everything else in the epoch, so the
+    // victim's own local phase (after the cross barrier) sees consistent
+    // members and refreshes its cache through crossDirty just like for a
+    // cross execution. Events serialize after the accepted crosses (seq
+    // offset), in assignment order.
     for (std::size_t j = 0; j < stolen.size(); ++j) {
       const StolenLocal& st = stolen[j];
       if (st.thief != static_cast<int>(s)) continue;
@@ -685,7 +666,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
         const std::uint64_t lockT0 = timed ? obs::nowNanos() : 0;
         const std::scoped_lock lock(victim.mutex);
         if (timed) w.lockWaitNs += obs::nowNanos() - lockT0;
-        ss.executeInteraction(state, ei, choice);
+        execute(system, state, ei, choice);
         for (int inst : ss.connectorInstances(ei.connector)) {
           w.dirtyLog.push_back(inst);
           victim.crossDirty.push_back(inst);
@@ -701,40 +682,37 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
 
   const auto localPhase = [&](std::size_t s) {
     Worker& w = *workers[s];
+    EnabledInteractionCache& local = *w.local;
     // Refresh local connectors dirtied by this epoch's cross executions.
     {
       const std::scoped_lock lock(w.mutex);
       w.drained.assign(w.crossDirty.begin(), w.crossDirty.end());
       w.crossDirty.clear();
     }
-    for (int inst : w.drained) queueLocalsOf(w, inst);
-    const auto build = localBuilder(s);
-    w.local.splice(build);
+    if (!w.drained.empty()) local.update(state, w.drained);
     // Shard-local run loop: the sequential engine's step loop confined to
-    // this shard's frame.
+    // this shard's members.
     const std::uint64_t quota = localQuota[s];
     while (w.localExecuted < quota) {
-      const std::vector<EnabledInteraction>& enabled = w.local.items();
+      const std::vector<EnabledInteraction>& enabled = local.enabled();
       if (enabled.empty()) break;
       const auto [idx, choice] = w.policy->pick(system, placeholder, enabled);
       require(idx < enabled.size(), "SchedulingPolicy returned out-of-range interaction");
-      // `ei` points into the local set, so the splice comes last.
+      // `ei` points into the local set, so the cache update comes last.
       const EnabledInteraction& ei = enabled[idx];
-      ss.executeInteraction(state, ei, choice);
+      execute(system, state, ei, choice);
       if (options.recordTrace) {
         w.events.push_back(
             Event{epoch, 1, static_cast<int>(s), w.localExecuted, ei.connector, ei.mask});
       }
       ++w.localExecuted;
-      // Incremental maintenance: re-derive the local connectors touching
-      // the dirtied instances now; cross connectors are deferred to the
-      // next plan phase through the dirty log.
+      // Cross connectors read foreign members, so they are refreshed only
+      // in the next plan phase, through the dirty log.
       for (int inst : ss.connectorInstances(ei.connector)) {
         w.dirtyLog.push_back(inst);
-        queueLocalsOf(w, inst);
         if (rebalanceOn) bumpActivity(w, inst);
       }
-      w.local.splice(build);
+      local.updateAfterExecute(state, ei);
     }
   };
 
@@ -776,7 +754,10 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
         // Bootstrap: settle initial tau steps of this shard's members so
         // offers reflect stable states (mirrors SequentialEngine).
         guarded([&] {
-          for (int inst : ss.shard(s).members) ss.runInternalAt(state, inst);
+          for (int inst : ss.shard(s).members) {
+            const auto i = static_cast<std::size_t>(inst);
+            runInternal(*system.instance(i).type, state.components[i]);
+          }
         });
         epochBarrier.arrive_and_wait();  // completion: bootstrap no-op
         if (options.maxSteps == 0) return;
@@ -845,7 +826,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   RunResult result;
   result.reason = options.maxSteps == 0 ? StopReason::kStepLimit : reason;
   result.steps = executedTotal;
-  result.finalState = ss.toGlobal(state);
+  result.finalState = std::move(state);
   if (options.recordTrace) {
     std::vector<Event> all;
     for (const auto& w : workers) {

@@ -4,20 +4,28 @@
 // Where the multithreaded engine (engine/engine_mt.hpp) pays a
 // message-round handshake per *interaction*, the sharded engine pays
 // three synchronization barriers per *epoch* of up to
-// shardCount * epochBatch interactions: shard-local interactions (the overwhelming majority under
-// a good partition, see shard/partition.hpp) execute entirely inside
-// their shard — enabled-set maintenance, policy choice, data transfer and
-// transition firing all touch one worker's own frame, with no locks.
+// shardCount * epochBatch interactions: shard-local interactions (the
+// overwhelming majority under a good partition, see shard/partition.hpp)
+// execute entirely inside their shard — enabled-set maintenance, policy
+// choice, data transfer and transition firing all touch only the shard's
+// own members, with no locks.
+//
+// All shards share one GlobalState and the core semantics: each worker
+// keeps two EnabledInteractionCaches, one over its local connectors and
+// one over the cross connectors it owns, and executes through `execute`.
+// Workers write disjoint components; a shard's members are read by another
+// worker only in the plan phase, while nobody writes, or under the
+// shard's lock.
 //
 // Cross-shard interactions are coordinated by an epoch-based conflict
 // scheduler with no global lock:
 //
-//   plan    All frames are quiescent. Every shard refreshes the enabled
-//           sets of the connectors it owns (cross-shard connectors are
-//           owned by their lowest involved shard) from the dirty-instance
-//           logs of the previous epoch, and publishes its cross-shard
-//           candidates, one per enabled connector (where a broadcast has
-//           several masks enabled, the shard's policy picks one).
+//   plan    Nobody writes. Every shard refreshes the enabled sets of the
+//           connectors it owns (cross-shard connectors are owned by their
+//           lowest involved shard) from the dirty-instance logs of the
+//           previous epoch, and publishes its cross-shard candidates, one
+//           per enabled connector (where a broadcast has several masks
+//           enabled, the shard's policy picks one).
 //           [barrier: one thread deterministically resolves conflicts —
 //           candidates sorted by connector, greedily accepted while their
 //           instance footprints stay disjoint — and deals out per-shard
@@ -27,14 +35,13 @@
 //           acquires the involved shards' mutexes in ascending shard
 //           order (ordered two-shard locking in the common case; ordered
 //           k-shard locking for wider connectors, deadlock-free by the
-//           total order), executes against the two frames through the
-//           foreign-frame slot maps, and queues the dirtied instances to
-//           the affected shards. [barrier]
+//           total order), executes it, and queues the dirtied instances
+//           to the affected shards. [barrier]
 //
-//   local   Every shard drains its dirty queue, then runs up to its quota
-//           of shard-local interactions: pick via its own seeded policy
-//           from its local enabled set in place, execute on the shard
-//           frame, and splice the set's dirtied connector spans once.
+//   local   Every shard drains its dirty queue into its local cache, then
+//           runs up to its quota of shard-local interactions: pick via its
+//           own seeded policy from the local enabled set in place,
+//           execute, and update the cache.
 //           [barrier: count the epoch's executed interactions; 0 executed
 //           means global deadlock.]
 //
@@ -54,6 +61,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/semantics.hpp"
 #include "engine/common.hpp"
 #include "shard/sharded.hpp"
 
@@ -86,7 +94,7 @@ struct ShardedStats : RunStats {
     std::uint64_t localSteps = 0;   ///< shard-local interactions executed
     std::uint64_t crossSteps = 0;   ///< owned cross interactions executed
     std::uint64_t stolenSteps = 0;  ///< interactions this shard executed as
-                                    ///< a thief (on some victim's frame)
+                                    ///< a thief (on some victim's members)
     std::uint64_t idleEpochs = 0;   ///< epochs this shard executed nothing
                                     ///< while the epoch overall progressed
     std::uint64_t quotaGranted = 0; ///< local-step quota dealt across epochs
@@ -118,18 +126,16 @@ struct ShardedOptions : EngineOptions {
   /// of a persistently overloaded shard (load > rebalanceTolerance x the
   /// average over the window) to the least-loaded shards. Decisions read
   /// only executed-step counts — never wall clocks — so runs stay
-  /// deterministic for a fixed seed. Also gated by the global
-  /// CBIP_NO_REBALANCE / setRebalancingEnabled() escape hatch; with either
-  /// switch off, traces are bit-identical to the static-partition engine.
+  /// deterministic for a fixed seed. With this and `workStealing` off,
+  /// the engine runs the static-partition scheduler.
   bool rebalance = true;
   std::uint64_t rebalanceInterval = 8;  ///< epochs per load window
   double rebalanceTolerance = 1.5;      ///< trigger: maxLoad > tol * avgLoad
   /// Work stealing for load bursts: shards with no enabled local work
   /// execute surplus local interactions of overloaded shards during the
-  /// cross phase, under the victim's frame lock (the existing ordered
-  /// locking discipline). Plan-time assignment, footprint-disjoint against
-  /// everything else in the epoch — deterministic and replay-safe. Gated
-  /// by the same escape hatch as `rebalance`.
+  /// cross phase, under the victim's lock (the existing ordered locking
+  /// discipline). Plan-time assignment, footprint-disjoint against
+  /// everything else in the epoch — deterministic and replay-safe.
   bool workStealing = true;
   /// Scheduling policy per shard. Default: RandomPolicy(seed) for shard 0
   /// — making a one-shard run bit-identical to SequentialEngine with
@@ -138,15 +144,6 @@ struct ShardedOptions : EngineOptions {
   /// state-inspecting policies are not supported here.
   std::function<std::unique_ptr<SchedulingPolicy>(std::size_t shard)> policyFactory;
 };
-
-/// Global escape hatch for the adaptive layer (rebalancing + stealing),
-/// same discipline as CBIP_NO_COMPILE: defaults to on unless the
-/// CBIP_NO_REBALANCE environment variable is set (any value but "0");
-/// setRebalancingEnabled() overrides at runtime. With the hatch off the
-/// engine is bit-identical to the static-partition scheduler regardless
-/// of ShardedOptions::rebalance / workStealing.
-bool rebalancingEnabled();
-void setRebalancingEnabled(bool enabled);
 
 class ShardedEngine final : public Engine {
  public:
@@ -174,6 +171,11 @@ class ShardedEngine final : public Engine {
 
  private:
   ShardedSystem sharded_;
+  /// Per shard: the enabled-set caches over its local and its owned cross
+  /// connectors. Built with the engine and reused across runs; a run
+  /// rebuilds one only when a migration changed its connector list.
+  std::vector<EnabledInteractionCache> localCaches_;
+  std::vector<EnabledInteractionCache> crossCaches_;
   ShardedOptions defaults_;
   ShardedStats stats_;
   TraceLabels labels_;

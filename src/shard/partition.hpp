@@ -65,7 +65,7 @@ class Partition {
 
   /// Reassigns one instance (online rebalancing: the shard count is
   /// fixed, only the mapping moves). The caller keeps every derived
-  /// structure — frames, member lists, connector classes — in sync; see
+  /// structure — member lists, connector classes — in sync; see
   /// ShardedSystem::migrate.
   void assign(std::size_t instance, int shard) { shardOf_[instance] = shard; }
 

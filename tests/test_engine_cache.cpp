@@ -1,11 +1,11 @@
 // Tests for the incremental enabled-interaction cache: the dirty-set
-// maintenance must agree exactly with a from-scratch rescan at every step
-// of randomized runs, and the engines must produce identical traces with
-// the cache on or off.
+// maintenance, over every connector or over a subset of them, must agree
+// exactly with a from-scratch rescan at every step of randomized runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -31,15 +31,29 @@ void settle(const System& sys, GlobalState& g) {
   }
 }
 
+/// The interactions of `all` on the connectors of `subset` (ascending).
+std::vector<EnabledInteraction> filtered(const std::vector<EnabledInteraction>& all,
+                                         const std::vector<int>& subset) {
+  std::vector<EnabledInteraction> out;
+  for (const EnabledInteraction& ei : all) {
+    if (std::binary_search(subset.begin(), subset.end(), ei.connector)) out.push_back(ei);
+  }
+  return out;
+}
+
 /// Drives `steps` random interactions, cross-checking the cache against a
 /// from-scratch `enabledInteractions()` scan after every execution. An
 /// EvalError must come from both or from neither; when both raise, the
 /// step is stored in `raisedAt` (a null `raisedAt` makes any raise a
-/// failure).
-void crossCheck(const System& sys, std::uint64_t seed, int steps, int* raisedAt = nullptr) {
+/// failure). With `subset` (ascending connector indices) the cache covers
+/// only those connectors and is compared against the scan filtered to
+/// them, while the run picks from every enabled interaction.
+void crossCheck(const System& sys, std::uint64_t seed, int steps, int* raisedAt = nullptr,
+                const std::optional<std::vector<int>>& subset = std::nullopt) {
   GlobalState g = initialState(sys);
   settle(sys, g);
-  EnabledInteractionCache cache(sys);
+  EnabledInteractionCache cache = subset ? EnabledInteractionCache(sys, *subset)
+                                         : EnabledInteractionCache(sys);
   bool cacheRaised = false;
   try {
     cache.reset(g);
@@ -61,8 +75,9 @@ void crossCheck(const System& sys, std::uint64_t seed, int steps, int* raisedAt 
       *raisedAt = step;
       return;
     }
-    ASSERT_EQ(cache.enabled(), fresh) << "divergence at step " << step;
-    ASSERT_EQ(cache.empty(), fresh.empty());
+    const std::vector<EnabledInteraction> expected = subset ? filtered(fresh, *subset) : fresh;
+    ASSERT_EQ(cache.enabled(), expected) << "divergence at step " << step;
+    ASSERT_EQ(cache.empty(), expected.empty());
     if (step == steps || fresh.empty()) return;  // done, or deadlock
     const EnabledInteraction& ei = fresh[rng.index(fresh.size())];
     std::vector<int> choice;
@@ -297,49 +312,6 @@ TEST(EnabledSpans, RecycledShellsKeepTheirCapacity) {
   }
 }
 
-TEST(SequentialEngine, CacheOnAndOffProduceIdenticalRuns) {
-  for (const char* model : {"phil", "ring", "gas"}) {
-    const System sys = std::string(model) == "phil"   ? models::philosophersAtomic(6)
-                       : std::string(model) == "ring" ? models::tokenRing(8)
-                                                      : models::gasStation(2, 4);
-    RunResult runs[2];
-    for (int cached = 0; cached < 2; ++cached) {
-      RandomPolicy policy(99);
-      SequentialEngine engine(sys, policy);
-      RunOptions opt;
-      opt.maxSteps = 400;
-      opt.incrementalCache = (cached == 1);
-      runs[cached] = engine.run(opt);
-    }
-    EXPECT_EQ(runs[0].reason, runs[1].reason) << model;
-    EXPECT_EQ(runs[0].steps, runs[1].steps) << model;
-    EXPECT_EQ(runs[0].finalState, runs[1].finalState) << model;
-    ASSERT_EQ(runs[0].trace.events.size(), runs[1].trace.events.size()) << model;
-    for (std::size_t i = 0; i < runs[0].trace.events.size(); ++i) {
-      EXPECT_EQ(runs[0].trace.events[i].label, runs[1].trace.events[i].label) << model;
-    }
-  }
-}
-
-TEST(MultiThreadEngine, CacheOnAndOffProduceIdenticalRuns) {
-  const System sys = models::philosophersAtomic(5);
-  RunResult runs[2];
-  for (int cached = 0; cached < 2; ++cached) {
-    RandomPolicy policy(7);
-    MultiThreadEngine engine(sys, policy);
-    MtOptions opt;
-    opt.maxSteps = 200;
-    opt.incrementalCache = (cached == 1);
-    runs[cached] = engine.run(opt);
-  }
-  EXPECT_EQ(runs[0].steps, runs[1].steps);
-  EXPECT_EQ(runs[0].finalState, runs[1].finalState);
-  ASSERT_EQ(runs[0].trace.events.size(), runs[1].trace.events.size());
-  for (std::size_t i = 0; i < runs[0].trace.events.size(); ++i) {
-    EXPECT_EQ(runs[0].trace.events[i].label, runs[1].trace.events[i].label);
-  }
-}
-
 // ---- Hand-built offer cases ------------------------------------------------
 
 using expr::Assign;
@@ -523,6 +495,74 @@ TEST(EnabledInteractionCache, RaisingGuardOnUnconnectedPortNeverRuns) {
     EXPECT_NO_THROW(cache.reset(g));
     EXPECT_NO_THROW(static_cast<void>(enabledInteractions(sys, g)));
     crossCheck(sys, 3, 200);
+  });
+}
+
+TEST(EnabledInteractionCache, SubsetAgreesWithFilteredScan) {
+  // Every other connector, and the upper half: the instances at their ends
+  // also sit on connectors outside the subset, whose steps dirty them.
+  const System models[] = {models::philosophersAtomic(5), models::gasStation(2, 3),
+                           models::producerConsumer(3), models::tokenRing(6), offerCases(3)};
+  for (const System& sys : models) {
+    std::vector<int> alternate;
+    std::vector<int> upper;
+    for (std::size_t ci = 0; ci < sys.connectorCount(); ++ci) {
+      if (ci % 2 == 0) alternate.push_back(static_cast<int>(ci));
+      if (2 * ci >= sys.connectorCount()) upper.push_back(static_cast<int>(ci));
+    }
+    inBothModes([&] {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        crossCheck(sys, seed, 200, nullptr, alternate);
+        crossCheck(sys, seed, 200, nullptr, upper);
+      }
+    });
+  }
+  // The premise: some instance of the alternate subset is also on a
+  // connector outside it.
+  const System phil = models::philosophersAtomic(5);
+  bool straddles = false;
+  for (std::size_t i = 0; i < phil.instanceCount(); ++i) {
+    bool in = false;
+    bool out = false;
+    for (const int ci : phil.connectorsOf(i)) (ci % 2 == 0 ? in : out) = true;
+    straddles = straddles || (in && out);
+  }
+  EXPECT_TRUE(straddles);
+}
+
+TEST(EnabledInteractionCache, SubsetNeverEvaluatesInstancesOutsideIt) {
+  // `k`'s `dec` guard divides by zero and `dec` is on a connector, so the
+  // full cache raises. A cache over `tick` alone must never evaluate it,
+  // even when `k` is reported dirty: the sharded engine's workers may read
+  // only the instances on their own connectors.
+  auto countdown = std::make_shared<AtomicType>("Countdown");
+  const int l = countdown->addLocation("l");
+  const int c = countdown->addVariable("c", 0);
+  const int dec = countdown->addPort("dec");
+  countdown->addTransition(l, dec, Expr::lit(10) / Expr::local(c) > Expr::lit(0), {}, l);
+  countdown->setInitialLocation(l);
+  auto ticker = std::make_shared<AtomicType>("Ticker");
+  const int t = ticker->addLocation("t");
+  const int tick = ticker->addPort("tick");
+  ticker->addTransition(t, tick, t);
+  ticker->setInitialLocation(t);
+  System sys;
+  const int k = sys.addInstance("k", countdown);
+  const int o = sys.addInstance("o", ticker);
+  sys.addConnector(rendezvous("dec", {PortRef{k, dec}}));
+  const int tickCi = sys.addConnector(rendezvous("tick", {PortRef{o, tick}}));
+  sys.validate();
+  inBothModes([&] {
+    const GlobalState g = initialState(sys);
+    EnabledInteractionCache full(sys);
+    EXPECT_THROW(full.reset(g), EvalError);
+    EnabledInteractionCache cache(sys, {tickCi});
+    EXPECT_NO_THROW(cache.reset(g));
+    const std::vector<int> dirty = {k, o, k};
+    EXPECT_NO_THROW(cache.update(g, dirty));
+    ASSERT_EQ(cache.enabled().size(), 1u);
+    EXPECT_EQ(cache.enabled().front().connector, tickCi);
+    EXPECT_EQ(cache.span(0).size(), 1u);
   });
 }
 

@@ -1022,27 +1022,6 @@ TEST(EngineCompileCrossCheck, SequentialTracesBitIdentical) {
   }
 }
 
-TEST(EngineCompileCrossCheck, SequentialAgreesWithAndWithoutIncrementalCache) {
-  // Compilation and the enabled-set cache compose: all four on/off
-  // combinations must produce the same run.
-  const System sys = dataExchange();
-  std::vector<RunResult> runs;
-  for (int compiledOn = 0; compiledOn < 2; ++compiledOn) {
-    for (int cacheOn = 0; cacheOn < 2; ++cacheOn) {
-      CompileSwitch sw(compiledOn == 1);
-      RandomPolicy policy(42);
-      SequentialEngine engine(sys, policy);
-      RunOptions opt;
-      opt.maxSteps = 200;
-      opt.incrementalCache = (cacheOn == 1);
-      runs.push_back(engine.run(opt));
-    }
-  }
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    expectIdenticalRuns(runs[0], runs[i], "combination " + std::to_string(i));
-  }
-}
-
 TEST(EngineCompileCrossCheck, MultiThreadTracesBitIdentical) {
   const System models[] = {models::philosophersAtomic(5), models::producerConsumerBounded(2, 5),
                            dataExchange()};

@@ -4,6 +4,7 @@
 // one-shard run is bit-identical to SequentialEngine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <span>
 #include <sstream>
@@ -276,8 +277,8 @@ TEST(ShardedEngine, CompiledAndInterpretedTracesIdentical) {
 }
 
 TEST(ShardedEngine, FusedAndUnfusedTracesIdentical) {
-  // The fused guard+action dispatch (tryFireAt / fireAt action blocks /
-  // fused local and cross-shard up blocks) must leave every schedule
+  // The fused guard+action dispatch (tryFire / fire action blocks / fused
+  // connector up blocks) must leave every schedule
   // bit-identical to the interpreter's guard-then-actions ("unfused")
   // evaluation, and each trace must stay replayable through the reference
   // engine. transferRing exercises the fused up blocks; producerConsumer
@@ -303,10 +304,9 @@ TEST(ShardedEngine, FusedAndUnfusedTracesIdentical) {
 }
 
 TEST(ShardedEngine, BatchedAndScalarScanTracesIdentical) {
-  // The batched enabled-set scan (zero-gather over shard-local frames,
-  // classic gather for cross-shard guards) must leave every schedule
-  // bit-identical to the interpreter's scalar scan, and each trace must
-  // stay replayable through the reference engine.
+  // The batched compiled offer refresh of the shard workers' caches must
+  // leave every schedule bit-identical to the interpreter's, and each
+  // trace must stay replayable through the reference engine.
   const System models[] = {models::philosophersAtomic(12), models::producerConsumer(3)};
   for (const System& sys : models) {
     const auto runWith = [&](bool batch) {
@@ -450,101 +450,83 @@ TEST(ShardedEngine, RejectsMalformedPartition) {
   EXPECT_THROW(ShardedEngine(sys, Partition({0, -1, 0}, 2)), ModelError);
 }
 
-TEST(ShardedSystem, GlobalStateRoundTrips) {
-  const System sys = models::producerConsumer(3);
-  ShardedEngine engine(sys, 2);
-  ShardedOptions opt;
-  opt.maxSteps = 50;
-  opt.seed = 9;
-  const RunResult r = engine.run(opt);
-  // An evolved mid-run state survives the frame layout and back.
-  const shard::ShardedState sharded = engine.sharded().fromGlobal(r.finalState);
-  EXPECT_EQ(engine.sharded().toGlobal(sharded), r.finalState);
-  // Mismatched shapes are EvalErrors, not silent frame corruption.
-  GlobalState bad = r.finalState;
-  bad.components[0].vars.push_back(0);
-  EXPECT_THROW(engine.sharded().fromGlobal(bad), EvalError);
-}
-
 // ---- online rebalancing + work stealing ----
 
-/// Forces the adaptive layer on for one test's scope: the tests below
-/// assert that migrations / steals actually happen, which the
-/// CBIP_NO_REBALANCE ctest leg would otherwise veto globally.
-struct ForceRebalancingOn {
-  bool saved = shard::rebalancingEnabled();
-  ForceRebalancingOn() { shard::setRebalancingEnabled(true); }
-  ~ForceRebalancingOn() { shard::setRebalancingEnabled(saved); }
-};
-
 TEST(Rebalancing, MigratePreservesStateAndEnabledSets) {
+  // migrate() only reclassifies: the state is one GlobalState, so the
+  // check is that the per-shard caches over the new connector lists
+  // together hold exactly the full cache's enabled set, on a mid-run
+  // state.
   const System sys = models::philosophersAtomic(8);
-  shard::ShardedSystem ss(sys,
-                          shard::partitionSystem(sys, PartitionOptions{2, 1.125, {}}));
-  ss.ensureCompiled();
-  shard::ShardedState st = ss.initialState();
-  // Evolve a few steps first so the frames hold mid-run values.
-  const auto allEnabled = [&]() {
-    std::vector<EnabledInteraction> en;
-    for (std::size_t ci = 0; ci < sys.connectorCount(); ++ci) {
-      ss.appendConnectorInteractions(st, static_cast<int>(ci), en);
+  for (const bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+    const CompileSwitch path(compiled);
+    shard::ShardedSystem ss(sys, shard::partitionSystem(sys, PartitionOptions{2, 1.125, {}}));
+    GlobalState g = initialState(sys);
+    for (int i = 0; i < 5; ++i) {
+      const std::vector<EnabledInteraction> en = enabledInteractions(sys, g);
+      ASSERT_FALSE(en.empty());
+      executeDefault(sys, g, en.front());
     }
-    return en;
-  };
-  for (int i = 0; i < 5; ++i) {
-    const std::vector<EnabledInteraction> en = allEnabled();
-    ASSERT_FALSE(en.empty());
-    ss.executeInteraction(st, en.front(),
-                          std::vector<int>(en.front().choices.size(), 0));
-  }
-  const GlobalState before = ss.toGlobal(st);
-  const auto snapshot = [&]() {
-    std::vector<std::pair<int, InteractionMask>> snap;
-    for (const EnabledInteraction& ei : allEnabled()) snap.push_back({ei.connector, ei.mask});
-    return snap;
-  };
-  const auto beforeEnabled = snapshot();
 
-  // Moves chosen to force both reclassifications: the first cross
-  // connector becomes fully local to shard 1, and one untouched shard-0
-  // local connector gets an end moved away, becoming cross.
-  ASSERT_FALSE(ss.crossConnectors().empty());
-  const int xc = ss.crossConnectors().front().connector;
-  std::vector<shard::ShardedSystem::Move> moves;
-  for (int inst : ss.connectorInstances(xc)) {
-    if (ss.shardOf(inst) != 1) moves.push_back({inst, 1});
-  }
-  ASSERT_FALSE(moves.empty());
-  int splitCi = -1;
-  for (int ci : ss.shard(0).localConnectors) {
-    bool touched = false;
-    for (int inst : ss.connectorInstances(ci)) {
-      for (const auto& m : moves) touched = touched || m.instance == inst;
+    // Moves chosen to force both reclassifications: the first cross
+    // connector becomes fully local to shard 1, and one untouched shard-0
+    // local connector gets an end moved away, becoming cross.
+    ASSERT_FALSE(ss.crossConnectors().empty());
+    const int xc = ss.crossConnectors().front().connector;
+    std::vector<shard::ShardedSystem::Move> moves;
+    for (int inst : ss.connectorInstances(xc)) {
+      if (ss.shardOf(inst) != 1) moves.push_back({inst, 1});
     }
-    if (!touched) {
-      splitCi = ci;
-      break;
+    ASSERT_FALSE(moves.empty());
+    int splitCi = -1;
+    for (int ci : ss.shard(0).localConnectors) {
+      bool touched = false;
+      for (int inst : ss.connectorInstances(ci)) {
+        for (const auto& m : moves) touched = touched || m.instance == inst;
+      }
+      if (!touched) {
+        splitCi = ci;
+        break;
+      }
     }
-  }
-  ASSERT_GE(splitCi, 0);
-  moves.push_back({ss.connectorInstances(splitCi).front(), 1});
+    ASSERT_GE(splitCi, 0);
+    moves.push_back({ss.connectorInstances(splitCi).front(), 1});
 
-  ss.migrate(st, moves);
-  EXPECT_EQ(ss.crossIndexOf(xc), -1);      // cross -> local
-  EXPECT_GE(ss.crossIndexOf(splitCi), 0);  // local -> cross
-  for (const auto& m : moves) EXPECT_EQ(ss.shardOf(m.instance), 1);
-  // Migration is unobservable: same global state, same enabled sets, and
-  // the new layout still round-trips through GlobalState.
-  EXPECT_EQ(ss.toGlobal(st), before);
-  EXPECT_EQ(snapshot(), beforeEnabled);
-  EXPECT_EQ(ss.toGlobal(ss.fromGlobal(before)), before);
+    ss.migrate(moves);
+    EXPECT_EQ(ss.crossIndexOf(xc), -1);      // cross -> local
+    EXPECT_GE(ss.crossIndexOf(splitCi), 0);  // local -> cross
+    for (const auto& m : moves) {
+      EXPECT_EQ(ss.shardOf(m.instance), 1);
+      const std::vector<int>& members = ss.shard(1).members;
+      EXPECT_TRUE(std::binary_search(members.begin(), members.end(), m.instance));
+    }
+    // Every connector sits in exactly one list, and the lists' caches
+    // together hold the whole enabled set, connector by connector.
+    std::vector<int> listed(sys.connectorCount(), 0);
+    std::vector<EnabledInteraction> joined;
+    for (std::size_t s = 0; s < ss.shardCount(); ++s) {
+      for (const std::vector<int>* list :
+           {&ss.shard(s).localConnectors, &ss.shard(s).ownedCross}) {
+        for (int ci : *list) ++listed[static_cast<std::size_t>(ci)];
+        EnabledInteractionCache cache(sys, *list);
+        cache.reset(g);
+        joined.insert(joined.end(), cache.enabled().begin(), cache.enabled().end());
+      }
+    }
+    EXPECT_EQ(listed, std::vector<int>(sys.connectorCount(), 1));
+    std::stable_sort(joined.begin(), joined.end(),
+                     [](const EnabledInteraction& a, const EnabledInteraction& b) {
+                       return a.connector < b.connector;
+                     });
+    EXPECT_EQ(joined, enabledInteractions(sys, g));
+  }
 }
 
 TEST(Rebalancing, RebalancedTracesSequentiallyReplayable) {
   // Skewed pairs: the cold pairs die after 4 steps each, the hot pairs
   // (clustered in shard 0 by the greedy partitioner) run forever — the
   // load window must notice and migrate them apart.
-  const ForceRebalancingOn forceOn;
   const System sys = models::skewedPairs(32, 4, 4);
   ShardedEngine engine(sys, 4);
   ShardedOptions opt;
@@ -563,7 +545,6 @@ TEST(Rebalancing, WorkStealingAloneIsExactAndReplayable) {
   // Rebalancing off isolates the steal path (this is also the TSan
   // coverage for thief-side execution): the skew persists, so idle shards
   // must keep stealing shard 0's surplus.
-  const ForceRebalancingOn forceOn;
   const System sys = models::skewedPairs(24, 6, 2);
   ShardedEngine engine(sys, 3);
   ShardedOptions opt;
@@ -587,7 +568,6 @@ TEST(Rebalancing, WorkStealingAloneIsExactAndReplayable) {
 }
 
 TEST(Rebalancing, CountersAreExact) {
-  const ForceRebalancingOn forceOn;
   const System sys = models::skewedPairs(48, 6, 4);
   ShardedEngine engine(sys, 4);
   ShardedOptions opt;
@@ -618,14 +598,15 @@ TEST(Rebalancing, CountersAreExact) {
 }
 
 TEST(Rebalancing, EscapeHatchBitIdenticalToStaticScheduler) {
+  // With `rebalance` and `workStealing` off the engine runs the static
+  // scheduler: nothing migrates or is stolen, and the trace is still a
+  // sequential schedule. The same run with both on does adapt.
   const System sys = models::skewedPairs(32, 4, 4);
   struct Outcome {
     RunResult result;
     shard::ShardedStats stats;
   };
-  const auto runWith = [&](bool hatch, bool optionsOn) {
-    const bool saved = shard::rebalancingEnabled();
-    shard::setRebalancingEnabled(hatch);
+  const auto runWith = [&](bool optionsOn) {
     ShardedEngine engine(sys, 4);
     ShardedOptions opt;
     opt.maxSteps = 500;
@@ -635,19 +616,14 @@ TEST(Rebalancing, EscapeHatchBitIdenticalToStaticScheduler) {
     opt.workStealing = optionsOn;
     Outcome o{engine.run(opt), {}};
     o.stats = engine.lastRunStats();
-    shard::setRebalancingEnabled(saved);
     return o;
   };
-  const Outcome hatchOff = runWith(false, true);  // hatch beats the options
-  const Outcome optionsOff = runWith(true, false);
-  const Outcome adaptive = runWith(true, true);
-  EXPECT_EQ(hatchOff.result.trace.labels(), optionsOff.result.trace.labels());
-  EXPECT_EQ(hatchOff.result.finalState, optionsOff.result.finalState);
-  for (const Outcome* o : {&hatchOff, &optionsOff}) {
-    EXPECT_EQ(o->stats.rebalanceDecisions, 0u);
-    EXPECT_EQ(o->stats.componentsMoved, 0u);
-    EXPECT_EQ(o->stats.stealEvents, 0u);
-  }
+  const Outcome optionsOff = runWith(false);
+  const Outcome adaptive = runWith(true);
+  EXPECT_EQ(optionsOff.stats.rebalanceDecisions, 0u);
+  EXPECT_EQ(optionsOff.stats.componentsMoved, 0u);
+  EXPECT_EQ(optionsOff.stats.stealEvents, 0u);
+  expectSequentiallyReplayable(sys, optionsOff.result);
   EXPECT_GT(adaptive.stats.rebalanceDecisions + adaptive.stats.stealEvents, 0u);
 }
 
@@ -661,7 +637,6 @@ TEST(ShardedEngine, GoldenTracesArePinned) {
   // Gas steals local work and the skewed pairs migrate components, so the
   // published steal prefix and the full rescan after a migration are
   // pinned too.
-  const ForceRebalancingOn forceOn;
   struct Golden {
     const char* name;
     System system;
