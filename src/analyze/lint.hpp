@@ -27,7 +27,7 @@
 //                              dead up-chain).
 //
 // Diagnostics carry provenance ("atom Fork, transition #2
-// (free --take--> taken)") so the cbip-lint CLI can print actionable
+// (free --take--> taken)") so `cbip lint` can print actionable
 // locations. The linter never mutates the model — it compiles nothing
 // and runs entirely on the symbolic side.
 #pragma once

@@ -386,12 +386,6 @@ std::vector<EnabledInteraction> applyPriorities(const System& system, const Glob
   return out;
 }
 
-std::size_t choiceCount(const EnabledInteraction& interaction) {
-  std::size_t n = 1;
-  for (const std::vector<int>& c : interaction.choices) n *= c.size();
-  return n;
-}
-
 void connectorTransfer(const System& system, GlobalState& state,
                        const EnabledInteraction& interaction) {
   const Connector& c = system.connector(static_cast<std::size_t>(interaction.connector));

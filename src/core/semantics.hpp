@@ -440,9 +440,6 @@ void connectorTransfer(const System& system, GlobalState& state,
 void executeDefault(const System& system, GlobalState& state,
                     const EnabledInteraction& interaction);
 
-/// Number of distinct transition-choice vectors of an enabled interaction.
-std::size_t choiceCount(const EnabledInteraction& interaction);
-
 /// Enumerates all successor states (all interactions x all transition
 /// choices), with or without priority filtering.
 std::vector<GlobalState> successors(const System& system, const GlobalState& state,

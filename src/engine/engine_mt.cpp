@@ -1,11 +1,13 @@
 #include "engine/engine_mt.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -134,24 +136,6 @@ class Worker {
   std::jthread thread_;
 };
 
-/// Footprint of an interaction = every instance attached to its connector
-/// (guards may read non-participating ends, so the whole connector
-/// conflicts).
-std::vector<int> footprint(const System& system, const EnabledInteraction& ei) {
-  std::vector<int> out;
-  const Connector& c = system.connector(static_cast<std::size_t>(ei.connector));
-  out.reserve(c.endCount());
-  for (const ConnectorEnd& e : c.ends()) out.push_back(e.port.instance);
-  return out;
-}
-
-bool overlaps(const std::vector<int>& instances, const std::vector<bool>& used) {
-  for (int i : instances) {
-    if (used[static_cast<std::size_t>(i)]) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 MultiThreadEngine::MultiThreadEngine(const System& system, SchedulingPolicy& policy)
@@ -202,58 +186,78 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
   EnabledInteractionCache cache(system);
   cache.reset(snapshot);
 
+  // Per-cycle buffers, reused so that elements keep their storage: the
+  // enabled set's copy (the batch [0, chosen), then the candidates left),
+  // the batch's transition choices, and the instances a batch touches.
+  std::vector<EnabledInteraction> pool;
+  std::vector<std::vector<int>> choices;
+  std::vector<bool> used(n);
+  std::vector<int> dispatched;
+
   std::uint64_t executed = 0;
   result.reason = StopReason::kStepLimit;
   while (executed < options.maxSteps) {
     // One scheduling cycle (RunStats::scanRounds): scan, pick a batch,
     // dispatch, re-synchronize.
     ++stats_.scanRounds;
-    // Batch selection consumes the vector, so the cached set is copied.
-    std::vector<EnabledInteraction> enabled = cache.enabled();
-    if (enabled.empty()) {
+    const std::span<const EnabledInteraction> cached = cache.enabled();
+    if (cached.empty()) {
       result.reason = StopReason::kDeadlock;
       break;
     }
-    enabled = applyPriorities(system, snapshot, std::move(enabled));
-
-    // Select a batch of pairwise-independent interactions.
-    struct Selected {
-      EnabledInteraction interaction;
-      std::vector<int> choice;
-    };
-    std::vector<Selected> batch;
-    std::vector<bool> used(n, false);
-    std::vector<EnabledInteraction> candidates = std::move(enabled);
-    while (!candidates.empty() && batch.size() < maxBatch &&
-           executed + batch.size() < options.maxSteps) {
-      const auto [idx, choice] = policy_->pick(system, snapshot, candidates);
-      require(idx < candidates.size(), "SchedulingPolicy returned out-of-range interaction");
-      const EnabledInteraction picked = candidates[idx];
-      for (int i : footprint(system, picked)) used[static_cast<std::size_t>(i)] = true;
-      batch.push_back(Selected{picked, {choice.begin(), choice.end()}});
-      std::vector<EnabledInteraction> rest;
-      for (std::size_t k = 0; k < candidates.size(); ++k) {
-        if (k == idx) continue;
-        if (!overlaps(footprint(system, candidates[k]), used)) {
-          rest.push_back(std::move(candidates[k]));
-        }
-      }
-      candidates = std::move(rest);
+    // Batch selection reorders the set, so it works on a copy.
+    if (pool.size() < cached.size()) pool.resize(cached.size());
+    std::copy(cached.begin(), cached.end(), pool.begin());
+    std::size_t live = cached.size();
+    if (hasPriorities) {
+      pool.resize(live);
+      pool = applyPriorities(system, snapshot, std::move(pool));
+      live = pool.size();
     }
 
-    g_mtSteps.add(batch.size());
-    g_mtBatchSize.observe(static_cast<std::int64_t>(batch.size()));
+    // Select a batch of pairwise-independent interactions: move each pick
+    // to the end of the batch [0, chosen), then drop, in order, the
+    // candidates after it that share an instance with it. The footprint of
+    // an interaction is every end of its connector (guards may read
+    // non-participating ends).
+    const auto footprint = [&](std::size_t k) -> const std::vector<ConnectorEnd>& {
+      return system.connector(static_cast<std::size_t>(pool[k].connector)).ends();
+    };
+    std::fill(used.begin(), used.end(), false);
+    std::size_t chosen = 0;
+    while (chosen < live && chosen < maxBatch && executed + chosen < options.maxSteps) {
+      const auto [idx, choice] = policy_->pick(
+          system, snapshot, std::span(pool).subspan(chosen, live - chosen));
+      require(idx < live - chosen, "SchedulingPolicy returned out-of-range interaction");
+      for (std::size_t k = chosen + idx; k > chosen; --k) swap(pool[k], pool[k - 1]);
+      if (choices.size() == chosen) choices.emplace_back();
+      choices[chosen].assign(choice.begin(), choice.end());
+      for (const ConnectorEnd& e : footprint(chosen)) {
+        used[static_cast<std::size_t>(e.port.instance)] = true;
+      }
+      std::size_t kept = ++chosen;
+      for (std::size_t k = chosen; k < live; ++k) {
+        if (std::none_of(footprint(k).begin(), footprint(k).end(), [&](const ConnectorEnd& e) {
+              return used[static_cast<std::size_t>(e.port.instance)];
+            })) {
+          swap(pool[kept++], pool[k]);
+        }
+      }
+      live = kept;
+    }
+    g_mtSteps.add(chosen);
+    g_mtBatchSize.observe(static_cast<std::int64_t>(chosen));
 
     // Connector data transfer centrally, then parallel dispatch.
-    std::vector<int> dispatched;
-    for (const Selected& sel : batch) {
-      const EnabledInteraction& ei = sel.interaction;
+    dispatched.clear();
+    for (std::size_t b = 0; b < chosen; ++b) {
+      const EnabledInteraction& ei = pool[b];
       const Connector& c = system.connector(static_cast<std::size_t>(ei.connector));
       connectorTransfer(system, snapshot, ei);
       for (std::size_t k = 0; k < ei.ends.size(); ++k) {
         const ConnectorEnd& end = c.end(static_cast<std::size_t>(ei.ends[k]));
         const int inst = end.port.instance;
-        const int transition = ei.choices[k][static_cast<std::size_t>(sel.choice[k])];
+        const int transition = ei.choices[k][static_cast<std::size_t>(choices[b][k])];
         workers[static_cast<std::size_t>(inst)]->dispatch(ExecuteCommand{
             transition, snapshot.components[static_cast<std::size_t>(inst)].vars});
         dispatched.push_back(inst);

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 #include "util/require.hpp"
 
 namespace cbip::expr {
@@ -19,11 +20,7 @@ const obs::Counter g_batchScalarOps("vm.batch.scalar_ops");
 const obs::Counter g_batchReplays("vm.batch.replays");
 
 std::atomic<bool>& compileFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CBIP_NO_COMPILE");
-    const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-    return !disabled;
-  }();
+  static std::atomic<bool> flag = !envFlagOn(std::getenv("CBIP_NO_COMPILE"));
   return flag;
 }
 

@@ -479,18 +479,6 @@ System skewedPairs(int pairs, int hotPairs, Value coldBudget) {
   return sys;
 }
 
-int philosophersEating(const System& system, const GlobalState& state) {
-  int count = 0;
-  for (std::size_t i = 0; i < system.instanceCount(); ++i) {
-    const System::Instance& inst = system.instance(i);
-    if (!inst.name.empty() && inst.name[0] == 'p' &&
-        state.components[i].location != 0) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 bool tokenRingMutex(const System& system, const GlobalState& state) {
   int inCrit = 0;
   for (std::size_t i = 0; i < system.instanceCount(); ++i) {

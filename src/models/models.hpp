@@ -68,9 +68,6 @@ System skewedPairs(int pairs, int hotPairs, Value coldBudget = 0);
 
 // --- helpers used by property tests ---
 
-/// Number of philosophers holding (at least) their left fork.
-int philosophersEating(const System& system, const GlobalState& state);
-
 /// True iff at most one station of a tokenRing system is in its critical
 /// section (the characteristic mutual-exclusion property).
 bool tokenRingMutex(const System& system, const GlobalState& state);

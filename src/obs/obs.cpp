@@ -12,6 +12,8 @@
 #include <mutex>
 #include <sstream>
 
+#include "util/env.hpp"
+
 namespace cbip::obs {
 
 std::uint64_t Snapshot::counter(std::string_view name) const {
@@ -88,10 +90,7 @@ namespace {
 /// other static initializers — never correctness.
 const struct EnabledEnvInit {
   EnabledEnvInit() {
-    const char* env = std::getenv("CBIP_NO_OBS");
-    detail::g_enabled.store(
-        env == nullptr || env[0] == '\0' || std::string_view(env) == "0",
-        std::memory_order_relaxed);
+    detail::g_enabled.store(!envFlagOn(std::getenv("CBIP_NO_OBS")), std::memory_order_relaxed);
   }
 } g_enabledEnvInit;
 

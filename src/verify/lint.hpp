@@ -21,7 +21,7 @@
 // Both lints are sound relative to the invariants: a reported location
 // really is unreachable, a reported interaction really never fires
 // (invariants over-approximate reachability, so what they exclude is
-// truly excluded). Diagnostics reuse analyze::Diagnostic so cbip-lint
+// truly excluded). Diagnostics reuse analyze::Diagnostic so `cbip lint`
 // prints one uniform stream.
 #pragma once
 

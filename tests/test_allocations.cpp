@@ -1,12 +1,14 @@
-// Steady-state allocation check for the sequential and sharded engines.
-// With trace recording off, a run of 2N steps must allocate exactly as
+// Steady-state allocation check for the engines. With trace recording
+// off, a sequential or sharded run of 2N steps must allocate exactly as
 // often as a run of N steps: once the enabled sets, their recycled
 // elements, the policies' choice buffers and every scratch buffer have
-// reached their largest sizes, a step allocates nothing. Global operator
-// new is replaced here to count allocations, which is why this is its own
-// test executable.
+// reached their largest sizes, a step allocates nothing. A multi-threaded
+// step may allocate only the variable copies of its dispatch. Global
+// operator new is replaced here to count allocations, which is why this
+// is its own test executable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "engine/engine_mt.hpp"
 #include "expr/compile.hpp"
 #include "models/models.hpp"
 #include "shard/engine_sharded.hpp"
@@ -68,6 +71,22 @@ std::uint64_t allocationsOfShardedRun(const System& sys, std::uint64_t steps) {
   return made;
 }
 
+/// Allocations made by one untraced MultiThreadEngine run of `steps`
+/// steps, on a fresh engine and policy (built outside the count).
+std::uint64_t allocationsOfMtRun(const System& sys, std::uint64_t steps) {
+  RandomPolicy policy(7);
+  MultiThreadEngine engine(sys, policy);
+  MtOptions options;
+  options.maxSteps = steps;
+  options.recordTrace = false;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const RunResult result = engine.run(options);
+  const std::uint64_t made = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(result.reason, StopReason::kStepLimit);
+  EXPECT_EQ(result.steps, steps);
+  return made;
+}
+
 struct Case {
   const char* name;
   System system;
@@ -111,6 +130,40 @@ TEST(SteadyStateAllocations, ShardedStepsAllocateNothing) {
     const std::uint64_t single = allocationsOfShardedRun(c.system, kSteps);
     const std::uint64_t twice = allocationsOfShardedRun(c.system, 2 * kSteps);
     EXPECT_EQ(twice, single);
+  }
+}
+
+/// The most allocations one multi-threaded step may make: its dispatch
+/// copies each participant's variables three times (into the command,
+/// into the worker's working state, and back out in the snapshot), so a
+/// step of connector c makes 3 per end of c whose type has variables.
+std::uint64_t dispatchAllocationsPerStep(const System& sys) {
+  std::uint64_t most = 0;
+  for (std::size_t c = 0; c < sys.connectorCount(); ++c) {
+    std::uint64_t copies = 0;
+    for (const ConnectorEnd& e : sys.connector(c).ends()) {
+      if (sys.instance(static_cast<std::size_t>(e.port.instance)).type->variableCount() > 0) {
+        copies += 3;
+      }
+    }
+    most = std::max(most, copies);
+  }
+  return most;
+}
+
+TEST(SteadyStateAllocations, MultiThreadPicksCopyNothing) {
+  if (!expr::compilationEnabled()) {
+    GTEST_SKIP() << "the interpreter allocates per evaluation; the compiled path is checked";
+  }
+  // Batch selection copies the enabled set into a reused buffer and picks
+  // in place; copying a picked interaction or the remaining candidates
+  // would add at least 2 + participants allocations per pick.
+  for (const Case& c : cases()) {
+    SCOPED_TRACE(c.name);
+    allocationsOfMtRun(c.system, kSteps);
+    const std::uint64_t single = allocationsOfMtRun(c.system, kSteps);
+    const std::uint64_t twice = allocationsOfMtRun(c.system, 2 * kSteps);
+    EXPECT_LE(twice - single, dispatchAllocationsPerStep(c.system) * kSteps);
   }
 }
 

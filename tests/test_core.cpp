@@ -1,10 +1,12 @@
 // Tests for the core component model: atomic components, connectors,
-// priorities, system validation and operational semantics.
+// priorities, system validation and operational semantics; plus the
+// reading of the boolean environment switches.
 #include <gtest/gtest.h>
 
 #include "core/semantics.hpp"
 #include "core/system.hpp"
 #include "models/models.hpp"
+#include "util/env.hpp"
 #include "util/require.hpp"
 
 namespace cbip {
@@ -345,6 +347,15 @@ TEST(Models, TokenRingMaintainsMutex) {
     executeDefault(sys, g, enabled[i % enabled.size()]);
     EXPECT_TRUE(models::tokenRingMutex(sys, g));
   }
+}
+
+TEST(EnvFlag, SetNonEmptyAndNotZeroIsOn) {
+  EXPECT_FALSE(envFlagOn(nullptr));
+  EXPECT_FALSE(envFlagOn(""));
+  EXPECT_FALSE(envFlagOn("0"));
+  EXPECT_TRUE(envFlagOn("1"));
+  EXPECT_TRUE(envFlagOn("yes"));
+  EXPECT_TRUE(envFlagOn("00"));
 }
 
 }  // namespace

@@ -362,5 +362,40 @@ TEST(SequentialEngine, GoldenTracesArePinned) {
   }
 }
 
+// ---- Golden multi-threaded traces ------------------------------------------
+
+TEST(MultiThreadEngine, GoldenTracesArePinned) {
+  // A cycle's batch is picked from the enabled set in its cached order,
+  // dropping the candidates that overlap an earlier pick, so a change in
+  // that order or in the pick sequence shows up here as a different hash.
+  struct Golden {
+    const char* name;
+    System system;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Golden runs[] = {
+      {"gas4x4/1", models::gasStation(4, 4), 1, 0x9e5084700875c2faull},
+      {"gas4x4/2", models::gasStation(4, 4), 2, 0xa0b202581bca5d0dull},
+      {"philo16/1", models::philosophersAtomic(16), 1, 0xf2c44072705202acull},
+      {"philo16/2", models::philosophersAtomic(16), 2, 0x1dc6199f8664b0b7ull},
+      {"prodcons16/1", models::producerConsumer(16), 1, 0xcd3b538cab0440a6ull},
+      {"prodcons16/2", models::producerConsumer(16), 2, 0x6c3faa3bed2a78a7ull},
+  };
+  for (const bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+    const CompileSwitch path(compiled);
+    for (const Golden& g : runs) {
+      RandomPolicy policy(g.seed);
+      MultiThreadEngine engine(g.system, policy);
+      MtOptions opt;
+      opt.maxSteps = 1000;
+      const RunResult r = engine.run(opt);
+      EXPECT_EQ(r.steps, 1000u) << g.name;
+      EXPECT_EQ(traceHash(r.trace), g.hash) << g.name;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cbip
