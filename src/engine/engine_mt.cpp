@@ -6,7 +6,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -22,14 +21,11 @@ namespace {
 const obs::Counter g_mtSteps("engine.mt.steps");
 const obs::Histogram g_mtBatchSize("engine.mt.batch_size");
 
-/// Command sent from the engine to a component worker thread.
-struct ExecuteCommand {
-  int transition = 0;                // global transition index in the type
-  std::vector<Value> varsAfterDown;  // component vars after connector "down"
-};
-
 /// One worker thread per component instance. The worker owns the mutable
-/// AtomicState; the engine only ever sees copies it reports back.
+/// AtomicState; the engine only ever sees copies it reports back. A
+/// command's variables, the working state and the snapshots all pass
+/// through buffers that are copy-assigned in place, so once they have
+/// reached their sizes a step allocates nothing.
 class Worker {
  public:
   Worker(const AtomicType& type, AtomicState initial, std::uint64_t grain)
@@ -45,22 +41,29 @@ class Worker {
   /// when the engine unwinds from an EvalError mid-run.
   ~Worker() { stop(); }
 
-  /// Snapshot of the worker's state; only called by the engine when no
-  /// command is in flight for this worker. Rethrows the exception the
+  /// Copies the worker's state into `out`; only called by the engine when
+  /// no command is in flight for this worker. Rethrows the exception the
   /// last command raised (an EvalError in an action or a tau divergence),
   /// so it surfaces from MultiThreadEngine::run instead of escaping the
   /// worker thread.
-  AtomicState snapshot() {
+  void snapshot(AtomicState& out) {
     const std::scoped_lock lock(mutex_);
     if (error_) std::rethrow_exception(error_);
-    return state_;
+    out = state_;
   }
 
-  void dispatch(ExecuteCommand cmd) {
+  /// Fires global transition `transition` of the type on the worker
+  /// thread, starting from the component variables after the connector's
+  /// "down" transfer.
+  void dispatch(int transition, std::span<const Value> varsAfterDown) {
     {
       const std::scoped_lock lock(mutex_);
-      require(!command_.has_value() && !busy_, "Worker: command already in flight");
-      command_ = std::move(cmd);
+      require(!pending_ && !busy_, "Worker: command already in flight");
+      // work_ is the worker thread's only while busy_, so it is filled here.
+      transition_ = transition;
+      work_.location = state_.location;
+      work_.vars.assign(varsAfterDown.begin(), varsAfterDown.end());
+      pending_ = true;
     }
     cv_.notify_all();
   }
@@ -68,7 +71,7 @@ class Worker {
   /// Blocks until the last dispatched command finished.
   void wait() {
     std::unique_lock lock(mutex_);
-    cv_.wait(lock, [this] { return !command_.has_value() && !busy_; });
+    cv_.wait(lock, [this] { return !pending_ && !busy_; });
   }
 
   void stop() {
@@ -84,25 +87,22 @@ class Worker {
  private:
   void loop(const std::stop_token& st) {
     while (true) {
-      ExecuteCommand cmd;
-      AtomicState work;
+      int transition = 0;
       {
         std::unique_lock lock(mutex_);
-        cv_.wait(lock, [this, &st] { return command_.has_value() || st.stop_requested(); });
-        if (!command_.has_value()) return;  // stop requested
-        cmd = std::move(*command_);
-        command_.reset();
+        cv_.wait(lock, [this, &st] { return pending_ || st.stop_requested(); });
+        if (!pending_) return;  // stop requested
+        pending_ = false;
         busy_ = true;
-        work = state_;
+        transition = transition_;
       }
       // Execute outside the lock: this is the parallel section. An
       // exception is parked for snapshot() to rethrow on the engine
       // thread; the state keeps its pre-command value.
       std::exception_ptr error;
       try {
-        work.vars = std::move(cmd.varsAfterDown);
-        fire(*type_, work, cmd.transition);
-        runInternal(*type_, work);
+        fire(*type_, work_, transition);
+        runInternal(*type_, work_);
         spin();
       } catch (...) {
         error = std::current_exception();
@@ -112,7 +112,7 @@ class Worker {
         if (error) {
           error_ = error;
         } else {
-          state_ = std::move(work);
+          std::swap(state_, work_);  // the old state's storage serves the next command
         }
         busy_ = false;
       }
@@ -127,10 +127,12 @@ class Worker {
 
   const AtomicType* type_;
   AtomicState state_;
+  AtomicState work_;  // the command's working state
   std::uint64_t grain_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::optional<ExecuteCommand> command_;
+  int transition_ = 0;
+  bool pending_ = false;  // a dispatched command waits for the worker
   bool busy_ = false;
   std::exception_ptr error_;
   std::jthread thread_;
@@ -181,7 +183,7 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
   RunResult result;
   GlobalState snapshot;
   snapshot.components.resize(n);
-  for (std::size_t i = 0; i < n; ++i) snapshot.components[i] = workers[i]->snapshot();
+  for (std::size_t i = 0; i < n; ++i) workers[i]->snapshot(snapshot.components[i]);
 
   EnabledInteractionCache cache(system);
   cache.reset(snapshot);
@@ -258,8 +260,8 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
         const ConnectorEnd& end = c.end(static_cast<std::size_t>(ei.ends[k]));
         const int inst = end.port.instance;
         const int transition = ei.choices[k][static_cast<std::size_t>(choices[b][k])];
-        workers[static_cast<std::size_t>(inst)]->dispatch(ExecuteCommand{
-            transition, snapshot.components[static_cast<std::size_t>(inst)].vars});
+        workers[static_cast<std::size_t>(inst)]->dispatch(
+            transition, snapshot.components[static_cast<std::size_t>(inst)].vars);
         dispatched.push_back(inst);
       }
       if (options.recordTrace) {
@@ -272,8 +274,8 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
     // (rethrowing the first failure in dispatch order).
     for (int inst : dispatched) workers[static_cast<std::size_t>(inst)]->wait();
     for (int inst : dispatched) {
-      snapshot.components[static_cast<std::size_t>(inst)] =
-          workers[static_cast<std::size_t>(inst)]->snapshot();
+      workers[static_cast<std::size_t>(inst)]->snapshot(
+          snapshot.components[static_cast<std::size_t>(inst)]);
     }
     // Only the dispatched instances changed, so they are the dirty set.
     cache.update(snapshot, dispatched);

@@ -1,5 +1,6 @@
 #include "expr/compile.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <string>
@@ -114,10 +115,12 @@ class Compiler {
     }
     if (!dead) {
       for (const Assign& a : actions) {
-        emit(a.value);
+        std::vector<std::size_t> skips;  // jumps past the store
+        if (!emitSkipStore(a, skips)) emit(a.value);
         const int slot = (*slots_)(a.target);
         require(slot >= 0, "compileFused: SlotMap returned a negative slot");
         code_.push_back(Instr{OpCode::kStore, slot, 0});
+        for (std::size_t j : skips) patch(j);
         hasStores = true;
         invalidateReaders(slot);
       }
@@ -175,11 +178,29 @@ class Compiler {
     return out;
   }
 
-  /// Counts every non-leaf subtree occurrence; keys seen >= 2 times are
-  /// CSE candidates. Occurrences inside branches that later fold away are
-  /// over-counted, which costs at most one unused kTee.
+  /// A variable compared with a literal. The threaded form runs such a
+  /// test inside one superinstruction (see finalize), so recomputing it
+  /// is cheaper than parking it in a temp, which would split the group.
+  static bool isSlotTest(const Expr& e) {
+    switch (e.op()) {
+      case Op::kEq:
+      case Op::kNe:
+      case Op::kLt:
+      case Op::kLe:
+      case Op::kGt:
+      case Op::kGe:
+        return e.child(0).op() == Op::kVar && e.child(1).op() == Op::kLit;
+      default:
+        return false;
+    }
+  }
+
+  /// Counts every non-leaf subtree occurrence except slot tests; keys
+  /// seen >= 2 times are CSE candidates. Occurrences inside branches that
+  /// later fold away are over-counted, which costs at most one unused
+  /// kTee.
   void countCandidates(const Expr& e) {
-    if (e.op() == Op::kLit || e.op() == Op::kVar) return;
+    if (e.op() == Op::kLit || e.op() == Op::kVar || isSlotTest(e)) return;
     ++occurrences_[keyOf(e)];
     for (std::size_t i = 0; i < e.arity(); ++i) countCandidates(e.child(i));
   }
@@ -247,31 +268,8 @@ class Compiler {
         if (rb == Cond::kFalse) fj.push_back(emitJump(OpCode::kJump));
         return Cond::kNormal;
       }
-      case Op::kNot: {
-        const Expr& c = e.child(0);
-        if (c.op() == Op::kAnd || c.op() == Op::kOr || c.op() == Op::kNot) {
-          // Recursive flip: the child's true exits route to our false
-          // list and vice versa; the child's fall-through (child true =
-          // we false) needs one unconditional jump to FAIL.
-          std::vector<std::size_t> childTrue;
-          const Cond r = emitCond(c, childTrue, tj);
-          if (r == Cond::kTrue) return Cond::kFalse;
-          if (r == Cond::kFalse) return Cond::kTrue;
-          fj.push_back(emitJump(OpCode::kJump));
-          for (std::size_t j : childTrue) fj.push_back(j);
-          return Cond::kNormal;
-        }
-        // Value child: one inverted test replaces kNot + kJumpIfZero.
-        const std::size_t from = code_.size();
-        emit(c);
-        if (constSince(from)) {
-          const Value v = code_.back().imm;
-          code_.pop_back();
-          return v != 0 ? Cond::kFalse : Cond::kTrue;
-        }
-        fj.push_back(emitJump(OpCode::kJumpIfNonZero));
-        return Cond::kNormal;
-      }
+      case Op::kNot:
+        return emitNotCond(e.child(0), tj, fj);
       default: {
         // Value position (comparisons, arithmetic, ite, leaves): evaluate
         // and test once. emit() keeps folding and CSE reuse intact.
@@ -286,6 +284,61 @@ class Compiler {
         return Cond::kNormal;
       }
     }
+  }
+
+  /// emitCond for `!c`: control falls through iff `c` is false.
+  Cond emitNotCond(const Expr& c, std::vector<std::size_t>& tj, std::vector<std::size_t>& fj) {
+    if (c.op() == Op::kAnd || c.op() == Op::kOr || c.op() == Op::kNot) {
+      // Recursive flip: the child's true exits route to our false list
+      // and vice versa; the child's fall-through (child true = we false)
+      // needs one unconditional jump to FAIL.
+      std::vector<std::size_t> childTrue;
+      const Cond r = emitCond(c, childTrue, tj);
+      if (r == Cond::kTrue) return Cond::kFalse;
+      if (r == Cond::kFalse) return Cond::kTrue;
+      fj.push_back(emitJump(OpCode::kJump));
+      for (std::size_t j : childTrue) fj.push_back(j);
+      return Cond::kNormal;
+    }
+    // Value child: one inverted test replaces kNot + kJumpIfZero.
+    const std::size_t from = code_.size();
+    emit(c);
+    if (constSince(from)) {
+      const Value v = code_.back().imm;
+      code_.pop_back();
+      return v != 0 ? Cond::kFalse : Cond::kTrue;
+    }
+    fj.push_back(emitJump(OpCode::kJumpIfNonZero));
+    return Cond::kNormal;
+  }
+
+  /// Skip-store lowering of `x := ite(c, e, x)` and its mirror
+  /// `x := ite(c, x, e)`: the branch that keeps x would store x back into
+  /// x, a no-op, and a kLoad cannot raise. So the keep path jumps past the
+  /// store instead: `[c] JumpIfZero SKIP  [e]` (the caller emits
+  /// `Store x`, then patches `skips` to SKIP). `c` still runs
+  /// unconditionally and `e` conditionally, as in the ite lowering, and
+  /// the caller's store invalidates x's readers either way. Returns false
+  /// (nothing emitted) when the value has another shape, when `c` folds
+  /// to a literal, or when a parked temp already holds the whole ite.
+  bool emitSkipStore(const Assign& a, std::vector<std::size_t>& skips) {
+    const Expr& v = a.value;
+    if (v.op() != Op::kIte) return false;
+    const auto keeps = [&](const Expr& b) { return b.op() == Op::kVar && b.ref() == a.target; };
+    const bool keepElse = keeps(v.child(2));
+    if (!keepElse && !keeps(v.child(1))) return false;
+    if (cse_ && findAvail(keyOf(v)) != nullptr) return false;
+    std::vector<std::size_t> tj;
+    const Cond r =
+        keepElse ? emitCond(v.child(0), tj, skips) : emitNotCond(v.child(0), tj, skips);
+    // A condition folded to a literal emitted nothing (see emitCond); the
+    // value lowering then emits just the taken branch.
+    if (r != Cond::kNormal) return false;
+    for (std::size_t j : tj) patch(j);
+    ++condDepth_;  // the store may be skipped
+    emit(v.child(keepElse ? 1 : 2));
+    --condDepth_;
+    return true;
   }
 
   /// Materializes a condition as a 0/1 value (the && / || value path):
@@ -610,6 +663,28 @@ class BatchLowerer {
   int maxDepth_ = 0;
 };
 
+#if CBIP_HAS_COMPUTED_GOTO
+// Peephole helpers of the threaded translation (finalize).
+
+bool isJump(OpCode op) {
+  return op == OpCode::kJump || op == OpCode::kJumpIfZero || op == OpCode::kJumpIfNonZero;
+}
+
+/// Position of a comparison opcode among Eq, Ne, Lt, Le, Gt, Ge (their
+/// OpCode order, which SuperOp's families repeat), or -1.
+int comparison(OpCode op) {
+  const int i = static_cast<int>(op) - static_cast<int>(OpCode::kEq);
+  return i >= 0 && i < 6 ? i : -1;
+}
+
+/// kNegated[c]: the comparison that holds exactly when comparison c fails.
+constexpr int kNegated[6] = {1, 0, 5, 4, 3, 2};
+
+/// A guarded copy packs its destination and source slots 16 bits each;
+/// slots at or above this limit (frames of 32k variables) stay unfused.
+constexpr std::int32_t kPackedSlotLimit = 1 << 15;
+#endif
+
 }  // namespace
 
 Value ExprProgram::run(std::span<const Value> frame, std::int32_t base) const {
@@ -906,7 +981,8 @@ __attribute__((aligned(64))) Value ExprProgram::execThreaded(std::span<const Val
   // Handler label table, indexed by OpCode value, halt sentinel last.
   // The addresses are function-local, so finalize() fetches the table
   // through the labelsOut mode instead of duplicating it elsewhere.
-  static const void* const kLabels[kOpCodeCount + 1] = {
+  // Superinstruction handlers follow the sentinel, in SuperOp order.
+  static const void* const kLabels[kOpCodeCount + 1 + kSuperOpCount] = {
       &&L_Push, &&L_Load,
       &&L_Add, &&L_Sub, &&L_Mul, &&L_Div, &&L_Mod,
       &&L_Min, &&L_Max,
@@ -915,7 +991,11 @@ __attribute__((aligned(64))) Value ExprProgram::execThreaded(std::span<const Val
       &&L_Jump, &&L_JumpIfZero, &&L_JumpIfNonZero,
       &&L_Store, &&L_Tee, &&L_LoadTmp,
       &&L_AndB, &&L_OrB, &&L_Select,
-      &&L_Halt};
+      &&L_Halt,
+      &&L_JumpUnlessEq, &&L_JumpUnlessNe, &&L_JumpUnlessLt,
+      &&L_JumpUnlessLe, &&L_JumpUnlessGt, &&L_JumpUnlessGe,
+      &&L_CopyIfEq, &&L_CopyIfNe, &&L_CopyIfLt, &&L_CopyIfLe, &&L_CopyIfGt, &&L_CopyIfGe,
+      &&L_Move, &&L_CopyRun};
   if (labelsOut != nullptr) {
     *labelsOut = kLabels;
     return 0;
@@ -931,6 +1011,7 @@ __attribute__((aligned(64))) Value ExprProgram::execThreaded(std::span<const Val
   const ThreadedInstr* ip = t;
   Value* temps = stack + maxStack_;
   Value* frameMut = const_cast<Value*>(frame.data());
+  Value* const fb = frameMut + base;  // superinstructions address the frame at base
   int sp = 0;
 #define CBIP_NEXT() goto* (ip->label)
   CBIP_NEXT();
@@ -1068,6 +1149,51 @@ L_Select:
   stack[sp - 1] = stack[sp - 1] != 0 ? stack[sp] : stack[sp + 1];
   ++ip;
   CBIP_NEXT();
+  // Superinstructions: each replays its code_ group with the operands in
+  // the record, leaving the stack as the group would (net zero). Only
+  // programs with stores hold the copying forms, so `fb` is written only
+  // through a mutable frame, as kStore is.
+#define CBIP_JUMP_UNLESS(name, cmp)   \
+  name:                               \
+  if (!(fb[ip->arg] cmp ip->imm)) {   \
+    ip = t + ip->arg2;                \
+    CBIP_NEXT();                      \
+  }                                   \
+  ++ip;                               \
+  CBIP_NEXT();
+  CBIP_JUMP_UNLESS(L_JumpUnlessEq, ==)
+  CBIP_JUMP_UNLESS(L_JumpUnlessNe, !=)
+  CBIP_JUMP_UNLESS(L_JumpUnlessLt, <)
+  CBIP_JUMP_UNLESS(L_JumpUnlessLe, <=)
+  CBIP_JUMP_UNLESS(L_JumpUnlessGt, >)
+  CBIP_JUMP_UNLESS(L_JumpUnlessGe, >=)
+#undef CBIP_JUMP_UNLESS
+#define CBIP_COPY_IF(name, cmp)                                            \
+  name:                                                                    \
+  if (fb[ip->arg] cmp ip->imm) fb[ip->arg2 & 0xFFFF] = fb[ip->arg2 >> 16]; \
+  ++ip;                                                                    \
+  CBIP_NEXT();
+  CBIP_COPY_IF(L_CopyIfEq, ==)
+  CBIP_COPY_IF(L_CopyIfNe, !=)
+  CBIP_COPY_IF(L_CopyIfLt, <)
+  CBIP_COPY_IF(L_CopyIfLe, <=)
+  CBIP_COPY_IF(L_CopyIfGt, >)
+  CBIP_COPY_IF(L_CopyIfGe, >=)
+#undef CBIP_COPY_IF
+L_Move:
+  fb[ip->arg] = fb[ip->arg2];
+  ++ip;
+  CBIP_NEXT();
+L_CopyRun: {
+  // Forward, one element at a time, never memmove: when the destination
+  // run starts above an overlapping source run, the sequential stores
+  // spread the first source value across it.
+  Value* const dst = fb + ip->arg;
+  const Value* const src = fb + ip->arg2;
+  for (Value i = 0; i < ip->imm; ++i) dst[i] = src[i];
+  ++ip;
+  CBIP_NEXT();
+}
 L_Halt:
   requireEval(sp == 1, "ExprProgram::run: corrupt program (stack imbalance)");
   return stack[0];
@@ -1079,15 +1205,105 @@ void ExprProgram::finalize() {
 #if CBIP_HAS_COMPUTED_GOTO
   const void* const* labels = nullptr;
   execThreaded({}, 0, nullptr, &labels);
-  threaded_.clear();
-  threaded_.reserve(code_.size() + 1);
+  // Handler of a superinstruction; `offset` picks a comparison within a
+  // family (kJumpUnless*, kCopyIf*).
+  const auto super = [labels](SuperOp op, int offset = 0) {
+    return labels[kOpCodeCount + 1 + static_cast<int>(op) + offset];
+  };
+  const Instr* const c = code_.data();
+  const std::size_t n = code_.size();
+  std::vector<char> isTarget(n + 1, 0);
   for (const Instr& in : code_) {
-    threaded_.push_back(ThreadedInstr{labels[static_cast<int>(in.op)], in.arg, in.imm});
+    if (!isJump(in.op)) continue;
+    require(in.arg >= 0 && static_cast<std::size_t>(in.arg) <= n, "finalize: unpatched jump");
+    isTarget[static_cast<std::size_t>(in.arg)] = 1;
+  }
+  // Control may enter a fused group only at its first instruction.
+  const auto entered = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      if (isTarget[i] != 0) return true;
+    }
+    return false;
+  };
+  const auto is = [&](std::size_t i, OpCode op) { return i < n && c[i].op == op; };
+  std::vector<std::int32_t> at(n + 1, -1);  // code_ index -> record of the group it starts
+  // Records whose target field still holds a code_ index.
+  std::vector<std::pair<std::size_t, std::int32_t ThreadedInstr::*>> jumps;
+  threaded_.clear();
+  threaded_.reserve(n + 1);
+  std::size_t pc = 0;
+  while (pc < n) {
+    at[pc] = static_cast<std::int32_t>(threaded_.size());
+    const int cmp = pc + 2 < n ? comparison(c[pc + 2].op) : -1;
+    if (is(pc, OpCode::kLoad) && is(pc + 1, OpCode::kPush) && cmp >= 0 &&
+        (is(pc + 3, OpCode::kJumpIfZero) || is(pc + 3, OpCode::kJumpIfNonZero)) &&
+        !entered(pc + 1, pc + 4)) {
+      // The condition under which control falls through: cmp for
+      // JumpIfZero, its negation for JumpIfNonZero.
+      const int holds = c[pc + 3].op == OpCode::kJumpIfZero ? cmp : kNegated[cmp];
+      const Value k = c[pc + 1].imm;
+      if (is(pc + 4, OpCode::kLoad) && is(pc + 5, OpCode::kStore) &&
+          c[pc + 3].arg == static_cast<std::int32_t>(pc + 6) && !entered(pc + 4, pc + 6) &&
+          c[pc + 4].arg < kPackedSlotLimit && c[pc + 5].arg < kPackedSlotLimit) {
+        const std::int32_t packed = c[pc + 5].arg | (c[pc + 4].arg << 16);
+        threaded_.push_back(ThreadedInstr{super(SuperOp::kCopyIfEq, holds), c[pc].arg, packed, k});
+        pc += 6;
+        continue;
+      }
+      jumps.emplace_back(threaded_.size(), &ThreadedInstr::arg2);
+      threaded_.push_back(
+          ThreadedInstr{super(SuperOp::kJumpUnlessEq, holds), c[pc].arg, c[pc + 3].arg, k});
+      pc += 4;
+      continue;
+    }
+    if (is(pc, OpCode::kLoad) && is(pc + 1, OpCode::kStore) && !entered(pc + 1, pc + 2)) {
+      // Extend over the following moves that continue both slot runs.
+      const std::int32_t src = c[pc].arg;
+      const std::int32_t dst = c[pc + 1].arg;
+      std::int32_t len = 1;
+      for (std::size_t q = pc + 2; is(q, OpCode::kLoad) && is(q + 1, OpCode::kStore) &&
+                                   c[q].arg == src + len && c[q + 1].arg == dst + len &&
+                                   !entered(q, q + 2);
+           q += 2) {
+        ++len;
+      }
+      const SuperOp op = len == 1 ? SuperOp::kMove : SuperOp::kCopyRun;
+      threaded_.push_back(ThreadedInstr{super(op), dst, src, len});
+      pc += 2 * static_cast<std::size_t>(len);
+      continue;
+    }
+    if (isJump(c[pc].op)) jumps.emplace_back(threaded_.size(), &ThreadedInstr::arg);
+    threaded_.push_back(ThreadedInstr{labels[static_cast<int>(c[pc].op)], c[pc].arg, 0, c[pc].imm});
+    ++pc;
   }
   // Halt sentinel: jump targets may legally equal code_.size() (patched
   // to the program end), and sequential fall-off lands here too.
-  threaded_.push_back(ThreadedInstr{labels[kOpCodeCount], 0, 0});
+  at[n] = static_cast<std::int32_t>(threaded_.size());
+  threaded_.push_back(ThreadedInstr{labels[kOpCodeCount], 0, 0, 0});
+  for (const auto& [record, field] : jumps) {
+    std::int32_t& target = threaded_[record].*field;
+    target = at[static_cast<std::size_t>(target)];
+    require(target >= 0, "finalize: jump into a fused group");
+  }
 #endif
+}
+
+Value ExprProgram::runSwitchCore(std::span<Value> frame, std::int32_t base) const {
+  std::vector<Value> stack(static_cast<std::size_t>(maxStack_ + tempCount_));
+  return exec(frame, base, stack.data());
+}
+
+std::vector<int> ExprProgram::threadedHandlers() const {
+  std::vector<int> out;
+#if CBIP_HAS_COMPUTED_GOTO
+  const void* const* labels = nullptr;
+  execThreaded({}, 0, nullptr, &labels);
+  constexpr int kHandlers = kOpCodeCount + 1 + kSuperOpCount;
+  for (const ThreadedInstr& r : threaded_) {
+    out.push_back(static_cast<int>(std::find(labels, labels + kHandlers, r.label) - labels));
+  }
+#endif
+  return out;
 }
 
 ExprProgram compile(const Expr& e, const SlotMap& slots) {

@@ -39,17 +39,37 @@
 // of recomputing, as long as no intervening assignment clobbered a slot
 // it reads. Caching is sound for errors too: every operator's outcome
 // (value or EvalError) is a deterministic function of its operand values,
-// so a reuse whose defining occurrence succeeded cannot have raised.
-// Guard-then-fire call sites collapse to one dispatch of the fused
-// program.
+// so a reuse whose defining occurrence succeeded cannot have raised. A
+// variable compared with a literal is never parked: recomputing it is
+// cheaper (see the superinstructions below). Guard-then-fire call sites
+// collapse to one dispatch of the fused program.
+//
+// Skip-store lowering: an assignment `x := ite(c, e, x)` (or the mirror
+// `x := ite(c, x, e)`) lowers as `[c] JumpIfZero SKIP  [e] Store x
+// SKIP:` (JumpIfNonZero for the mirror). Storing x back into x is a
+// no-op and a kLoad cannot raise, so the values, the stores and the first
+// EvalError are those of the ite lowering. This is how an indexed write
+// looks in a data language without arrays (`slot_i := count == i ? v :
+// slot_i`, one per slot), and it leaves each such write as a test and a
+// copy.
 //
 // Execution cores: on GCC/Clang every program runs on a computed-goto
-// direct-threaded core (execThreaded) built at finalization by
-// translating each opcode into the address of its handler label, so
-// per-instruction dispatch is one indirect goto instead of a
+// direct-threaded core (execThreaded) whose form finalize() builds from
+// code_, so per-instruction dispatch is one indirect goto instead of a
 // bounds-checked switch; the portable switch interpreter (exec) serves
 // toolchains without computed goto and the CBIP_FORCE_SWITCH_DISPATCH
-// build. Guards compile with truelist/falselist backpatching: a
+// build. The threaded translation is also a peephole pass: it fuses
+// instruction groups into superinstructions (SuperOp) — a slot compared
+// with an immediate and a branch; the guarded copy `if (f[a] cmp k) f[d]
+// := f[s]`, which always falls through; a Load/Store move; and a run of
+// moves over two contiguous slot ranges as one forward copy loop — and
+// remaps jump targets. A group never contains a jump target, so control
+// reaches a superinstruction only where it would have reached the group's
+// first instruction. Only the threaded form is fused. code() stays the
+// canonical postfix form that the analyzer (src/analyze) and the batch
+// lowering read and that the switch core runs, so the switch core is the
+// bit-for-bit oracle every superinstruction is tested against
+// (runSwitchCore). Guards compile with truelist/falselist backpatching: a
 // short-circuit && / || chain emits conditional jumps wired directly to
 // their ultimate targets (the action suffix, the FAIL label, the 0/1
 // materialization) instead of materializing and re-testing a boolean at
@@ -123,18 +143,40 @@ struct Instr {
   Value imm = 0;         // kPush: the literal
 };
 
+/// Superinstructions: fused handlers of the threaded form only (never in
+/// code(); see ExprProgram::finalize). `a`, `d`, `s` are frame slots,
+/// `k` an immediate, and `cmp` one of Eq, Ne, Lt, Le, Gt, Ge in OpCode
+/// order.
+enum class SuperOp : std::uint8_t {
+  // Load a; Push k; cmp; JumpIfZero T: if !(f[a] cmp k) goto T.
+  kJumpUnlessEq, kJumpUnlessNe, kJumpUnlessLt, kJumpUnlessLe, kJumpUnlessGt, kJumpUnlessGe,
+  // Load a; Push k; cmp; JumpIfZero SKIP; Load s; Store d; SKIP:
+  // if (f[a] cmp k) f[d] := f[s]. Always falls through.
+  kCopyIfEq, kCopyIfNe, kCopyIfLt, kCopyIfLe, kCopyIfGt, kCopyIfGe,
+  kMove,     // Load s; Store d: f[d] := f[s]
+  kCopyRun,  // n >= 2 moves f[d+i] := f[s+i], i = 0..n-1, forward, one element at a time
+};
+
+/// One past the last SuperOp value.
+inline constexpr int kSuperOpCount = static_cast<int>(SuperOp::kCopyRun) + 1;
+
 /// One instruction of the direct-threaded form: the opcode is replaced by
 /// the address of its handler label inside the threaded execution core,
 /// so dispatch is a single indirect `goto` instead of a bounds-checked
-/// switch. Jump args stay instruction *indices* (resolved against the
+/// switch. Jump targets stay instruction *indices* (resolved against the
 /// threaded array base at run time), which keeps the form relocatable
-/// under copies and moves. On toolchains without computed goto the
+/// under copies and moves. `arg2` fills what would be padding, so a
+/// record stays 24 bytes: it holds a superinstruction's second operand
+/// (a jump target, a source slot, or a guarded copy's destination and
+/// source slots, 16 bits each). On toolchains without computed goto the
 /// threaded vector simply stays empty.
 struct ThreadedInstr {
   const void* label = nullptr;
   std::int32_t arg = 0;
+  std::int32_t arg2 = 0;
   Value imm = 0;
 };
+static_assert(sizeof(ThreadedInstr) <= 24, "a threaded record must stay 24 bytes");
 
 class ExprProgram;
 
@@ -175,6 +217,17 @@ class ExprProgram {
   /// when the guard held and the action suffix executed, 0 when the
   /// conditional skip fired.
   Value run(std::span<Value> frame, std::int32_t base) const;
+
+  /// The portable switch core over code(), whatever core run() uses.
+  /// It is the bit-for-bit oracle the threaded form's superinstructions
+  /// are tested against; the engines never call it.
+  Value runSwitchCore(std::span<Value> frame, std::int32_t base) const;
+
+  /// Handler of each threaded record, in order: an OpCode value,
+  /// kOpCodeCount for the halt sentinel, or kOpCodeCount + 1 + a SuperOp
+  /// value. Its size is the record count; empty without computed goto.
+  /// Lets tests pin what the peephole pass fuses.
+  std::vector<int> threadedHandlers() const;
 
   /// True when the program writes the frame (holds kStore instructions).
   bool storesFrame() const { return hasStores_; }
@@ -247,14 +300,16 @@ class ExprProgram {
   void execBlock(std::span<const BatchOp> ops, std::span<const Value> frame, Value* lanes,
                  std::span<Value> out) const;
 
-  /// Builds the execution-ready forms from code_ (threaded translation;
-  /// called once, at the end of compilation). Single-threaded like all
-  /// program construction — engines only run finalized programs, which
-  /// are never mutated afterwards.
+  /// Builds the execution-ready forms from code_: the threaded
+  /// translation, a peephole pass that fuses superinstructions (SuperOp)
+  /// and remaps jump targets. A fused group may start at a jump target
+  /// but never contains one. Called once, at the end of compilation.
+  /// Single-threaded like all program construction — engines only run
+  /// finalized programs, which are never mutated afterwards.
   void finalize();
 
   std::vector<Instr> code_;
-  std::vector<ThreadedInstr> threaded_;  // code_ + halt sentinel; empty without computed goto
+  std::vector<ThreadedInstr> threaded_;  // fused code_ + halt sentinel; empty without computed goto
   std::vector<Instr> batch_;             // jump-free eager form (compile() only), often empty
   int maxStack_ = 0;
   int batchMaxStack_ = 0;  // stack depth of batch_ (eager evaluation needs its own bound)

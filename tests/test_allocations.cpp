@@ -2,13 +2,13 @@
 // off, a sequential or sharded run of 2N steps must allocate exactly as
 // often as a run of N steps: once the enabled sets, their recycled
 // elements, the policies' choice buffers and every scratch buffer have
-// reached their largest sizes, a step allocates nothing. A multi-threaded
-// step may allocate only the variable copies of its dispatch. Global
+// reached their largest sizes, a step allocates nothing. The same holds
+// for a multi-threaded run, whose workers copy variables into reused
+// buffers. Global
 // operator new is replaced here to count allocations, which is why this
 // is its own test executable.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -72,12 +72,14 @@ std::uint64_t allocationsOfShardedRun(const System& sys, std::uint64_t steps) {
 }
 
 /// Allocations made by one untraced MultiThreadEngine run of `steps`
-/// steps, on a fresh engine and policy (built outside the count).
-std::uint64_t allocationsOfMtRun(const System& sys, std::uint64_t steps) {
+/// steps with batches of at most `maxBatch` interactions (0: unbounded),
+/// on a fresh engine and policy (built outside the count).
+std::uint64_t allocationsOfMtRun(const System& sys, std::uint64_t steps, std::size_t maxBatch) {
   RandomPolicy policy(7);
   MultiThreadEngine engine(sys, policy);
   MtOptions options;
   options.maxSteps = steps;
+  options.maxBatch = maxBatch;
   options.recordTrace = false;
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   const RunResult result = engine.run(options);
@@ -104,6 +106,10 @@ std::vector<Case> cases() {
 /// (philosophersAtomic(16) reaches them between 2000 and 4000 steps under
 /// this seed); from there on the allocation count stays flat.
 constexpr std::uint64_t kSteps = 4000;
+
+/// Allocations the cache update after a multi-threaded run's cut last
+/// batch may add (gasStation(4,4) shows up to 10 across step limits).
+constexpr std::uint64_t kCutBatchAllocations = 32;
 
 TEST(SteadyStateAllocations, SequentialStepsAllocateNothing) {
   if (!expr::compilationEnabled()) {
@@ -133,37 +139,28 @@ TEST(SteadyStateAllocations, ShardedStepsAllocateNothing) {
   }
 }
 
-/// The most allocations one multi-threaded step may make: its dispatch
-/// copies each participant's variables three times (into the command,
-/// into the worker's working state, and back out in the snapshot), so a
-/// step of connector c makes 3 per end of c whose type has variables.
-std::uint64_t dispatchAllocationsPerStep(const System& sys) {
-  std::uint64_t most = 0;
-  for (std::size_t c = 0; c < sys.connectorCount(); ++c) {
-    std::uint64_t copies = 0;
-    for (const ConnectorEnd& e : sys.connector(c).ends()) {
-      if (sys.instance(static_cast<std::size_t>(e.port.instance)).type->variableCount() > 0) {
-        copies += 3;
-      }
-    }
-    most = std::max(most, copies);
-  }
-  return most;
-}
-
 TEST(SteadyStateAllocations, MultiThreadPicksCopyNothing) {
   if (!expr::compilationEnabled()) {
     GTEST_SKIP() << "the interpreter allocates per evaluation; the compiled path is checked";
   }
   // Batch selection copies the enabled set into a reused buffer and picks
-  // in place; copying a picked interaction or the remaining candidates
-  // would add at least 2 + participants allocations per pick.
+  // in place; a dispatch copy-assigns the participants' variables into
+  // worker-owned buffers and back into the snapshot. Copying a picked
+  // interaction, a candidate or a variable vector allocates per step.
   for (const Case& c : cases()) {
     SCOPED_TRACE(c.name);
-    allocationsOfMtRun(c.system, kSteps);
-    const std::uint64_t single = allocationsOfMtRun(c.system, kSteps);
-    const std::uint64_t twice = allocationsOfMtRun(c.system, 2 * kSteps);
-    EXPECT_LE(twice - single, dispatchAllocationsPerStep(c.system) * kSteps);
+    // Batches of one: a run of 2N steps allocates exactly as often as one
+    // of N.
+    allocationsOfMtRun(c.system, kSteps, 1);
+    EXPECT_EQ(allocationsOfMtRun(c.system, 2 * kSteps, 1), allocationsOfMtRun(c.system, kSteps, 1));
+    // Unbounded batches: a run's last batch is cut at the step limit, and
+    // the cache update after that cut batch (a dirty set the longer run
+    // need not meet) may grow a buffer or a few interaction shells once.
+    // So the two counts may differ by that end effect, never by anything
+    // that grows with the step count (one allocation per step adds kSteps).
+    const std::uint64_t single = allocationsOfMtRun(c.system, kSteps, 0);
+    const std::uint64_t twice = allocationsOfMtRun(c.system, 2 * kSteps, 0);
+    EXPECT_LE(twice, single + kCutBatchAllocations);
   }
 }
 

@@ -284,6 +284,32 @@ TEST(AnalyzeProgram, ConstantProgramAndSlotFlow) {
   EXPECT_FALSE(ff.slotsWritten[0]);
 }
 
+TEST(AnalyzeProgram, SkipStoreJoinsKeptAndStoredValues) {
+  // x := ite(y == 3, z, x) compiles to a store that the y != 3 path
+  // jumps past (no load of x at all). The analysis still reports x as
+  // written and joins the stored z with the entry x at the skip target.
+  const int x = 0;
+  const int y = 1;
+  const int z = 2;
+  const std::vector<Assign> actions{
+      Assign{VarRef{0, x}, Expr::ite(v(y) == Expr::lit(3), v(z), v(x))}};
+  const ExprProgram block = expr::compileFused(Expr::top(), actions, localSlot);
+  for (const expr::Instr& in : block.code()) {
+    EXPECT_FALSE(in.op == expr::OpCode::kLoad && in.arg == x) << "the kept x is loaded";
+  }
+  const std::vector<Interval> entry{Interval::range(10, 12), Interval::top(),
+                                    Interval::range(-4, -2)};
+  const ProgramFacts f = analyze::analyzeProgram(block, entry);
+  ASSERT_EQ(f.exitSlots.size(), entry.size());
+  EXPECT_TRUE(f.slotsWritten[x]);
+  EXPECT_FALSE(f.slotsWritten[y]);
+  EXPECT_EQ(f.exitSlots[x], analyze::join(entry[z], entry[x]));
+  EXPECT_EQ(f.exitSlots[x], Interval::range(-4, 12));
+  EXPECT_EQ(f.exitSlots[z], entry[z]);
+  EXPECT_FALSE(f.mayRaise);
+  EXPECT_EQ(f.value, Interval::singleton(1));
+}
+
 TEST(AnalyzeProgram, GuardIntervalProvesDeadAndAlwaysTrue) {
   // x % 4 can never exceed 3, so these guards fold under the all-top
   // (mutation-proof) execution environment.

@@ -726,6 +726,25 @@ TEST(DispatchCoverage, EveryOpcodeExecutesIdenticallyOnBothCores) {
   const std::vector<Assign> actions{Assign{VarRef{0, 3}, shared % Expr::lit(97)},
                                     Assign{VarRef{0, 2}, shared + v(3)}};
   const ExprProgram fused = expr::compileFused(guard, actions, localSlot);
+  // The superinstructions of the threaded form: a slot-immediate test as
+  // a guard (JumpUnless*) and as a skip-store condition (CopyIf*) under
+  // each comparison, a lone move and a copy run. The switch core runs the
+  // same programs unfused, as code().
+  struct Command {
+    Expr guard;
+    std::vector<Assign> actions;
+  };
+  std::vector<Command> supers;
+  const Expr one = Expr::lit(1);
+  for (const Expr& test : {v(0) == one, v(0) != one, v(0) < one, v(0) <= one, v(0) > one,
+                           v(0) >= one}) {
+    supers.push_back({test, {Assign{VarRef{0, 1}, v(1) + one}}});
+    supers.push_back({Expr::top(), {Assign{VarRef{0, 1}, Expr::ite(test, v(2), v(1))}}});
+  }
+  supers.push_back({Expr::top(), {Assign{VarRef{0, 1}, v(3)}}});
+  supers.push_back({Expr::top(),
+                    {Assign{VarRef{0, 0}, v(1)}, Assign{VarRef{0, 1}, v(2)},
+                     Assign{VarRef{0, 2}, v(3)}}});
 
   std::set<expr::OpCode> seen;
   for (const ExprProgram& p : programs) {
@@ -759,6 +778,29 @@ TEST(DispatchCoverage, EveryOpcodeExecutesIdenticallyOnBothCores) {
     ASSERT_EQ(viaFused, runInterpreted(guard, actions, interpVars));
     ASSERT_EQ(stores, interpVars);
   }
+  std::set<int> handlers;
+  for (const Command& c : supers) {
+    const ExprProgram p = expr::compileFused(c.guard, c.actions, localSlot);
+    for (int h : p.threadedHandlers()) handlers.insert(h);
+    for (const std::vector<Value>& frame : frames) {
+      std::vector<Value> threaded = frame;
+      std::vector<Value> portable = frame;
+      std::vector<Value> interpVars = frame;
+      const VmOutcome out = vmEval([&] { return p.run(std::span<Value>(threaded), 0); });
+      ASSERT_EQ(vmEval([&] { return p.runSwitchCore(portable, 0); }), out);
+      ASSERT_EQ(threaded, portable);
+      const auto viaInterp = runInterpreted(c.guard, c.actions, interpVars);
+      ASSERT_TRUE(out.value.has_value() && viaInterp.has_value());
+      ASSERT_EQ(*out.value != 0, *viaInterp);
+      ASSERT_EQ(threaded, interpVars);
+    }
+  }
+#if CBIP_HAS_COMPUTED_GOTO
+  for (int op = 0; op < expr::kSuperOpCount; ++op) {
+    EXPECT_TRUE(handlers.count(expr::kOpCodeCount + 1 + op))
+        << "superinstruction " << op << " missing from the coverage corpus";
+  }
+#endif
 
   // The eager connectives: batch forms exist exactly when every
   // conditionally-evaluated operand is raise-free, and the block executor
@@ -788,6 +830,173 @@ TEST(DispatchCoverage, EveryOpcodeExecutesIdenticallyOnBothCores) {
   // A conditionally-raising operand disqualifies the eager form.
   EXPECT_FALSE(
       expr::compileLocal((v(0) != z) && (Expr::lit(1) / v(0) > z)).hasBatchForm());
+}
+
+// ---- superinstructions (threaded form only) ------------------------------
+
+/// Variables of the superinstruction tests: room for copy runs.
+constexpr int kRunVars = 10;
+
+Expr anyVar(Rng& rng) { return v(static_cast<int>(rng.below(kRunVars))); }
+
+/// `v(a) cmp k`, for each of the six comparisons.
+Expr slotTest(Rng& rng) {
+  const Expr a = anyVar(rng);
+  const Expr k = Expr::lit(rng.range(-2, 2));
+  switch (rng.below(6)) {
+    case 0: return a == k;
+    case 1: return a != k;
+    case 2: return a < k;
+    case 3: return a <= k;
+    case 4: return a > k;
+    default: return a >= k;
+  }
+}
+
+/// Mostly one slot test (which fuses); at times negated, or two joined by
+/// && / ||, whose jumps land inside the group a lone test would fuse.
+Expr copyCondition(Rng& rng) {
+  switch (rng.below(5)) {
+    case 0: return !slotTest(rng);
+    case 1: return slotTest(rng) && slotTest(rng);
+    case 2: return slotTest(rng) || slotTest(rng);
+    default: return slotTest(rng);
+  }
+}
+
+/// Random action block over v0..v9 that mixes what the peephole pass
+/// fuses with what it must leave alone: guarded copies `x := ite(c, s, x)`
+/// and their mirror `x := ite(c, x, s)`; copy runs `v[d+i] := v[s+i]` in
+/// both directions (d > s overlapping spreads v[s] across the run), in
+/// ascending and in descending i; ite values that keep another variable
+/// (a jump lands on the Store of a would-be move); and divisions that
+/// raise, conditionally and unconditionally.
+std::vector<Assign> superinstructionActions(Rng& rng) {
+  std::vector<Assign> actions;
+  const int n = 1 + static_cast<int>(rng.below(8));
+  for (int i = 0; i < n; ++i) {
+    const VarRef x{0, static_cast<int>(rng.below(kRunVars))};
+    switch (rng.below(6)) {
+      case 0:
+        actions.push_back({x, Expr::ite(copyCondition(rng), anyVar(rng), Expr::var(x))});
+        break;
+      case 1:
+        actions.push_back({x, Expr::ite(copyCondition(rng), Expr::var(x), anyVar(rng))});
+        break;
+      case 2: {
+        const int len = 2 + static_cast<int>(rng.below(4));
+        const int d = static_cast<int>(rng.below(kRunVars - len + 1));
+        const int src = static_cast<int>(rng.below(kRunVars - len + 1));
+        const bool descending = rng.chance(1, 4);
+        for (int k = 0; k < len; ++k) {
+          const int j = descending ? len - 1 - k : k;
+          actions.push_back({VarRef{0, d + j}, v(src + j)});
+        }
+        break;
+      }
+      case 3:
+        actions.push_back({x, Expr::ite(copyCondition(rng), anyVar(rng), anyVar(rng))});
+        break;
+      case 4:
+        actions.push_back({x, Expr::ite(slotTest(rng), anyVar(rng) / anyVar(rng), Expr::var(x))});
+        break;
+      default:
+        actions.push_back({x, randomExpr(rng, 2)});
+        break;
+    }
+  }
+  return actions;
+}
+
+class SuperinstructionDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(SuperinstructionDifferential, ThreadedSwitchAndInterpreterAgree) {
+  // Random guarded commands rich in fusable shapes, at frame bases 0..2,
+  // on the threaded core (superinstructions), the switch core (code(),
+  // unfused) and the interpreter. The two cores must agree on the value,
+  // the EvalError message and every store; the interpreter on the value,
+  // raise-or-not, and the stores made before a raise.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
+  int raised = 0;
+  int fused = 0;
+  for (int round = 0; round < 300; ++round) {
+    const Expr guard = rng.chance(1, 3) ? Expr::top() : copyCondition(rng);
+    const std::vector<Assign> actions = superinstructionActions(rng);
+    const ExprProgram p = expr::compileFused(guard, actions, localSlot);
+    for (int h : p.threadedHandlers()) fused += h > expr::kOpCodeCount ? 1 : 0;
+    for (int k = 0; k < 8; ++k) {
+      std::vector<Value> vars(kRunVars);
+      for (Value& x : vars) {
+        x = rng.chance(1, 10) ? (rng.chance(1, 2) ? kMin : kMax) : rng.range(-2, 2);
+      }
+      const auto base = static_cast<std::int32_t>(rng.below(3));
+      std::vector<Value> threaded(static_cast<std::size_t>(base), 99);
+      threaded.insert(threaded.end(), vars.begin(), vars.end());
+      std::vector<Value> portable = threaded;
+      const VmOutcome out = vmEval([&] { return p.run(std::span<Value>(threaded), base); });
+      ASSERT_EQ(vmEval([&] { return p.runSwitchCore(portable, base); }), out) << "round " << round;
+      ASSERT_EQ(threaded, portable) << "round " << round;
+      std::vector<Value> interpVars = vars;
+      const auto viaInterp = runInterpreted(guard, actions, interpVars);
+      ASSERT_EQ(out.value.has_value(), viaInterp.has_value()) << "round " << round;
+      if (viaInterp.has_value()) {
+        ASSERT_EQ(*out.value != 0, *viaInterp) << "round " << round;
+      }
+      ASSERT_EQ(std::vector<Value>(threaded.begin() + base, threaded.end()), interpVars)
+          << "round " << round;
+      if (!viaInterp.has_value()) ++raised;
+    }
+  }
+  EXPECT_GT(raised, 0);
+#if CBIP_HAS_COMPUTED_GOTO
+  EXPECT_GT(fused, 0);
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SuperinstructionDifferential, ::testing::Values(1, 2, 3, 4, 5));
+
+TEST(Superinstructions, SpreadingCopyRunRunsForward) {
+  // slot_{i+1} := slot_i in ascending i copies slot_0 into every slot, as
+  // the sequential semantics says; a memmove would shift instead.
+  std::vector<Assign> spread;
+  for (int i = 0; i + 1 < 5; ++i) spread.push_back({VarRef{0, i + 1}, v(i)});
+  const ExprProgram p = expr::compileFused(Expr::top(), spread, localSlot);
+  std::vector<Value> vars{7, 1, 2, 3, 4};
+  EXPECT_EQ(p.run(std::span<Value>(vars), 0), 1);
+  EXPECT_EQ(vars, (std::vector<Value>{7, 7, 7, 7, 7}));
+#if CBIP_HAS_COMPUTED_GOTO
+  EXPECT_EQ(p.threadedHandlers().size(), 3u);  // copy run, Push 1, halt
+#endif
+}
+
+TEST(Superinstructions, ProducerConsumerBufferBlocksStayShort) {
+  // The buffer's put writes slot `count` through one guarded copy per
+  // slot; its get shifts the slots down. Pinning their threaded lengths
+  // catches a change that silently stops fusing, without timing anything.
+#if !CBIP_HAS_COMPUTED_GOTO
+  GTEST_SKIP() << "the threaded form exists only with computed goto";
+#else
+  constexpr std::size_t kCapacity = 256;
+  const System sys = models::producerConsumer(static_cast<int>(kCapacity));
+  const AtomicType& buffer = *sys.instance(1).type;
+  ASSERT_EQ(buffer.name(), "Buffer");
+  const auto records = [&](const std::string& port) {
+    for (std::size_t t = 0; t < buffer.transitionCount(); ++t) {
+      if (buffer.transition(static_cast<int>(t)).port == buffer.portIndex(port)) {
+        return buffer.compiledTransition(static_cast<int>(t)).actionBlock.threadedHandlers().size();
+      }
+    }
+    return std::size_t{0};
+  };
+  // put: a guarded copy per slot and one for `out`, count := count + 1
+  // (4 records), Push 1 and the halt sentinel.
+  EXPECT_LE(records("put"), kCapacity + 8);
+  EXPECT_GT(records("put"), kCapacity);
+  // get: one copy run for the shift, count := count - 1, a move for
+  // `out`, Push 1 and the halt sentinel.
+  EXPECT_LE(records("get"), 8u);
+  EXPECT_GT(records("get"), 0u);
+#endif
 }
 
 /// Per-op reference for runBatch: ops[i].program->run(frame, base) in
