@@ -141,9 +141,9 @@ void BM_SequentialEngineCompiledVsInterpreted(benchmark::State& state) {
 }
 BENCHMARK(BM_SequentialEngineCompiledVsInterpreted)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// Enabled-set reset throughput of the offer cache (one batched offer
-/// refresh of every instance, then every connector built from the offers)
-/// at arg0 = 128 / 256 components. items/s = connectors per second.
+/// Enabled-set reset throughput of the offer cache (one offer refresh of
+/// every instance, then every connector built from the offers) at arg0 =
+/// 128 / 256 components. items/s = connectors per second.
 void BM_EnabledScan(benchmark::State& state) {
   const System sys = models::philosophersAtomic(static_cast<int>(state.range(0)) / 2);
   sys.warmIndices();
@@ -159,7 +159,7 @@ BENCHMARK(BM_EnabledScan)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 /// Same reset on a guard-heavy shape (every transition and connector
 /// carries a non-trivial guard), where the offer refresh spends its time
-/// in ExprProgram::runBatch rather than in list bookkeeping.
+/// running guard programs rather than in list bookkeeping.
 void BM_EnabledScanDataHeavy(benchmark::State& state) {
   const System sys = dataHeavyPairs(static_cast<int>(state.range(0)) / 2);
   sys.warmIndices();

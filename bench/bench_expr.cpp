@@ -125,7 +125,7 @@ void BM_GuardedCommandFused(benchmark::State& state) {
   const ExprProgram fused = compileFused(commandGuard(), block, localSlots());
   std::vector<Value> vars = makeFrame();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fused.run(std::span<Value>(vars), 0));
+    benchmark::DoNotOptimize(fused.run(std::span<Value>(vars)));
     vars[0] = (vars[0] ^ 1) & 0xff;
     benchmark::DoNotOptimize(vars.data());
   }

@@ -93,17 +93,13 @@ def load(path):
 def report_obs(base_obs, new_obs):
     """Informational (never gating) report of the telemetry counters each
     suite exported (src/obs, attached by run_benches.sh): execution-path
-    mix shifts — tryfire hit rate dropping, EvalError scalar replays
+    mix shifts — tryfire hit rate dropping, cross-shard conflicts
     appearing — that a pure timing diff cannot attribute."""
 
     derived = [
         ("tryfire hit rate",
          lambda c: (c.get("vm.tryfire.hits", 0) / c["vm.tryfire.calls"]
                     if c.get("vm.tryfire.calls") else None)),
-        ("block replays", lambda c: c.get("vm.batch.replays")),
-        ("block lanes/block",
-         lambda c: (c["vm.batch.block_lanes"] / c["vm.batch.blocks"]
-                    if c.get("vm.batch.blocks") else None)),
         ("cross-shard conflicts",
          lambda c: c.get("engine.sharded.cross.conflicts")),
         ("stalled epochs", lambda c: c.get("engine.sharded.epochs.stalled")),

@@ -334,7 +334,7 @@ void fire(const AtomicType& type, AtomicState& state, int ti) {
   // The whole action block is one dispatch; the frame *is* the live
   // variable vector, so every store lands in place (sequential assignment
   // semantics, shared subexpressions computed once).
-  if (!ct.actionBlock.empty()) ct.actionBlock.run(std::span<Value>(state.vars), 0);
+  if (!ct.actionBlock.empty()) ct.actionBlock.run(std::span<Value>(state.vars));
   state.location = ct.to;
 }
 
@@ -367,7 +367,7 @@ bool tryFire(const AtomicType& type, AtomicState& state, int ti) {
     throw EvalError(type.name() + ": state has fewer variables than the type");
   }
   // Trivial guard, no actions: the dispatch is a bare location move.
-  if (!ct.fused.empty() && ct.fused.run(std::span<Value>(state.vars), 0) == 0) return false;
+  if (!ct.fused.empty() && ct.fused.run(std::span<Value>(state.vars)) == 0) return false;
   state.location = ct.to;
   g_tryFireHits.add();
   return true;

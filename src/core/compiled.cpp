@@ -72,10 +72,10 @@ void CompiledConnector::gather(const GlobalState& state, std::span<Value> frame)
 
 void CompiledConnector::transfer(GlobalState& state, std::span<Value> frame,
                                  InteractionMask mask) const {
-  if (!upBlock_.empty()) upBlock_.run(frame, 0);
+  if (!upBlock_.empty()) upBlock_.run(frame);
   for (const Down& d : downs_) {
     if ((mask & (InteractionMask{1} << static_cast<unsigned>(d.end))) == 0) continue;
-    const Value v = d.value.run(frame);
+    const Value v = d.value.run(std::span<const Value>(frame));
     frame[static_cast<std::size_t>(d.targetSlot)] = v;
     state.components[static_cast<std::size_t>(d.instance)].vars[static_cast<std::size_t>(d.var)] =
         v;

@@ -155,64 +155,27 @@ EnabledInteractionCache::EnabledInteractionCache(const System& system,
 }
 
 void EnabledInteractionCache::refreshOffers(const GlobalState& state) {
-  const bool compiled = expr::compilationEnabled();
-  pending_.clear();
-  ops_.clear();
-  frame_.clear();
-  refreshBase_.assign(refresh_.size(), -1);
-  // Port-major, so the same port's guards of sibling instances (one type,
-  // one location) sit next to each other in the batch and runBatch can
-  // take its block-parallel path. Guard-true transitions are recorded in
-  // transition order per slot; the interpreter evaluates in place, in the
-  // same order, so both paths raise the same first EvalError.
+  // Port-major (see "Guard evaluation order"): each guard runs in place
+  // on its instance's variables, through the compiled program or the
+  // interpreter, so both paths raise the same first EvalError.
   for (std::size_t port = 0;; ++port) {
     bool morePorts = false;
-    for (std::size_t k = 0; k < refresh_.size(); ++k) {
-      const auto i = static_cast<std::size_t>(refresh_[k]);
+    for (const int inst : refresh_) {
+      const auto i = static_cast<std::size_t>(inst);
       const AtomicType& type = *system_->instance(i).type;
       if (port >= type.portCount()) continue;
       morePorts = true;
       const auto slot = static_cast<std::size_t>(portBase_[i]) + port;
       if (!connected_[slot]) continue;
-      offers_[slot].clear();
-      offered_[slot] = 0;
+      std::vector<int>& offers = offers_[slot];
+      offers.clear();
       const AtomicState& comp = state.components[i];
       for (const int ti : type.transitionsFrom(comp.location, static_cast<int>(port))) {
-        if (!compiled) {
-          if (guardHolds(type, comp, ti)) {
-            offers_[slot].push_back(ti);
-            offered_[slot] = 1;
-          }
-          continue;
-        }
-        const expr::ExprProgram& guard = type.compiledTransition(ti).guard;
-        if (guard.empty()) {
-          pending_.push_back(Pending{static_cast<int>(slot), ti, -1});
-          continue;
-        }
-        if (refreshBase_[k] < 0) {
-          if (comp.vars.size() < type.variableCount()) {
-            throw EvalError(type.name() + ": state has fewer variables than the type");
-          }
-          refreshBase_[k] = static_cast<int>(frame_.size());
-          frame_.insert(frame_.end(), comp.vars.begin(),
-                        comp.vars.begin() + static_cast<std::ptrdiff_t>(type.variableCount()));
-        }
-        pending_.push_back(Pending{static_cast<int>(slot), ti, static_cast<int>(ops_.size())});
-        ops_.push_back(expr::BatchOp{&guard, refreshBase_[k]});
+        if (guardHolds(type, comp, ti)) offers.push_back(ti);
       }
+      offered_[slot] = offers.empty() ? 0 : 1;
     }
     if (!morePorts) break;
-  }
-  if (!ops_.empty()) {
-    results_.resize(ops_.size());
-    expr::ExprProgram::runBatch(ops_, frame_, results_);
-  }
-  for (const Pending& p : pending_) {
-    if (p.op < 0 || results_[static_cast<std::size_t>(p.op)] != 0) {
-      offers_[static_cast<std::size_t>(p.slot)].push_back(p.transition);
-      offered_[static_cast<std::size_t>(p.slot)] = 1;
-    }
   }
 }
 

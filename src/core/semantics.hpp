@@ -303,9 +303,12 @@ std::vector<EnabledInteraction> enabledInteractions(const System& system,
 /// transitions from the current location in transition order; then the
 /// connector guards of the re-derived connectors in ascending index, each
 /// where the skip rule above first needs it. `reset` is an update with
-/// every covered instance dirty, in ascending order. Port-major order puts
-/// the same guard of sibling instances side by side, so the compiled batch
-/// can run them as one block.
+/// every covered instance dirty, in ascending order. The order is part of
+/// the observable semantics, since it decides which `EvalError` a doomed
+/// update raises first. Each guard runs in place on its instance's
+/// variables through `guardHolds` (the compiled program, or the
+/// interpreter), so both paths walk the same sequence and raise the same
+/// first error.
 ///
 /// After `reset` or `update` raises, the cache holds no usable set until
 /// the next `reset`.
@@ -372,7 +375,7 @@ class EnabledInteractionCache {
     return subset_ ? position_[static_cast<std::size_t>(ci)] : ci;
   }
   /// Re-evaluates the connected ports' transition guards of the
-  /// `refresh_` instances in one batch.
+  /// `refresh_` instances, in the guard evaluation order.
   void refreshOffers(const GlobalState& state);
   /// Ends of position `pos`'s connector whose port the component offers.
   InteractionMask offeredEnds(std::size_t pos) const;
@@ -396,19 +399,7 @@ class EnabledInteractionCache {
   std::vector<int> maskBegin_;            // per position: first entry in masks_
   std::vector<InteractionMask> masks_;    // feasible masks, per position ascending
   std::vector<char> instanceSeen_;        // scratch: dedup within one update
-  // Offer-refresh scratch: the instances to refresh, each one's block in
-  // the gathered guard frame, and one entry per candidate transition.
-  struct Pending {
-    int slot = 0;
-    int transition = 0;
-    int op = -1;  // index into ops_/results_; -1 for a trivially true guard
-  };
-  std::vector<int> refresh_;
-  std::vector<int> refreshBase_;
-  std::vector<Pending> pending_;
-  std::vector<expr::BatchOp> ops_;
-  std::vector<Value> results_;
-  std::vector<Value> frame_;
+  std::vector<int> refresh_;       // scratch: the instances whose offers to refresh
   std::vector<int> dirtyScratch_;  // updateAfterExecute buffer
   EnabledSpans spans_;             // the enabled set, one span per position
 };

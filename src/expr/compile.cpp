@@ -6,19 +6,12 @@
 #include <string>
 #include <unordered_map>
 
-#include "obs/obs.hpp"
 #include "util/env.hpp"
 #include "util/require.hpp"
 
 namespace cbip::expr {
 
 namespace {
-
-// Telemetry (src/obs): counts only, never steers evaluation.
-const obs::Counter g_batchBlocks("vm.batch.blocks");
-const obs::Counter g_batchLanes("vm.batch.block_lanes");
-const obs::Counter g_batchScalarOps("vm.batch.scalar_ops");
-const obs::Counter g_batchReplays("vm.batch.replays");
 
 std::atomic<bool>& compileFlag() {
   static std::atomic<bool> flag = !envFlagOn(std::getenv("CBIP_NO_COMPILE"));
@@ -550,119 +543,6 @@ class Compiler {
   std::vector<AvailEntry> avail_;
 };
 
-/// Lowers an expression into the jump-free eager batch form (see
-/// runBatch): short-circuit && / || become kAndB / kOrB and ite becomes
-/// kSelect, which is exact only when every conditionally-evaluated
-/// operand is provably raise-free (guards are pure, so eagerness has no
-/// other observable effect). `ok()` reports whether the whole tree
-/// qualified; an unqualified tree gets no batch form and runs scalar.
-class BatchLowerer {
- public:
-  explicit BatchLowerer(const SlotMap& slots) : slots_(&slots) {}
-
-  std::vector<Instr> lower(const Expr& e, int& maxStack) {
-    emit(e);
-    maxStack = maxDepth_;
-    if (!ok_) return {};
-    return std::move(code_);
-  }
-
- private:
-  /// Conservative raise-freedom: division and modulo may raise unless
-  /// the divisor is a literal outside {0, -1} (a literal -1 admits the
-  /// INT64_MIN / -1 overflow raise). Everything else is total.
-  static bool mayRaise(const Expr& e) {
-    if (e.op() == Op::kDiv || e.op() == Op::kMod) {
-      const Expr& d = e.child(1);
-      if (!(d.op() == Op::kLit && d.literal() != 0 && d.literal() != -1)) return true;
-    }
-    for (std::size_t i = 0; i < e.arity(); ++i) {
-      if (mayRaise(e.child(i))) return true;
-    }
-    return false;
-  }
-
-  void push(Instr in, int delta) {
-    code_.push_back(in);
-    depth_ += delta;
-    if (depth_ > maxDepth_) maxDepth_ = depth_;
-  }
-
-  void emit(const Expr& e) {
-    if (!ok_) return;
-    switch (e.op()) {
-      case Op::kLit:
-        push(Instr{OpCode::kPush, 0, e.literal()}, 1);
-        return;
-      case Op::kVar: {
-        const int slot = (*slots_)(e.ref());
-        require(slot >= 0, "batch lowering: SlotMap returned a negative slot");
-        push(Instr{OpCode::kLoad, slot, 0}, 1);
-        return;
-      }
-      case Op::kNeg:
-      case Op::kAbs:
-      case Op::kNot:
-        emit(e.child(0));
-        push(Instr{e.op() == Op::kNeg   ? OpCode::kNeg
-                   : e.op() == Op::kAbs ? OpCode::kAbs
-                                        : OpCode::kNot,
-                   0, 0},
-             0);
-        return;
-      case Op::kAnd:
-      case Op::kOr:
-        if (mayRaise(e.child(1))) {
-          ok_ = false;
-          return;
-        }
-        emit(e.child(0));
-        emit(e.child(1));
-        push(Instr{e.op() == Op::kAnd ? OpCode::kAndB : OpCode::kOrB, 0, 0}, -1);
-        return;
-      case Op::kIte:
-        if (mayRaise(e.child(1)) || mayRaise(e.child(2))) {
-          ok_ = false;
-          return;
-        }
-        emit(e.child(0));
-        emit(e.child(1));
-        emit(e.child(2));
-        push(Instr{OpCode::kSelect, 0, 0}, -2);
-        return;
-      default: {  // binary arithmetic / comparison
-        emit(e.child(0));
-        emit(e.child(1));
-        OpCode op;
-        switch (e.op()) {
-          case Op::kAdd: op = OpCode::kAdd; break;
-          case Op::kSub: op = OpCode::kSub; break;
-          case Op::kMul: op = OpCode::kMul; break;
-          case Op::kDiv: op = OpCode::kDiv; break;
-          case Op::kMod: op = OpCode::kMod; break;
-          case Op::kMin: op = OpCode::kMin; break;
-          case Op::kMax: op = OpCode::kMax; break;
-          case Op::kEq: op = OpCode::kEq; break;
-          case Op::kNe: op = OpCode::kNe; break;
-          case Op::kLt: op = OpCode::kLt; break;
-          case Op::kLe: op = OpCode::kLe; break;
-          case Op::kGt: op = OpCode::kGt; break;
-          case Op::kGe: op = OpCode::kGe; break;
-          default: throw ModelError("batch lowering: not a binary operator");
-        }
-        push(Instr{op, 0, 0}, -1);
-        return;
-      }
-    }
-  }
-
-  const SlotMap* slots_;
-  std::vector<Instr> code_;
-  bool ok_ = true;
-  int depth_ = 0;
-  int maxDepth_ = 0;
-};
-
 #if CBIP_HAS_COMPUTED_GOTO
 // Peephole helpers of the threaded translation (finalize).
 
@@ -687,7 +567,7 @@ constexpr std::int32_t kPackedSlotLimit = 1 << 15;
 
 }  // namespace
 
-Value ExprProgram::run(std::span<const Value> frame, std::int32_t base) const {
+Value ExprProgram::run(std::span<const Value> frame) const {
   // A read-only frame must never meet a kStore (exec would write through
   // it); fused programs go through the mutable overload below.
   requireEval(!hasStores_, "ExprProgram::run: fused program requires a mutable frame");
@@ -703,12 +583,12 @@ Value ExprProgram::run(std::span<const Value> frame, std::int32_t base) const {
     stack = heapBuf.data();
   }
 #if CBIP_HAS_COMPUTED_GOTO
-  if (!threaded_.empty()) return execThreaded(frame, base, stack);
+  if (!threaded_.empty()) return execThreaded(frame, stack);
 #endif
-  return exec(frame, base, stack);
+  return exec(frame, stack);
 }
 
-Value ExprProgram::run(std::span<Value> frame, std::int32_t base) const {
+Value ExprProgram::run(std::span<Value> frame) const {
   constexpr int kInlineStack = 32;
   Value inlineBuf[kInlineStack];
   std::vector<Value> heapBuf;
@@ -718,177 +598,12 @@ Value ExprProgram::run(std::span<Value> frame, std::int32_t base) const {
     stack = heapBuf.data();
   }
 #if CBIP_HAS_COMPUTED_GOTO
-  if (!threaded_.empty()) return execThreaded(frame, base, stack);
+  if (!threaded_.empty()) return execThreaded(frame, stack);
 #endif
-  return exec(frame, base, stack);
+  return exec(frame, stack);
 }
 
-void ExprProgram::runBatch(std::span<const BatchOp> ops, std::span<const Value> frame,
-                           std::span<Value> out) {
-  requireEval(ops.size() == out.size(), "ExprProgram::runBatch: ops/out size mismatch");
-  constexpr int kInlineStack = 32;
-  Value inlineBuf[kInlineStack];
-  std::vector<Value> heapBuf;
-  Value* stack = inlineBuf;
-  int need = 0;
-  for (const BatchOp& op : ops) {
-    requireEval(op.program != nullptr && !op.program->empty() && !op.program->hasStores_,
-                "ExprProgram::runBatch: empty or frame-writing program in batch");
-    const int n = op.program->maxStack_ + op.program->tempCount_;
-    if (n > need) need = n;
-  }
-  if (need > kInlineStack) {
-    heapBuf.resize(static_cast<std::size_t>(need));
-    stack = heapBuf.data();
-  }
-  // Lane-contiguous stacks for the block executor, sized for the widest
-  // batch form in the batch (lazily, most batches never need it).
-  std::vector<Value> laneBuf;
-  const std::size_t n = ops.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const ExprProgram& p = *ops[i].program;
-    std::size_t j = i + 1;
-    if (p.hasBatchForm()) {
-      while (j < n && ops[j].program == &p) ++j;
-      if (j - i >= kMinBlockRun) {
-        // Strip-mine the run in blocks of up to kBatchLanes bases. An
-        // EvalError anywhere in a block falls back to scalar replay of
-        // that block from its first op, reproducing the scalar error
-        // point and partial-out contract exactly (the batch form is pure,
-        // so the abandoned block left no trace).
-        for (std::size_t b = i; b < j; b += kBatchLanes) {
-          const std::size_t lanes = std::min(kBatchLanes, j - b);
-          const std::size_t needLanes = static_cast<std::size_t>(p.batchMaxStack_) * lanes;
-          if (laneBuf.size() < needLanes) laneBuf.resize(needLanes);
-          g_batchBlocks.add();
-          g_batchLanes.add(lanes);
-          try {
-            p.execBlock(ops.subspan(b, lanes), frame, laneBuf.data(), out.subspan(b, lanes));
-          } catch (const EvalError&) {
-            g_batchReplays.add();
-            for (std::size_t k = b; k < b + lanes; ++k) {
-              out[k] = p.exec(frame, ops[k].base, stack);
-            }
-            requireEval(false, "runBatch: block raised but scalar replay did not");
-          }
-        }
-        i = j;
-        continue;
-      }
-    }
-    g_batchScalarOps.add(j - i);
-    for (; i < j; ++i) {
-#if CBIP_HAS_COMPUTED_GOTO
-      if (!ops[i].program->threaded_.empty()) {
-        out[i] = ops[i].program->execThreaded(frame, ops[i].base, stack);
-        continue;
-      }
-#endif
-      out[i] = ops[i].program->exec(frame, ops[i].base, stack);
-    }
-  }
-}
-
-void ExprProgram::execBlock(std::span<const BatchOp> ops, std::span<const Value> frame,
-                            Value* lanes, std::span<Value> out) const {
-  // One jump-free instruction stream over `ops.size()` frame bases in
-  // lockstep. The stack is an array of lane rows: depth d lives at
-  // lanes[d * nLanes .. d * nLanes + nLanes), so every per-opcode inner
-  // loop walks contiguous memory (the strip-mined loops below are the
-  // vectorization surface).
-  const std::size_t nLanes = ops.size();
-  const Instr* code = batch_.data();
-  const std::size_t n = batch_.size();
-  const Value* f = frame.data();
-  std::size_t sp = 0;  // stack depth in rows
-  for (std::size_t pc = 0; pc < n; ++pc) {
-    const Instr& in = code[pc];
-    switch (in.op) {
-      case OpCode::kPush: {
-        Value* row = lanes + sp * nLanes;
-        for (std::size_t l = 0; l < nLanes; ++l) row[l] = in.imm;
-        ++sp;
-        break;
-      }
-      case OpCode::kLoad: {
-        Value* row = lanes + sp * nLanes;
-        for (std::size_t l = 0; l < nLanes; ++l) {
-          row[l] = f[static_cast<std::size_t>(ops[l].base + in.arg)];
-        }
-        ++sp;
-        break;
-      }
-#define CBIP_BLOCK_BINOP(opcode, expr_)                               \
-  case OpCode::opcode: {                                              \
-    --sp;                                                             \
-    Value* a = lanes + (sp - 1) * nLanes;                             \
-    const Value* b = lanes + sp * nLanes;                             \
-    for (std::size_t l = 0; l < nLanes; ++l) a[l] = (expr_);          \
-    break;                                                            \
-  }
-      CBIP_BLOCK_BINOP(kAdd, wrapAdd(a[l], b[l]))
-      CBIP_BLOCK_BINOP(kSub, wrapSub(a[l], b[l]))
-      CBIP_BLOCK_BINOP(kMul, wrapMul(a[l], b[l]))
-      CBIP_BLOCK_BINOP(kMin, a[l] < b[l] ? a[l] : b[l])
-      CBIP_BLOCK_BINOP(kMax, a[l] > b[l] ? a[l] : b[l])
-      CBIP_BLOCK_BINOP(kEq, a[l] == b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kNe, a[l] != b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kLt, a[l] < b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kLe, a[l] <= b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kGt, a[l] > b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kGe, a[l] >= b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kAndB, (a[l] != 0 && b[l] != 0) ? 1 : 0)
-      CBIP_BLOCK_BINOP(kOrB, (a[l] != 0 || b[l] != 0) ? 1 : 0)
-#undef CBIP_BLOCK_BINOP
-      case OpCode::kDiv:
-      case OpCode::kMod: {
-        // The checks stay per lane; a raise aborts the whole block and
-        // the caller replays it scalar (which re-raises at the scalar
-        // error point).
-        --sp;
-        Value* a = lanes + (sp - 1) * nLanes;
-        const Value* b = lanes + sp * nLanes;
-        const bool isDiv = in.op == OpCode::kDiv;
-        for (std::size_t l = 0; l < nLanes; ++l) {
-          requireEval(b[l] != 0, isDiv ? "division by zero" : "modulo by zero");
-          requireEval(!divOverflows(a[l], b[l]), isDiv ? "integer overflow in division"
-                                                       : "integer overflow in modulo");
-          a[l] = isDiv ? a[l] / b[l] : a[l] % b[l];
-        }
-        break;
-      }
-      case OpCode::kNeg:
-      case OpCode::kAbs:
-      case OpCode::kNot: {
-        Value* a = lanes + (sp - 1) * nLanes;
-        if (in.op == OpCode::kNeg) {
-          for (std::size_t l = 0; l < nLanes; ++l) a[l] = wrapNeg(a[l]);
-        } else if (in.op == OpCode::kAbs) {
-          for (std::size_t l = 0; l < nLanes; ++l) a[l] = wrapAbs(a[l]);
-        } else {
-          for (std::size_t l = 0; l < nLanes; ++l) a[l] = a[l] == 0 ? 1 : 0;
-        }
-        break;
-      }
-      case OpCode::kSelect: {
-        sp -= 2;
-        Value* c = lanes + (sp - 1) * nLanes;
-        const Value* t = lanes + sp * nLanes;
-        const Value* e = lanes + (sp + 1) * nLanes;
-        for (std::size_t l = 0; l < nLanes; ++l) c[l] = c[l] != 0 ? t[l] : e[l];
-        break;
-      }
-      default:
-        // Jumps, stores and CSE temps never reach a batch form.
-        requireEval(false, "execBlock: foreign opcode in batch form");
-    }
-  }
-  requireEval(sp == 1, "execBlock: corrupt batch form (stack imbalance)");
-  for (std::size_t l = 0; l < nLanes; ++l) out[l] = lanes[l];
-}
-
-Value ExprProgram::exec(std::span<const Value> frame, std::int32_t base, Value* stack) const {
+Value ExprProgram::exec(std::span<const Value> frame, Value* stack) const {
   const Instr* code = code_.data();
   const std::size_t n = code_.size();
   // Temp registers sit above the evaluation stack in the caller's buffer.
@@ -903,7 +618,7 @@ Value ExprProgram::exec(std::span<const Value> frame, std::int32_t base, Value* 
     const Instr& in = code[pc++];
     switch (in.op) {
       case OpCode::kPush: stack[sp++] = in.imm; break;
-      case OpCode::kLoad: stack[sp++] = frame[static_cast<std::size_t>(base + in.arg)]; break;
+      case OpCode::kLoad: stack[sp++] = frame[static_cast<std::size_t>(in.arg)]; break;
       case OpCode::kAdd: --sp; stack[sp - 1] = wrapAdd(stack[sp - 1], stack[sp]); break;
       case OpCode::kSub: --sp; stack[sp - 1] = wrapSub(stack[sp - 1], stack[sp]); break;
       case OpCode::kMul: --sp; stack[sp - 1] = wrapMul(stack[sp - 1], stack[sp]); break;
@@ -947,24 +662,10 @@ Value ExprProgram::exec(std::span<const Value> frame, std::int32_t base, Value* 
         break;
       case OpCode::kStore:
         --sp;
-        frameMut[static_cast<std::size_t>(base + in.arg)] = stack[sp];
+        frameMut[static_cast<std::size_t>(in.arg)] = stack[sp];
         break;
       case OpCode::kTee: temps[in.arg] = stack[sp - 1]; break;
       case OpCode::kLoadTmp: stack[sp++] = temps[in.arg]; break;
-      // The eager connectives live in batch forms (execBlock); handled
-      // here too so every opcode has a scalar semantics on both cores.
-      case OpCode::kAndB:
-        --sp;
-        stack[sp - 1] = (stack[sp - 1] != 0 && stack[sp] != 0) ? 1 : 0;
-        break;
-      case OpCode::kOrB:
-        --sp;
-        stack[sp - 1] = (stack[sp - 1] != 0 || stack[sp] != 0) ? 1 : 0;
-        break;
-      case OpCode::kSelect:
-        sp -= 2;
-        stack[sp - 1] = stack[sp - 1] != 0 ? stack[sp] : stack[sp + 1];
-        break;
     }
   }
   requireEval(sp == 1, "ExprProgram::run: corrupt program (stack imbalance)");
@@ -976,7 +677,7 @@ Value ExprProgram::exec(std::span<const Value> frame, std::int32_t base, Value* 
 // the speed of action-heavy models, does not move with the size of
 // unrelated code linked before the VM.
 __attribute__((aligned(64))) Value ExprProgram::execThreaded(std::span<const Value> frame,
-                                                             std::int32_t base, Value* stack,
+                                                             Value* stack,
                                                              const void* const** labelsOut) const {
   // Handler label table, indexed by OpCode value, halt sentinel last.
   // The addresses are function-local, so finalize() fetches the table
@@ -990,7 +691,6 @@ __attribute__((aligned(64))) Value ExprProgram::execThreaded(std::span<const Val
       &&L_Neg, &&L_Abs, &&L_Not,
       &&L_Jump, &&L_JumpIfZero, &&L_JumpIfNonZero,
       &&L_Store, &&L_Tee, &&L_LoadTmp,
-      &&L_AndB, &&L_OrB, &&L_Select,
       &&L_Halt,
       &&L_JumpUnlessEq, &&L_JumpUnlessNe, &&L_JumpUnlessLt,
       &&L_JumpUnlessLe, &&L_JumpUnlessGt, &&L_JumpUnlessGe,
@@ -1010,8 +710,8 @@ __attribute__((aligned(64))) Value ExprProgram::execThreaded(std::span<const Val
   const ThreadedInstr* const t = threaded_.data();
   const ThreadedInstr* ip = t;
   Value* temps = stack + maxStack_;
-  Value* frameMut = const_cast<Value*>(frame.data());
-  Value* const fb = frameMut + base;  // superinstructions address the frame at base
+  // kStore and the superinstructions address the frame through fb.
+  Value* const fb = const_cast<Value*>(frame.data());
   int sp = 0;
 #define CBIP_NEXT() goto* (ip->label)
   CBIP_NEXT();
@@ -1020,7 +720,7 @@ L_Push:
   ++ip;
   CBIP_NEXT();
 L_Load:
-  stack[sp++] = frame[static_cast<std::size_t>(base + ip->arg)];
+  stack[sp++] = frame[static_cast<std::size_t>(ip->arg)];
   ++ip;
   CBIP_NEXT();
 L_Add:
@@ -1123,7 +823,7 @@ L_JumpIfNonZero: {
 }
 L_Store:
   --sp;
-  frameMut[static_cast<std::size_t>(base + ip->arg)] = stack[sp];
+  fb[static_cast<std::size_t>(ip->arg)] = stack[sp];
   ++ip;
   CBIP_NEXT();
 L_Tee:
@@ -1132,21 +832,6 @@ L_Tee:
   CBIP_NEXT();
 L_LoadTmp:
   stack[sp++] = temps[ip->arg];
-  ++ip;
-  CBIP_NEXT();
-L_AndB:
-  --sp;
-  stack[sp - 1] = (stack[sp - 1] != 0 && stack[sp] != 0) ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_OrB:
-  --sp;
-  stack[sp - 1] = (stack[sp - 1] != 0 || stack[sp] != 0) ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_Select:
-  sp -= 2;
-  stack[sp - 1] = stack[sp - 1] != 0 ? stack[sp] : stack[sp + 1];
   ++ip;
   CBIP_NEXT();
   // Superinstructions: each replays its code_ group with the operands in
@@ -1204,7 +889,7 @@ L_Halt:
 void ExprProgram::finalize() {
 #if CBIP_HAS_COMPUTED_GOTO
   const void* const* labels = nullptr;
-  execThreaded({}, 0, nullptr, &labels);
+  execThreaded({}, nullptr, &labels);
   // Handler of a superinstruction; `offset` picks a comparison within a
   // family (kJumpUnless*, kCopyIf*).
   const auto super = [labels](SuperOp op, int offset = 0) {
@@ -1288,16 +973,16 @@ void ExprProgram::finalize() {
 #endif
 }
 
-Value ExprProgram::runSwitchCore(std::span<Value> frame, std::int32_t base) const {
+Value ExprProgram::runSwitchCore(std::span<Value> frame) const {
   std::vector<Value> stack(static_cast<std::size_t>(maxStack_ + tempCount_));
-  return exec(frame, base, stack.data());
+  return exec(frame, stack.data());
 }
 
 std::vector<int> ExprProgram::threadedHandlers() const {
   std::vector<int> out;
 #if CBIP_HAS_COMPUTED_GOTO
   const void* const* labels = nullptr;
-  execThreaded({}, 0, nullptr, &labels);
+  execThreaded({}, nullptr, &labels);
   constexpr int kHandlers = kOpCodeCount + 1 + kSuperOpCount;
   for (const ThreadedInstr& r : threaded_) {
     out.push_back(static_cast<int>(std::find(labels, labels + kHandlers, r.label) - labels));
@@ -1311,10 +996,6 @@ ExprProgram compile(const Expr& e, const SlotMap& slots) {
   ExprProgram p;
   p.code_ = c.lower(e);
   p.maxStack_ = stackNeed(e);
-  // Guard programs are pure, so they may also get the jump-free eager
-  // batch form runBatch block-executes (empty when the tree has a
-  // conditionally-evaluated operand that may raise).
-  p.batch_ = BatchLowerer(slots).lower(e, p.batchMaxStack_);
   p.finalize();
   return p;
 }

@@ -66,17 +66,14 @@
 // remaps jump targets. A group never contains a jump target, so control
 // reaches a superinstruction only where it would have reached the group's
 // first instruction. Only the threaded form is fused. code() stays the
-// canonical postfix form that the analyzer (src/analyze) and the batch
-// lowering read and that the switch core runs, so the switch core is the
-// bit-for-bit oracle every superinstruction is tested against
-// (runSwitchCore). Guards compile with truelist/falselist backpatching: a
-// short-circuit && / || chain emits conditional jumps wired directly to
-// their ultimate targets (the action suffix, the FAIL label, the 0/1
-// materialization) instead of materializing and re-testing a boolean at
-// every nesting level. runBatch additionally strip-mines runs of the same
-// guard program over many frame bases through a jump-free eager "batch
-// form" (see runBatch). Results and traces are bit-identical on both
-// cores, with and without the block executor.
+// canonical postfix form that the analyzer (src/analyze) reads and that
+// the switch core runs, so the switch core is the bit-for-bit oracle
+// every superinstruction is tested against (runSwitchCore). Guards
+// compile with truelist/falselist backpatching: a short-circuit && / ||
+// chain emits conditional jumps wired directly to their ultimate targets
+// (the action suffix, the FAIL label, the 0/1 materialization) instead of
+// materializing and re-testing a boolean at every nesting level. Results
+// and traces are bit-identical on both cores.
 #pragma once
 
 #include <cstdint>
@@ -119,23 +116,13 @@ enum class OpCode : std::uint8_t {
   kJumpIfZero,     // pop v; if v == 0 then pc := arg
   kJumpIfNonZero,  // pop v; if v != 0 then pc := arg
   // Fused guarded commands (compileFused) only.
-  kStore,    // pop v; frame[base + arg] := v (requires the mutable-frame run)
+  kStore,    // pop v; frame[arg] := v (requires the mutable-frame run)
   kTee,      // temp[arg] := stack top (no pop) — parks a CSE value
   kLoadTmp,  // push temp[arg]
-  // Batch-form only (never in code_): eager boolean connectives and
-  // select, the if-converted twins of the short-circuit jumps. They are
-  // only emitted for operands the compiler proved side-effect- and
-  // raise-free, so eager evaluation is indistinguishable from the
-  // short-circuit original — which is what makes the strip-mined
-  // block executor (one jump-free instruction stream over many frame
-  // bases at once) exact.
-  kAndB,    // pop b, a; push (a != 0) && (b != 0)
-  kOrB,     // pop b, a; push (a != 0) || (b != 0)
-  kSelect,  // pop f, t, c; push c != 0 ? t : f
 };
 
 /// One past the last OpCode value (sizes the threaded label table).
-inline constexpr int kOpCodeCount = static_cast<int>(OpCode::kSelect) + 1;
+inline constexpr int kOpCodeCount = static_cast<int>(OpCode::kLoadTmp) + 1;
 
 struct Instr {
   OpCode op = OpCode::kPush;
@@ -178,16 +165,6 @@ struct ThreadedInstr {
 };
 static_assert(sizeof(ThreadedInstr) <= 24, "a threaded record must stay 24 bytes");
 
-class ExprProgram;
-
-/// One element of a batch evaluation: a program plus the frame base offset
-/// it runs at (see ExprProgram::runBatch). The program must be non-empty
-/// and outlive the batch call.
-struct BatchOp {
-  const ExprProgram* program = nullptr;
-  std::int32_t base = 0;
-};
-
 /// A compiled expression. Default-constructed programs are empty (used for
 /// trivially-true guards that are never run).
 class ExprProgram {
@@ -198,30 +175,25 @@ class ExprProgram {
 
   /// Evaluates against `frame`; every slot referenced by the program must
   /// be within the span. Throws EvalError on division/modulo by zero.
-  Value run(std::span<const Value> frame) const { return run(frame, 0); }
-
-  /// Frame-base-relative evaluation: every kLoad reads
-  /// `frame[base + slot]`. Lets one program compiled against a local
-  /// layout (slot = variable index, see compileLocal) execute against any
-  /// region of a larger shared frame — the batched offer refresh runs a
-  /// component type's guard programs against one frame gathered from many
-  /// instances this way, with `base` the instance's offset in that frame.
-  /// Read-only programs only: a program holding
-  /// kStore instructions (compileFused) must use the mutable overload.
-  Value run(std::span<const Value> frame, std::int32_t base) const;
+  /// Read-only programs only: a program holding kStore instructions
+  /// (compileFused) must use the mutable overload.
+  Value run(std::span<const Value> frame) const;
+  /// A vector argument evaluates read-only too (without this overload a
+  /// non-const vector would convert to both span types).
+  Value run(const std::vector<Value>& frame) const { return run(std::span<const Value>(frame)); }
 
   /// Mutable-frame evaluation for fused guarded commands: kStore writes
-  /// `frame[base + slot]` in place (the frame *is* the live variable
-  /// block, so each assignment is visible to every later load — the
-  /// sequential action-block semantics). Returns the program result: 1
-  /// when the guard held and the action suffix executed, 0 when the
-  /// conditional skip fired.
-  Value run(std::span<Value> frame, std::int32_t base) const;
+  /// `frame[slot]` in place (the frame *is* the live variable block, so
+  /// each assignment is visible to every later load — the sequential
+  /// action-block semantics). Returns the program result: 1 when the
+  /// guard held and the action suffix executed, 0 when the conditional
+  /// skip fired.
+  Value run(std::span<Value> frame) const;
 
   /// The portable switch core over code(), whatever core run() uses.
   /// It is the bit-for-bit oracle the threaded form's superinstructions
   /// are tested against; the engines never call it.
-  Value runSwitchCore(std::span<Value> frame, std::int32_t base) const;
+  Value runSwitchCore(std::span<Value> frame) const;
 
   /// Handler of each threaded record, in order: an OpCode value,
   /// kOpCodeCount for the halt sentinel, or kOpCodeCount + 1 + a SuperOp
@@ -237,51 +209,16 @@ class ExprProgram {
   int maxStack() const { return maxStack_; }
   int tempCount() const { return tempCount_; }
 
-  /// True when the program has a jump-free eager batch form that the
-  /// strip-mined block executor can run over many frame bases at once
-  /// (built by compile() when every conditionally-evaluated operand is
-  /// provably raise-free; fused programs never have one).
-  bool hasBatchForm() const { return !batch_.empty(); }
-
-  /// Batch evaluation over one shared frame: `out[i] =
-  /// ops[i].program->run(frame, ops[i].base)` for every i, in order, with
-  /// the evaluation stack set up once for the whole batch instead of once
-  /// per program. This is the enabled-set scan primitive: a connector scan
-  /// gathers its participants' variables once and then evaluates every
-  /// transition guard (frame-base-relative, one base per participant) in a
-  /// single pass. Short-circuit jumps behave per program exactly as in
-  /// run(); an EvalError raised by ops[i] propagates immediately with
-  /// out[0..i-1] already written. `ops.size()` must equal `out.size()` and
-  /// every op's program must be non-empty (trivially-true guards are
-  /// skipped by callers, never batched).
-  ///
-  /// Block-parallel fast path: a run of >= kMinBlockRun consecutive ops
-  /// sharing one program that hasBatchForm() executes strip-mined — the
-  /// jump-free eager form runs instruction-by-instruction over up to
-  /// kBatchLanes frame bases at once (lane-contiguous stacks, so the
-  /// per-opcode inner loops vectorize). The first-EvalError contract
-  /// survives exactly: a raise anywhere in a block discards the block's
-  /// scratch and replays it scalar, lane by lane in op order, reproducing
-  /// the scalar error point bit-identically (batch forms only exist for
-  /// pure read-only programs, so a discarded block has no side effects).
-  static void runBatch(std::span<const BatchOp> ops, std::span<const Value> frame,
-                       std::span<Value> out);
-
-  /// Block-executor geometry, exposed for tests and benches: minimum
-  /// same-program run length worth strip-mining, and lanes per block.
-  static constexpr std::size_t kMinBlockRun = 4;
-  static constexpr std::size_t kBatchLanes = 16;
-
  private:
   friend ExprProgram compile(const Expr&, const SlotMap&);
   friend ExprProgram compileFused(const Expr&, std::span<const Assign>, const SlotMap&);
 
-  /// Interpreter core shared by run and runBatch; `stack` must hold at
+  /// Interpreter core of run and runSwitchCore; `stack` must hold at
   /// least maxStack_ + tempCount_ slots (the CSE temp registers live
   /// above the evaluation stack). `frame` is only written through kStore,
   /// which compileFused emits and compile never does — the read-only run
   /// overloads pass a const frame through here unchanged.
-  Value exec(std::span<const Value> frame, std::int32_t base, Value* stack) const;
+  Value exec(std::span<const Value> frame, Value* stack) const;
 
 #if CBIP_HAS_COMPUTED_GOTO
   /// Direct-threaded twin of exec(): same contract, dispatches by
@@ -289,16 +226,9 @@ class ExprProgram {
   /// `labelsOut` is non-null the call only publishes the handler label
   /// table (the addresses are function-local) and executes nothing —
   /// finalize() uses that mode to translate code_.
-  Value execThreaded(std::span<const Value> frame, std::int32_t base, Value* stack,
+  Value execThreaded(std::span<const Value> frame, Value* stack,
                      const void* const** labelsOut = nullptr) const;
 #endif
-
-  /// Strip-mined executor for the eager batch form: evaluates batch_ over
-  /// ops.size() (<= kBatchLanes) frame bases in lockstep. `lanes` must
-  /// hold batchMaxStack_ * ops.size() values, laid out lane-contiguous
-  /// per stack depth.
-  void execBlock(std::span<const BatchOp> ops, std::span<const Value> frame, Value* lanes,
-                 std::span<Value> out) const;
 
   /// Builds the execution-ready forms from code_: the threaded
   /// translation, a peephole pass that fuses superinstructions (SuperOp)
@@ -310,10 +240,8 @@ class ExprProgram {
 
   std::vector<Instr> code_;
   std::vector<ThreadedInstr> threaded_;  // fused code_ + halt sentinel; empty without computed goto
-  std::vector<Instr> batch_;             // jump-free eager form (compile() only), often empty
   int maxStack_ = 0;
-  int batchMaxStack_ = 0;  // stack depth of batch_ (eager evaluation needs its own bound)
-  int tempCount_ = 0;      // CSE temp registers (fused programs only)
+  int tempCount_ = 0;  // CSE temp registers (fused programs only)
   bool hasStores_ = false;
 };
 

@@ -215,7 +215,7 @@ ComponentInvariant componentInvariant(const AtomicType& type,
         // One fused dispatch: guard test + surviving actions applied in
         // place; result 0 means the guard failed (frame untouched).
         const expr::ExprProgram& p = fused[i];
-        if (!p.empty() && p.run(std::span<Value>(vars), 0) == 0) continue;
+        if (!p.empty() && p.run(std::span<Value>(vars)) == 0) continue;
       } else {
         ReducedContext ctx(slotOf, vars);
         if (!t.guard.isTrue() && t.guard.eval(ctx) == 0) continue;

@@ -109,10 +109,10 @@ TEST(EnabledInteractionCache, AgreesOnPhilosophersAtomic) {
 
 TEST(EnabledInteractionCache, AgreesOnEveryScanPath) {
   // The incremental maintenance must stay exact on both scan paths: the
-  // batched compiled scan (default) and the tree-walking interpreter's
-  // scalar scan (CBIP_NO_COMPILE).
+  // compiled programs (default) and the tree-walking interpreter
+  // (CBIP_NO_COMPILE).
   for (const bool compiled : {true, false}) {
-    SCOPED_TRACE(compiled ? "batched" : "interpreted");
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
     const CompileSwitch path(compiled);
     crossCheck(models::philosophersAtomic(5), 11, 200);
     crossCheck(models::gasStation(2, 3), 5, 200);
@@ -120,20 +120,20 @@ TEST(EnabledInteractionCache, AgreesOnEveryScanPath) {
 }
 
 TEST(SequentialEngine, BatchScanOnAndOffProduceIdenticalRuns) {
-  // Batch scan on = the compiled engine; off = the interpreter oracle and
-  // its scalar scan.
+  // On = the compiled engine and its compiled offer refresh; off = the
+  // interpreter oracle and its scan.
   for (const char* model : {"phil", "ring", "gas"}) {
     const System sys = std::string(model) == "phil"   ? models::philosophersAtomic(6)
                        : std::string(model) == "ring" ? models::tokenRing(8)
                                                       : models::gasStation(2, 4);
     RunResult runs[2];
-    for (int batch = 0; batch < 2; ++batch) {
-      const CompileSwitch path(batch == 1);
+    for (int compiled = 0; compiled < 2; ++compiled) {
+      const CompileSwitch path(compiled == 1);
       RandomPolicy policy(99);
       SequentialEngine engine(sys, policy);
       RunOptions opt;
       opt.maxSteps = 400;
-      runs[batch] = engine.run(opt);
+      runs[compiled] = engine.run(opt);
     }
     EXPECT_EQ(runs[0].reason, runs[1].reason) << model;
     EXPECT_EQ(runs[0].steps, runs[1].steps) << model;
@@ -584,6 +584,67 @@ TEST(EnabledInteractionCache, RaisingGuardOnConnectedPortRaisesOnBothPaths) {
     int raisedAt = -1;
     crossCheck(sys, 1, 10, &raisedAt);
     EXPECT_EQ(raisedAt, 3);
+  });
+}
+
+TEST(EnabledInteractionCache, FirstEvalErrorFollowsPortMajorOrder) {
+  // Two instances of one type, both ports on connectors. `a`'s port q
+  // guard divides by zero and `b`'s port p guard takes a modulo by zero.
+  // Port-major order runs every instance's port p before any port q, so
+  // `b`'s error comes first; instance-major order would raise `a`'s.
+  auto t = std::make_shared<AtomicType>("T");
+  const int l = t->addLocation("l");
+  const int x = t->addVariable("x", 1);
+  const int y = t->addVariable("y", 1);
+  const int p = t->addPort("p");
+  const int q = t->addPort("q");
+  t->addTransition(l, p, Expr::lit(10) % Expr::local(x) >= Expr::lit(0), {}, l);
+  t->addTransition(l, q, Expr::lit(10) / Expr::local(y) >= Expr::lit(0), {}, l);
+  t->setInitialLocation(l);
+  System sys;
+  const int a = sys.addInstance("a", t);
+  const int b = sys.addInstance("b", t);
+  for (const int inst : {a, b}) {
+    for (const int port : {p, q}) {
+      sys.addConnector(rendezvous("c" + std::to_string(inst) + std::to_string(port),
+                                  {PortRef{inst, port}}));
+    }
+  }
+  sys.validate();
+  GlobalState g = initialState(sys);
+  g.components[static_cast<std::size_t>(a)].vars[static_cast<std::size_t>(y)] = 0;
+  g.components[static_cast<std::size_t>(b)].vars[static_cast<std::size_t>(x)] = 0;
+  inBothModes([&] {
+    EnabledInteractionCache cache(sys);
+    std::string error;
+    try {
+      cache.reset(g);
+    } catch (const EvalError& e) {
+      error = e.what();
+    }
+    EXPECT_EQ(error, "modulo by zero");
+  });
+}
+
+TEST(EnabledInteractionCache, ShortStateRaisesOnBothPaths) {
+  // A component state with fewer variables than its type, under a guard
+  // on a connected port that reads the missing variable.
+  auto t = std::make_shared<AtomicType>("T");
+  const int l = t->addLocation("l");
+  t->addVariable("x", 0);
+  const int y = t->addVariable("y", 1);
+  const int p = t->addPort("p");
+  t->addTransition(l, p, Expr::local(y) > Expr::lit(0), {}, l);
+  t->setInitialLocation(l);
+  System sys;
+  const int inst = sys.addInstance("k", t);
+  sys.addConnector(rendezvous("p", {PortRef{inst, p}}));
+  sys.validate();
+  GlobalState g = initialState(sys);
+  g.components[static_cast<std::size_t>(inst)].vars.resize(1);
+  inBothModes([&] {
+    EnabledInteractionCache cache(sys);
+    EXPECT_THROW(cache.reset(g), EvalError);
   });
 }
 

@@ -304,13 +304,13 @@ TEST(ShardedEngine, FusedAndUnfusedTracesIdentical) {
 }
 
 TEST(ShardedEngine, BatchedAndScalarScanTracesIdentical) {
-  // The batched compiled offer refresh of the shard workers' caches must
-  // leave every schedule bit-identical to the interpreter's, and each
-  // trace must stay replayable through the reference engine.
+  // The compiled offer refresh of the shard workers' caches must leave
+  // every schedule bit-identical to the interpreter's, and each trace must
+  // stay replayable through the reference engine.
   const System models[] = {models::philosophersAtomic(12), models::producerConsumer(3)};
   for (const System& sys : models) {
-    const auto runWith = [&](bool batch) {
-      const CompileSwitch path(batch);
+    const auto runWith = [&](bool compiled) {
+      const CompileSwitch path(compiled);
       ShardedEngine engine(sys, 3);
       ShardedOptions opt;
       opt.maxSteps = 200;
@@ -318,21 +318,21 @@ TEST(ShardedEngine, BatchedAndScalarScanTracesIdentical) {
       const RunResult r = engine.run(opt);
       return r;
     };
-    const RunResult batched = runWith(true);
+    const RunResult compiled = runWith(true);
     const RunResult interpreted = runWith(false);
-    EXPECT_EQ(batched.trace.labels(), interpreted.trace.labels());
-    EXPECT_EQ(batched.finalState, interpreted.finalState);
-    EXPECT_EQ(batched.steps, interpreted.steps);
-    expectSequentiallyReplayable(sys, batched);
+    EXPECT_EQ(compiled.trace.labels(), interpreted.trace.labels());
+    EXPECT_EQ(compiled.finalState, interpreted.finalState);
+    EXPECT_EQ(compiled.steps, interpreted.steps);
+    expectSequentiallyReplayable(sys, compiled);
   }
 }
 
 TEST(ShardedEngine, ThreadedAndSwitchVmCoresTracesIdentical) {
   // The build's VM core (computed-goto threaded, or the switch loop in a
-  // CBIP_FORCE_SWITCH_DISPATCH build) plus the block-parallel batch
-  // executor is an execution-core change only: every schedule must stay
-  // bit-identical to the interpreter oracle, and each trace must stay
-  // replayable through the reference engine. CI runs this on both builds.
+  // CBIP_FORCE_SWITCH_DISPATCH build) is an execution-core change only:
+  // every schedule must stay bit-identical to the interpreter oracle, and
+  // each trace must stay replayable through the reference engine. CI runs
+  // this on both builds.
   const System models[] = {models::philosophersAtomic(12), models::producerConsumer(3)};
   for (const System& sys : models) {
     const auto runWith = [&](bool compiled) {
