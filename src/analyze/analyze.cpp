@@ -1,8 +1,6 @@
 #include "analyze/analyze.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
 
 #include "util/require.hpp"
 
@@ -337,236 +335,6 @@ ExprFacts analyzeExpr(const expr::Expr& e, const IntervalEnv& env) {
       return out;
     }
   }
-}
-
-ExprFacts analyzeLocal(const expr::Expr& e, std::span<const Interval> slots) {
-  return analyzeExpr(e, [slots](expr::VarRef r) {
-    if (r.scope != 0 || r.index < 0 || static_cast<std::size_t>(r.index) >= slots.size()) {
-      return Interval::top();
-    }
-    return slots[static_cast<std::size_t>(r.index)];
-  });
-}
-
-namespace {
-
-using expr::Instr;
-using expr::OpCode;
-
-/// Abstract machine state at one program point: the evaluation stack,
-/// the CSE temp registers and the (strongly-updated) frame slots.
-struct AbsState {
-  std::vector<Interval> stack;
-  std::vector<Interval> temps;
-  std::vector<Interval> slots;
-};
-
-}  // namespace
-
-ProgramFacts analyzeProgram(const expr::ExprProgram& p, std::span<const Interval> slots) {
-  ProgramFacts out;
-  out.slotsRead.assign(slots.size(), 0);
-  out.slotsWritten.assign(slots.size(), 0);
-  if (p.empty()) {
-    // The empty program is the trivially-true guard.
-    out.value = Interval::singleton(1);
-    out.exitSlots.assign(slots.begin(), slots.end());
-    return out;
-  }
-  const std::vector<Instr>& code = p.code();
-  const std::size_t n = code.size();
-  // Conservative degradation for bytecode this pass does not understand
-  // (foreign opcodes, out-of-range slots, malformed stack discipline):
-  // no facts beyond "a checked division might raise".
-  const auto fallback = [&] {
-    ProgramFacts f;
-    f.value = Interval::top();
-    f.slotsRead.assign(slots.size(), 1);
-    f.slotsWritten.assign(slots.size(), 1);
-    f.exitSlots.assign(slots.size(), Interval::top());
-    for (const Instr& in : code) {
-      if (in.op == OpCode::kDiv || in.op == OpCode::kMod) f.mayRaise = true;
-    }
-    return f;
-  };
-  // Every jump the compiler emits is forward, so pc order is a
-  // topological order of the control-flow graph: one in-order pass with
-  // joins at jump targets is the exact fixpoint.
-  std::vector<std::optional<AbsState>> in(n + 1);
-  in[0] = AbsState{{},
-                   std::vector<Interval>(static_cast<std::size_t>(p.tempCount()), Interval::top()),
-                   std::vector<Interval>(slots.begin(), slots.end())};
-  bool broken = false;
-  const auto propagate = [&](std::size_t target, AbsState s) {
-    if (target > n) {
-      broken = true;
-      return;
-    }
-    if (!in[target]) {
-      in[target] = std::move(s);
-      return;
-    }
-    AbsState& d = *in[target];
-    if (d.stack.size() != s.stack.size()) {
-      broken = true;
-      return;
-    }
-    for (std::size_t i = 0; i < d.stack.size(); ++i) d.stack[i] = join(d.stack[i], s.stack[i]);
-    for (std::size_t i = 0; i < d.temps.size(); ++i) d.temps[i] = join(d.temps[i], s.temps[i]);
-    for (std::size_t i = 0; i < d.slots.size(); ++i) d.slots[i] = join(d.slots[i], s.slots[i]);
-  };
-  for (std::size_t pc = 0; pc < n && !broken; ++pc) {
-    if (!in[pc]) continue;  // unreachable program point
-    AbsState s = *in[pc];
-    const Instr& ins = code[pc];
-    const auto stackHas = [&](std::size_t k) {
-      if (s.stack.size() < k) broken = true;
-      return !broken;
-    };
-    const auto forwardTarget = [&] {
-      if (ins.arg < 0 || static_cast<std::size_t>(ins.arg) <= pc) broken = true;
-      return !broken;
-    };
-    const auto slotIndex = [&](int arg) {
-      if (arg < 0 || static_cast<std::size_t>(arg) >= slots.size()) broken = true;
-      return static_cast<std::size_t>(arg);
-    };
-    const auto tempIndex = [&](int arg) {
-      if (arg < 0 || static_cast<std::size_t>(arg) >= s.temps.size()) broken = true;
-      return static_cast<std::size_t>(arg);
-    };
-    switch (ins.op) {
-      case OpCode::kPush:
-        s.stack.push_back(Interval::singleton(ins.imm));
-        propagate(pc + 1, std::move(s));
-        break;
-      case OpCode::kLoad: {
-        const std::size_t idx = slotIndex(ins.arg);
-        if (broken) break;
-        out.slotsRead[idx] = 1;
-        s.stack.push_back(s.slots[idx]);
-        propagate(pc + 1, std::move(s));
-        break;
-      }
-      case OpCode::kAdd:
-      case OpCode::kSub:
-      case OpCode::kMul:
-      case OpCode::kMin:
-      case OpCode::kMax:
-      case OpCode::kEq:
-      case OpCode::kNe:
-      case OpCode::kLt:
-      case OpCode::kLe:
-      case OpCode::kGt:
-      case OpCode::kGe: {
-        if (!stackHas(2)) break;
-        const Interval b = s.stack.back();
-        s.stack.pop_back();
-        const Interval a = s.stack.back();
-        Interval r;
-        switch (ins.op) {
-          case OpCode::kAdd: r = absAdd(a, b); break;
-          case OpCode::kSub: r = absSub(a, b); break;
-          case OpCode::kMul: r = absMul(a, b); break;
-          case OpCode::kMin: r = absMin(a, b); break;
-          case OpCode::kMax: r = absMax(a, b); break;
-          case OpCode::kEq: r = absCmp(expr::Op::kEq, a, b); break;
-          case OpCode::kNe: r = absCmp(expr::Op::kNe, a, b); break;
-          case OpCode::kLt: r = absCmp(expr::Op::kLt, a, b); break;
-          case OpCode::kLe: r = absCmp(expr::Op::kLe, a, b); break;
-          case OpCode::kGt: r = absCmp(expr::Op::kGt, a, b); break;
-          default: r = absCmp(expr::Op::kGe, a, b); break;
-        }
-        s.stack.back() = r;
-        propagate(pc + 1, std::move(s));
-        break;
-      }
-      case OpCode::kDiv:
-      case OpCode::kMod: {
-        if (!stackHas(2)) break;
-        const Interval b = s.stack.back();
-        s.stack.pop_back();
-        const Interval a = s.stack.back();
-        const DivFacts d = ins.op == OpCode::kDiv ? absDiv(a, b) : absMod(a, b);
-        if (d.mayRaise) out.mayRaise = true;
-        // No abstract state flows past a guaranteed raise.
-        if (d.mustRaise) break;
-        s.stack.back() = d.result;
-        propagate(pc + 1, std::move(s));
-        break;
-      }
-      case OpCode::kNeg:
-      case OpCode::kAbs:
-      case OpCode::kNot:
-        if (!stackHas(1)) break;
-        s.stack.back() = ins.op == OpCode::kNeg   ? absNeg(s.stack.back())
-                         : ins.op == OpCode::kAbs ? absAbs(s.stack.back())
-                                                  : absNot(s.stack.back());
-        propagate(pc + 1, std::move(s));
-        break;
-      case OpCode::kJump:
-        if (!forwardTarget()) break;
-        propagate(static_cast<std::size_t>(ins.arg), std::move(s));
-        break;
-      case OpCode::kJumpIfZero:
-      case OpCode::kJumpIfNonZero: {
-        if (!stackHas(1) || !forwardTarget()) break;
-        const Interval v = s.stack.back();
-        s.stack.pop_back();
-        const bool zeroFeasible = v.contains(0);
-        const bool nonzeroFeasible = mayNonzero(v);
-        const bool jumpOnZero = ins.op == OpCode::kJumpIfZero;
-        if (jumpOnZero ? zeroFeasible : nonzeroFeasible) {
-          propagate(static_cast<std::size_t>(ins.arg), s);
-        }
-        if (jumpOnZero ? nonzeroFeasible : zeroFeasible) {
-          propagate(pc + 1, std::move(s));
-        }
-        break;
-      }
-      case OpCode::kStore: {
-        if (!stackHas(1)) break;
-        const std::size_t idx = slotIndex(ins.arg);
-        if (broken) break;
-        out.slotsWritten[idx] = 1;
-        s.slots[idx] = s.stack.back();
-        s.stack.pop_back();
-        propagate(pc + 1, std::move(s));
-        break;
-      }
-      case OpCode::kTee: {
-        if (!stackHas(1)) break;
-        const std::size_t idx = tempIndex(ins.arg);
-        if (broken) break;
-        s.temps[idx] = s.stack.back();
-        propagate(pc + 1, std::move(s));
-        break;
-      }
-      case OpCode::kLoadTmp: {
-        const std::size_t idx = tempIndex(ins.arg);
-        if (broken) break;
-        s.stack.push_back(s.temps[idx]);
-        propagate(pc + 1, std::move(s));
-        break;
-      }
-      default:
-        broken = true;
-        break;
-    }
-  }
-  if (broken) return fallback();
-  if (!in[n]) {
-    // Every path died in a guaranteed-raising division.
-    out.value = Interval::bottom();
-    out.mayRaise = true;
-    out.mustRaise = true;
-    return out;
-  }
-  AbsState& exit = *in[n];
-  if (exit.stack.size() != 1) return fallback();
-  out.value = exit.stack[0];
-  out.exitSlots = std::move(exit.slots);
-  return out;
 }
 
 std::vector<Interval> typeIntervals(const AtomicType& type) {

@@ -4,24 +4,25 @@
 // execution; until now every correctness instrument in this repo was
 // dynamic (differential traces, sanitizers, D-Finder state exploration).
 // This module adds the static side: a forward abstract interpreter over
-// both representations of the data sub-language — Expr trees and
-// ExprProgram bytecode — in the domain
+// Expr trees — the one semantic oracle both evaluation paths are tested
+// against — in the domain
 //
 //     interval x may-raise-EvalError
 //
-// ExprProgram is an unusually friendly analysis target: it is loop-free
-// (every jump is forward), its arithmetic is fully defined
-// (two's-complement wrapping for + - * neg abs, EvalError on zero
-// divisors and on INT64_MIN / -1), and it has exactly one kind of
-// runtime failure. A single in-order pass with joins at jump targets is
-// therefore a *complete* fixpoint, not an approximation of one.
+// The data sub-language is an unusually friendly analysis target: it has
+// no loops, its arithmetic is fully defined (two's-complement wrapping
+// for + - * neg abs, EvalError on zero divisors and on INT64_MIN / -1),
+// and it has exactly one kind of runtime failure. One recursive pass over
+// a tree therefore computes the exact fixpoint, not an approximation of
+// one. The compiled bytecode is never analyzed: it is differentially
+// tested against the trees, so facts about a tree hold for its program.
 //
 // Two consumers:
 //   * lint (src/analyze/lint.hpp) — always-false / always-true guards,
 //     guaranteed-EvalError sites, connector data-flow diagnostics;
 //   * the D-Finder feed (src/verify/dfinder.cpp) — transitions whose
 //     guard is provably false under typeIntervals() are removed from the
-//     deadlock-condition sources.
+//     deadlock-condition sources, whichever evaluation path is enabled.
 // Execution never consumes analysis facts: the engines run the programs
 // exactly as compiled, so the analyzer can never change a trace.
 //
@@ -33,16 +34,13 @@
 // which is one more reason its facts never steer execution.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/atomic.hpp"
-#include "expr/compile.hpp"
 #include "expr/expr.hpp"
 
 namespace cbip::analyze {
@@ -129,39 +127,6 @@ using IntervalEnv = std::function<Interval(expr::VarRef)>;
 /// branch the condition interval excludes contributes neither value nor
 /// raise facts, exactly as its concrete evaluation would be skipped.
 ExprFacts analyzeExpr(const expr::Expr& e, const IntervalEnv& env);
-
-/// Convenience for component-local expressions (scope 0, slot = index);
-/// references outside `slots` read top.
-ExprFacts analyzeLocal(const expr::Expr& e, std::span<const Interval> slots);
-
-/// Facts about one full ExprProgram evaluation over an entry frame
-/// described by `slots` (see analyzeProgram).
-struct ProgramFacts {
-  /// Interval of the program result; bottom when the program cannot
-  /// complete (mustRaise). The empty program is trivially true: [1, 1].
-  Interval value = Interval::top();
-  bool mayRaise = false;
-  /// True when no execution reaches the exit — every path hits a
-  /// guaranteed-raising division.
-  bool mustRaise = false;
-  /// Per-slot intervals at program exit (kStore applied); empty when the
-  /// exit is unreachable. Size matches the input span.
-  std::vector<Interval> exitSlots;
-  /// Per-slot flags: slot read (kLoad) / written (kStore) on some
-  /// reachable path. Size matches the input span.
-  std::vector<char> slotsRead;
-  std::vector<char> slotsWritten;
-};
-
-/// Forward abstract interpretation of `p` with entry frame `slots`
-/// (frame-base-relative slot i has interval slots[i]). Every jump in
-/// compiled programs is forward, so one in-order pass joining abstract
-/// states at jump targets reaches the fixpoint exactly; conditional
-/// jumps refine (a [0,0] operand only takes its zero edge). On any
-/// structural inconsistency (foreign bytecode, out-of-range slot) the
-/// result degrades soundly: top value, mayRaise iff the program holds a
-/// division.
-ProgramFacts analyzeProgram(const expr::ExprProgram& p, std::span<const Interval> slots);
 
 /// Per-variable intervals covering every value the variable can hold
 /// when instances of `type` run in isolation under the engine: exported

@@ -66,9 +66,9 @@
 // remaps jump targets. A group never contains a jump target, so control
 // reaches a superinstruction only where it would have reached the group's
 // first instruction. Only the threaded form is fused. code() stays the
-// canonical postfix form that the analyzer (src/analyze) reads and that
-// the switch core runs, so the switch core is the bit-for-bit oracle
-// every superinstruction is tested against (runSwitchCore). Guards
+// canonical postfix form that the switch core runs, so the switch core is
+// the bit-for-bit oracle every superinstruction is tested against
+// (runSwitchCore). Guards
 // compile with truelist/falselist backpatching: a short-circuit && / ||
 // chain emits conditional jumps wired directly to their ultimate targets
 // (the action suffix, the FAIL label, the 0/1 materialization) instead of
@@ -203,11 +203,6 @@ class ExprProgram {
 
   /// True when the program writes the frame (holds kStore instructions).
   bool storesFrame() const { return hasStores_; }
-
-  /// Evaluation-stack slots the program needs (analysis sizes its abstract
-  /// stack from this) and CSE temp registers it uses.
-  int maxStack() const { return maxStack_; }
-  int tempCount() const { return tempCount_; }
 
  private:
   friend ExprProgram compile(const Expr&, const SlotMap&);

@@ -23,8 +23,11 @@ std::uint64_t Rng::below(std::uint64_t bound) {
 
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
   requireEval(lo <= hi, "Rng::range: lo must be <= hi");
-  const auto width = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(width == 0 ? next() : below(width));
+  // Unsigned arithmetic: hi - lo overflows int64 once the range is wider
+  // than INT64_MAX (the full range's width wraps to 0).
+  const std::uint64_t width = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   (width == 0 ? next() : below(width)));
 }
 
 bool Rng::chance(std::uint64_t numerator, std::uint64_t denominator) {

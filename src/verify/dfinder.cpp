@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "analyze/analyze.hpp"
-#include "expr/compile.hpp"
 #include "obs/obs.hpp"
 #include "sat/solver.hpp"
 #include "util/require.hpp"
@@ -381,8 +380,9 @@ std::size_t strengthenWithAnalysis(const System& system,
                                    std::vector<ComponentInvariant>& componentInvariants) {
   // Both typeIntervals and guard feasibility are per type, not per
   // instance — compute the provably-dead set once however many instances
-  // share the type, then apply it to each instance's invariant.
-  const bool useCompiled = expr::compilationEnabled();
+  // share the type, then apply it to each instance's invariant. The facts
+  // come from the guard's Expr tree on both evaluation paths, so pruning
+  // never depends on whether compilation is enabled.
   std::map<const AtomicType*, std::vector<bool>> deadOf;
   std::size_t pruned = 0;
   for (std::size_t i = 0; i < system.instanceCount() && i < componentInvariants.size(); ++i) {
@@ -401,19 +401,8 @@ std::size_t strengthenWithAnalysis(const System& system,
       for (std::size_t ti = 0; ti < type.transitionCount(); ++ti) {
         const Transition& t = type.transition(static_cast<int>(ti));
         if (t.guard.isTrue()) continue;
-        bool provablyFalse = false;
-        if (useCompiled) {
-          // Abstractly execute the compiled guard bytecode (slot = local
-          // variable index, the layout typeIntervals describes).
-          const analyze::ProgramFacts g =
-              analyze::analyzeProgram(type.compiledTransition(static_cast<int>(ti)).guard,
-                                      intervals);
-          provablyFalse = !g.mayRaise && g.value == analyze::Interval::singleton(0);
-        } else {
-          const analyze::ExprFacts g = analyze::analyzeExpr(t.guard, env);
-          provablyFalse = !g.mayRaise && g.value == analyze::Interval::singleton(0);
-        }
-        dead[ti] = provablyFalse;
+        const analyze::ExprFacts g = analyze::analyzeExpr(t.guard, env);
+        dead[ti] = !g.mayRaise && g.value == analyze::Interval::singleton(0);
       }
       it = deadOf.emplace(&type, std::move(dead)).first;
     }

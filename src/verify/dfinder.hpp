@@ -75,10 +75,10 @@ struct DFinderResult {
 /// (analyze::typeIntervals — the same reachable-in-isolation contract as
 /// componentInvariant) has guardFeasible cleared, shrinking the DIS
 /// enablement sources and the interaction net before the SAT encoding.
-/// While compilation is enabled the facts come from analyzeProgram over
-/// the type's compiled guard bytecode; otherwise from analyzeExpr over
-/// the symbolic tree. Returns the number of guards newly proven
-/// infeasible. checkDeadlockFreedom applies this automatically; callers of
+/// The facts come from analyzeExpr over the guard's Expr tree on both
+/// evaluation paths, so the result never depends on whether compilation
+/// is enabled. Returns the number of guards newly proven infeasible.
+/// checkDeadlockFreedom applies this automatically; callers of
 /// checkDeadlockFreedomWith that build their own invariants may call it
 /// directly.
 std::size_t strengthenWithAnalysis(const System& system,

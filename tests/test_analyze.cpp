@@ -1,11 +1,13 @@
 // Tests for the abstract-interpretation layer (src/analyze): the
-// interval domain and its transfer functions, the Expr- and
-// bytecode-level analyzers, engine traces on the program shapes the
-// analyzer reasons about (dead and always-true guards, literal divisors)
-// against the interpreter oracle, the model linter, and the D-Finder
-// component-invariant feed.
+// interval domain and its transfer functions, the Expr tree analyzer
+// (with a soundness property test against concrete evaluation), engine
+// traces on the program shapes the analyzer reasons about (dead and
+// always-true guards, literal divisors) against the interpreter oracle,
+// the model linter, and the D-Finder component-invariant feed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -39,7 +41,6 @@ using analyze::absSub;
 using analyze::DivFacts;
 using analyze::ExprFacts;
 using analyze::Interval;
-using analyze::ProgramFacts;
 using expr::Assign;
 using expr::Expr;
 using expr::ExprProgram;
@@ -49,12 +50,6 @@ constexpr Value kMin = std::numeric_limits<Value>::min();
 constexpr Value kMax = std::numeric_limits<Value>::max();
 
 Expr v(int i) { return Expr::local(i); }
-
-/// Local slot map (slot = index, scope 0), as in the fused tests.
-int localSlot(VarRef r) {
-  require(r.scope == 0, "localSlot: non-local scope");
-  return r.index;
-}
 
 // ---- interval domain -----------------------------------------------------
 
@@ -218,24 +213,17 @@ TEST(AnalyzeExpr, MustRaisePropagates) {
   EXPECT_TRUE(f.mayRaise);
   EXPECT_TRUE(f.mustRaise);
   EXPECT_TRUE(f.value.isBottom());
-  // analyzeLocal convenience: same result through the span interface.
-  const std::vector<Interval> slots{Interval::top(), Interval::singleton(3)};
-  const ExprFacts g = analyze::analyzeLocal(e, slots);
-  EXPECT_TRUE(g.mustRaise);
 }
 
-// ---- bytecode-level analysis ---------------------------------------------
-
-TEST(AnalyzeProgram, LiteralDivisorsNeverRaise) {
+TEST(AnalyzeExpr, LiteralDivisorsNeverRaise) {
   // Literal divisors outside {0, -1} cannot raise, even at the INT64_MIN
-  // edges: the analyzer proves the whole program raise-free under the
-  // all-top environment, and concrete runs agree.
+  // edges: the analyzer proves the whole expression raise-free under the
+  // all-top environment, and concrete runs on both paths agree.
   const Expr e = v(0) / Expr::lit(7) + v(1) % Expr::lit(3);
-  const ExprProgram p = expr::compileLocal(e);
-  const std::vector<Interval> top(2, Interval::top());
-  const ProgramFacts facts = analyze::analyzeProgram(p, top);
+  const ExprFacts facts = analyze::analyzeExpr(e, envOf({Interval::top(), Interval::top()}));
   EXPECT_FALSE(facts.mayRaise);
   EXPECT_FALSE(facts.mustRaise);
+  const ExprProgram p = expr::compileLocal(e);
   Rng rng(99);
   for (int k = 0; k < 200; ++k) {
     std::vector<Value> frame{rng.chance(1, 8) ? kMin : rng.range(-100, 100),
@@ -244,84 +232,152 @@ TEST(AnalyzeProgram, LiteralDivisorsNeverRaise) {
   }
 }
 
-TEST(AnalyzeProgram, UnknownDivisorStaysChecked) {
-  const ExprProgram p = expr::compileLocal(v(0) / v(1));
-  const std::vector<Interval> top(2, Interval::top());
-  const ProgramFacts facts = analyze::analyzeProgram(p, top);
+TEST(AnalyzeExpr, UnknownDivisorStaysChecked) {
+  const Expr e = v(0) / v(1);
+  const ExprFacts facts = analyze::analyzeExpr(e, envOf({Interval::top(), Interval::top()}));
   EXPECT_TRUE(facts.mayRaise);
   EXPECT_FALSE(facts.mustRaise);
   std::vector<Value> frame{1, 0};
-  EXPECT_THROW(p.run(frame), EvalError);
+  EXPECT_THROW(e.eval(frame), EvalError);
+  EXPECT_THROW(expr::compileLocal(e).run(frame), EvalError);
 }
 
-TEST(AnalyzeProgram, MustRaiseWhenDivisorPinnedToZero) {
-  const ExprProgram p = expr::compileLocal(Expr::lit(1) / (v(0) - Expr::lit(3)));
-  const std::vector<Interval> slots{Interval::singleton(3)};
-  const ProgramFacts facts = analyze::analyzeProgram(p, slots);
+TEST(AnalyzeExpr, MustRaiseWhenDivisorPinnedToZero) {
+  const Expr e = Expr::lit(1) / (v(0) - Expr::lit(3));
+  const ExprFacts facts = analyze::analyzeExpr(e, envOf({Interval::singleton(3)}));
   EXPECT_TRUE(facts.mayRaise);
   EXPECT_TRUE(facts.mustRaise);
   EXPECT_TRUE(facts.value.isBottom());
 }
 
-TEST(AnalyzeProgram, ConstantProgramAndSlotFlow) {
-  const ExprProgram zero = expr::compileLocal(Expr::lit(0));
-  std::vector<Value> frame{42};
-  EXPECT_EQ(zero.run(frame), 0);
-  const std::vector<Interval> top(1, Interval::top());
-  const ProgramFacts zf = analyze::analyzeProgram(zero, top);
-  EXPECT_EQ(zf.value, Interval::singleton(0));
-  EXPECT_FALSE(zf.mayRaise);
-
-  // A fused guard+action program reports its slot reads and writes.
-  const std::vector<Assign> actions{Assign{VarRef{0, 1}, v(0) + Expr::lit(1)}};
-  const ExprProgram fused = expr::compileFused(v(0) > Expr::lit(0), actions, localSlot);
-  const std::vector<Interval> slots(2, Interval::top());
-  const ProgramFacts ff = analyze::analyzeProgram(fused, slots);
-  ASSERT_EQ(ff.slotsRead.size(), 2u);
-  ASSERT_EQ(ff.slotsWritten.size(), 2u);
-  EXPECT_TRUE(ff.slotsRead[0]);
-  EXPECT_TRUE(ff.slotsWritten[1]);
-  EXPECT_FALSE(ff.slotsWritten[0]);
-}
-
-TEST(AnalyzeProgram, SkipStoreJoinsKeptAndStoredValues) {
-  // x := ite(y == 3, z, x) compiles to a store that the y != 3 path
-  // jumps past (no load of x at all). The analysis still reports x as
-  // written and joins the stored z with the entry x at the skip target.
-  const int x = 0;
-  const int y = 1;
-  const int z = 2;
-  const std::vector<Assign> actions{
-      Assign{VarRef{0, x}, Expr::ite(v(y) == Expr::lit(3), v(z), v(x))}};
-  const ExprProgram block = expr::compileFused(Expr::top(), actions, localSlot);
-  for (const expr::Instr& in : block.code()) {
-    EXPECT_FALSE(in.op == expr::OpCode::kLoad && in.arg == x) << "the kept x is loaded";
-  }
-  const std::vector<Interval> entry{Interval::range(10, 12), Interval::top(),
-                                    Interval::range(-4, -2)};
-  const ProgramFacts f = analyze::analyzeProgram(block, entry);
-  ASSERT_EQ(f.exitSlots.size(), entry.size());
-  EXPECT_TRUE(f.slotsWritten[x]);
-  EXPECT_FALSE(f.slotsWritten[y]);
-  EXPECT_EQ(f.exitSlots[x], analyze::join(entry[z], entry[x]));
-  EXPECT_EQ(f.exitSlots[x], Interval::range(-4, 12));
-  EXPECT_EQ(f.exitSlots[z], entry[z]);
-  EXPECT_FALSE(f.mayRaise);
-  EXPECT_EQ(f.value, Interval::singleton(1));
-}
-
-TEST(AnalyzeProgram, GuardIntervalProvesDeadAndAlwaysTrue) {
+TEST(AnalyzeExpr, GuardIntervalProvesDeadAndAlwaysTrue) {
   // x % 4 can never exceed 3, so these guards fold under the all-top
   // (mutation-proof) execution environment.
-  const std::vector<Interval> top(1, Interval::top());
-  const ProgramFacts dead =
-      analyze::analyzeProgram(expr::compileLocal(v(0) % Expr::lit(4) > Expr::lit(10)), top);
+  const ExprFacts dead =
+      analyze::analyzeExpr(v(0) % Expr::lit(4) > Expr::lit(10), envOf({Interval::top()}));
   EXPECT_FALSE(dead.mayRaise);
   EXPECT_EQ(dead.value, Interval::singleton(0));
-  const ProgramFacts alive =
-      analyze::analyzeProgram(expr::compileLocal(v(0) % Expr::lit(4) < Expr::lit(10)), top);
+  const ExprFacts alive =
+      analyze::analyzeExpr(v(0) % Expr::lit(4) < Expr::lit(10), envOf({Interval::top()}));
   EXPECT_FALSE(alive.mayRaise);
   EXPECT_EQ(alive.value, Interval::singleton(1));
+}
+
+// ---- soundness against concrete evaluation --------------------------------
+
+/// A literal from the int64 and 0 / -1 corners, or a small value.
+Value cornerOrSmall(Rng& rng) {
+  static constexpr Value kCorners[] = {kMin, kMin + 1, -2, -1, 0, 1, 2, kMax - 1, kMax};
+  return rng.chance(1, 2) ? kCorners[rng.index(std::size(kCorners))] : rng.range(-9, 9);
+}
+
+/// Random expression over locals 0..vars-1 using every operator the
+/// analyzer models. Operands are drawn in a fixed order, so a seed always
+/// builds the same tree.
+Expr randomExpr(Rng& rng, int vars, int depth) {
+  if (depth == 0 || rng.chance(1, 4)) {
+    return rng.chance(1, 2) ? v(static_cast<int>(rng.below(static_cast<std::uint64_t>(vars))))
+                            : Expr::lit(cornerOrSmall(rng));
+  }
+  const auto sub = [&] { return randomExpr(rng, vars, depth - 1); };
+  const int op = static_cast<int>(rng.below(20));
+  if (op == 0) return -sub();
+  if (op == 1) return Expr::abs(sub());
+  if (op == 2) return !sub();
+  Expr a = sub();
+  Expr b = sub();
+  switch (op) {
+    case 3: return a + b;
+    case 4: return a - b;
+    case 5: return a * b;
+    case 6: return a / b;
+    case 7: return a % b;
+    case 8: return Expr::min(a, b);
+    case 9: return Expr::max(a, b);
+    case 10: return a == b;
+    case 11: return a != b;
+    case 12: return a < b;
+    case 13: return a <= b;
+    case 14: return a > b;
+    case 15: return a >= b;
+    case 16: return a && b;
+    case 17: return a || b;
+    default: return Expr::ite(a, b, sub());
+  }
+}
+
+/// A random interval: a corner or small singleton, a small range, or a
+/// range reaching one or both int64 ends.
+Interval randomInterval(Rng& rng) {
+  const Value a = cornerOrSmall(rng);
+  const Value b = cornerOrSmall(rng);
+  switch (rng.below(5)) {
+    case 0: return Interval::singleton(a);
+    case 1: return Interval::range(kMin, std::max(a, b));
+    case 2: return Interval::range(std::min(a, b), kMax);
+    case 3: return Interval::top();
+    default: return Interval::range(std::min(a, b), std::max(a, b));
+  }
+}
+
+/// A value inside `i`, with each endpoint drawn a quarter of the time.
+Value sampleIn(Rng& rng, Interval i) {
+  if (rng.chance(1, 4)) return i.lo;
+  if (rng.chance(1, 3)) return i.hi;
+  return rng.range(i.lo, i.hi);
+}
+
+TEST(AnalyzeExpr, SoundAgainstConcreteEvaluation) {
+  // The tree analyzer is the verifier's only source of guard facts, so
+  // every fact it states must hold on every concrete frame its
+  // environment admits.
+  Rng rng(2024);
+  std::size_t valuesChecked = 0;
+  std::size_t raisesSeen = 0;
+  std::size_t mustRaiseExprs = 0;
+  std::size_t raiseFreeExprs = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const int vars = static_cast<int>(rng.range(2, 3));
+    const Expr e = randomExpr(rng, vars, static_cast<int>(rng.range(1, 4)));
+    std::vector<Interval> env;
+    for (int k = 0; k < vars; ++k) env.push_back(randomInterval(rng));
+    const ExprFacts facts = analyze::analyzeExpr(e, envOf(env));
+    ASSERT_TRUE(facts.mayRaise || !facts.mustRaise) << e.toString();
+    mustRaiseExprs += facts.mustRaise ? 1 : 0;
+    raiseFreeExprs += facts.mayRaise ? 0 : 1;
+    for (int k = 0; k < 16; ++k) {
+      std::vector<Value> frame;
+      for (const Interval& i : env) frame.push_back(sampleIn(rng, i));
+      std::optional<Value> result;
+      try {
+        result = e.eval(frame);
+      } catch (const EvalError&) {
+      }
+      const auto where = [&] {
+        std::string out = e.toString() + " at";
+        for (const Value x : frame) out += " " + std::to_string(x);
+        return out;
+      };
+      if (result) {
+        ++valuesChecked;
+        ASSERT_TRUE(facts.value.contains(*result))
+            << where() << " = " << *result << " outside " << facts.value.toString();
+        ASSERT_FALSE(facts.mustRaise) << where() << " completed under mustRaise";
+      } else {
+        ++raisesSeen;
+        ASSERT_TRUE(facts.mayRaise) << where() << " raised without mayRaise";
+      }
+    }
+  }
+  RecordProperty("values_checked", std::to_string(valuesChecked));
+  RecordProperty("raises_seen", std::to_string(raisesSeen));
+  RecordProperty("must_raise_exprs", std::to_string(mustRaiseExprs));
+  RecordProperty("raise_free_exprs", std::to_string(raiseFreeExprs));
+  // No assertion may hold vacuously.
+  EXPECT_GE(valuesChecked, 10'000u);
+  EXPECT_GE(raisesSeen, 1'000u);
+  EXPECT_GE(mustRaiseExprs, 50u);
+  EXPECT_GE(raiseFreeExprs, 1'000u);
 }
 
 // ---- engine-level identity on analyzable programs -------------------------

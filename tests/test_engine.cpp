@@ -276,9 +276,37 @@ System countdownPairs() {
   return sys;
 }
 
+/// Two rendezvous pairs into a location whose only transition is a tau
+/// self-loop: the first firing leaves both components unable to settle,
+/// so tau settling must give up with "internal transitions diverge" — on
+/// a worker thread on the MT and sharded engines.
+System divergingPairs() {
+  auto t = std::make_shared<AtomicType>("Spin");
+  const int idle = t->addLocation("idle");
+  const int spin = t->addLocation("spin");
+  const int p = t->addPort("p");
+  t->addTransition(idle, p, spin);
+  t->addTransition(spin, kInternalPort, spin);
+  t->setInitialLocation(idle);
+  System sys;
+  for (int k = 0; k < 2; ++k) {
+    const int a = sys.addInstance("a" + std::to_string(k), t);
+    const int b = sys.addInstance("b" + std::to_string(k), t);
+    Connector c("sync" + std::to_string(k));
+    c.addSynchron(PortRef{a, p});
+    c.addSynchron(PortRef{b, p});
+    sys.addConnector(std::move(c));
+  }
+  sys.validate();
+  return sys;
+}
+
+constexpr const char* kDivisionByZero = "division by zero";
+constexpr const char* kSpinDiverges = "Spin: internal transitions diverge (> 10000 tau steps)";
+
 /// Runs `run` on the compiled path and on the interpreter oracle; both
-/// must raise EvalError("division by zero") out of run().
-void expectDivisionByZeroFromRun(const std::function<void()>& run) {
+/// must raise EvalError(`expected`) out of run().
+void expectEvalErrorFromRun(const char* expected, const std::function<void()>& run) {
   for (const bool compiled : {true, false}) {
     SCOPED_TRACE(compiled ? "compiled" : "interpreted");
     const CompileSwitch path(compiled);
@@ -286,14 +314,14 @@ void expectDivisionByZeroFromRun(const std::function<void()>& run) {
       run();
       ADD_FAILURE() << "expected EvalError from run()";
     } catch (const EvalError& e) {
-      EXPECT_STREQ(e.what(), "division by zero");
+      EXPECT_STREQ(e.what(), expected);
     }
   }
 }
 
 TEST(SequentialEngine, ActionEvalErrorSurfacesFromRun) {
   const System sys = countdownPairs();
-  expectDivisionByZeroFromRun([&] {
+  expectEvalErrorFromRun(kDivisionByZero, [&] {
     RandomPolicy policy(5);
     SequentialEngine engine(sys, policy);
     RunOptions opt;
@@ -304,7 +332,7 @@ TEST(SequentialEngine, ActionEvalErrorSurfacesFromRun) {
 
 TEST(ShardedEngine, ActionEvalErrorSurfacesFromRun) {
   const System sys = countdownPairs();
-  expectDivisionByZeroFromRun([&] {
+  expectEvalErrorFromRun(kDivisionByZero, [&] {
     shard::ShardedEngine engine(sys, 2);
     shard::ShardedOptions opt;
     opt.maxSteps = 100;
@@ -318,7 +346,43 @@ TEST(MultiThreadEngine, ActionEvalErrorSurfacesFromRun) {
   // be carried back to the engine thread and rethrown from run(), and
   // every worker must still shut down cleanly.
   const System sys = countdownPairs();
-  expectDivisionByZeroFromRun([&] {
+  expectEvalErrorFromRun(kDivisionByZero, [&] {
+    RandomPolicy policy(5);
+    MultiThreadEngine engine(sys, policy);
+    MtOptions opt;
+    opt.maxSteps = 100;
+    engine.run(opt);
+  });
+}
+
+TEST(SequentialEngine, TauDivergenceSurfacesFromRun) {
+  const System sys = divergingPairs();
+  expectEvalErrorFromRun(kSpinDiverges, [&] {
+    RandomPolicy policy(5);
+    SequentialEngine engine(sys, policy);
+    RunOptions opt;
+    opt.maxSteps = 100;
+    engine.run(opt);
+  });
+}
+
+TEST(ShardedEngine, TauDivergenceSurfacesFromRun) {
+  const System sys = divergingPairs();
+  expectEvalErrorFromRun(kSpinDiverges, [&] {
+    shard::ShardedEngine engine(sys, 2);
+    shard::ShardedOptions opt;
+    opt.maxSteps = 100;
+    opt.seed = 5;
+    engine.run(opt);
+  });
+}
+
+TEST(MultiThreadEngine, TauDivergenceSurfacesFromRun) {
+  // Tau settling runs on the component worker threads: the divergence
+  // must be carried back and rethrown from run(), and every worker must
+  // still shut down cleanly (the engine's destructor joins them).
+  const System sys = divergingPairs();
+  expectEvalErrorFromRun(kSpinDiverges, [&] {
     RandomPolicy policy(5);
     MultiThreadEngine engine(sys, policy);
     MtOptions opt;

@@ -321,6 +321,29 @@ TEST(FusedProgram, TrivialFormsCollapse) {
   EXPECT_EQ(vars[0], 1);
 }
 
+TEST(FusedProgram, SkipStoreNeverLoadsTheKeptTarget) {
+  // x := ite(y == 3, z, x) compiles to a store that the y != 3 path
+  // jumps past: the kept x is never loaded, and the frame ends holding
+  // either the stored z or the untouched x.
+  const int x = 0;
+  const int y = 1;
+  const int z = 2;
+  const std::vector<Assign> actions{
+      Assign{VarRef{0, x}, Expr::ite(v(y) == Expr::lit(3), v(z), v(x))}};
+  const ExprProgram block = expr::compileFused(Expr::top(), actions, localSlot);
+  for (const expr::Instr& in : block.code()) {
+    EXPECT_FALSE(in.op == expr::OpCode::kLoad && in.arg == x) << "the kept x is loaded";
+  }
+  for (const Value yv : {Value{3}, Value{4}}) {
+    std::vector<Value> fusedVars{11, yv, -3};
+    std::vector<Value> interpVars = fusedVars;
+    EXPECT_EQ(runFused(block, fusedVars), std::optional<bool>(true));
+    EXPECT_EQ(runInterpreted(Expr::top(), actions, interpVars), std::optional<bool>(true));
+    EXPECT_EQ(fusedVars, interpVars);
+    EXPECT_EQ(fusedVars[x], yv == 3 ? -3 : 11);
+  }
+}
+
 TEST(FusedProgram, CommonSubexpressionsCrossTheGuardActionBoundary) {
   // The guard computes (v0 * v1 + v2); both actions reuse it. The fused
   // program must park it in a temp (kTee / kLoadTmp) and still match the

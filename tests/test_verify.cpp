@@ -840,5 +840,41 @@ TEST(DFinderOraclePaths, CompiledAndInterpretedResultsAreBitIdentical) {
   }
 }
 
+/// Guards strengthenWithAnalysis proves dead in `sys`, starting from
+/// conservative invariants (every location reachable, every guard
+/// feasible), so the count is the analyzer's facts alone.
+std::size_t guardsProvedDead(const System& sys) {
+  std::vector<ComponentInvariant> invs(sys.instanceCount());
+  for (std::size_t i = 0; i < invs.size(); ++i) {
+    const AtomicType& type = *sys.instance(i).type;
+    invs[i].reachableLocations.assign(type.locationCount(), true);
+    invs[i].guardFeasible.assign(type.transitionCount(), true);
+  }
+  return strengthenWithAnalysis(sys, invs);
+}
+
+TEST(StrengthenCorners, PrunedGuardTotalIsPinned) {
+  // The pruning feed over the built-in families and the generated oracle
+  // systems: the total must not move, and must not depend on the
+  // evaluation path. 671 is the total both paths reached while the
+  // compiled path still read its facts from a bytecode analyzer.
+  constexpr std::size_t kPinned = 671;
+  for (const bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+    const CompileSwitch path(compiled);
+    std::size_t total = 0;
+    const System builtins[] = {
+        models::philosophersAtomic(4), models::philosophersTwoStep(3), models::gasStation(2, 3),
+        models::producerConsumer(3),   models::producerConsumerBounded(3, 7),
+        models::tokenRing(5),          models::gcdSystem(12, 18),
+        models::skewedPairs(4, 1, 4)};
+    for (const System& sys : builtins) total += guardsProvedDead(sys);
+    for (std::uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
+      total += guardsProvedDead(randomSystem(seed));
+    }
+    EXPECT_EQ(total, kPinned);
+  }
+}
+
 }  // namespace
 }  // namespace cbip::verify
