@@ -3,7 +3,7 @@
 //
 // The multithreaded engine pays one offer/execute message round through
 // per-component worker threads for every interaction; the sharded engine
-// pays three barriers per epoch of up to shards * epochBatch interactions
+// pays one barrier per epoch of up to shards * epochBatch interactions
 // and runs everything shard-local without locks. The
 // acceptance shape for the shard subsystem is >= 1.5x engine-step
 // throughput over MtEngine at 256 components / 4 shards (Release).

@@ -13,6 +13,12 @@ namespace {
 const obs::Counter g_labelsRendered("trace.labels.rendered");
 }  // namespace
 
+const System& validatedWarm(const System& system) {
+  system.validate();
+  system.warmIndices();
+  return system;
+}
+
 std::pair<std::size_t, std::span<const int>> RandomPolicy::pick(
     const System&, const GlobalState&, std::span<const EnabledInteraction> enabled) {
   const std::size_t i = rng_.index(enabled.size());

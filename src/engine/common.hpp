@@ -116,6 +116,14 @@ struct RunStats {
   std::uint64_t wallNs = 0;  ///< wall-clock duration of run()
 };
 
+/// Validates `system` and warms every lazy index and program, while still
+/// single-threaded, so that no run pays the one-time build cost and no
+/// worker races to build one. The compiled programs are skipped when the
+/// interpreter escape hatch is active: that path must not depend on the
+/// compiler even building. Returns `system`; the sequential and
+/// multithreaded engines build their enabled-set caches from it.
+const System& validatedWarm(const System& system);
+
 /// Abstract engine interface: drive any of the three engines (sequential,
 /// multi-threaded, sharded) without knowing which one it is. The concrete
 /// engines keep their richer run(DerivedOptions) overloads; this

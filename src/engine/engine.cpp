@@ -15,14 +15,7 @@ const obs::Counter g_seqRuns("engine.seq.runs");
 }  // namespace
 
 SequentialEngine::SequentialEngine(const System& system, SchedulingPolicy& policy)
-    : system_(&system), policy_(&policy) {
-  system.validate();
-  // Warm every lazy index and lower every program now so the run loop
-  // never pays the (one-time) build cost mid-measurement. The compiled
-  // programs are skipped when the interpreter escape hatch is active:
-  // that path must not depend on the compiler even building.
-  system.warmIndices();
-}
+    : system_(&validatedWarm(system)), policy_(&policy), cache_(system) {}
 
 RunResult SequentialEngine::run(const RunOptions& options) {
   return run(initialState(*system_), options);
@@ -54,14 +47,13 @@ RunResult SequentialEngine::run(GlobalState start, const RunOptions& options) {
   for (std::size_t i = 0; i < system_->instanceCount(); ++i) {
     runInternal(*system_->instance(i).type, result.finalState.components[i]);
   }
-  EnabledInteractionCache cache(*system_);
-  cache.reset(result.finalState);
+  cache_.reset(result.finalState);
   const bool mustFilter = system_->maximalProgress() || !system_->priorities().empty();
   for (std::uint64_t step = 0; step < options.maxSteps; ++step) {
     // Without priority filtering the cached set is used in place; only the
     // filtering path needs a mutable copy.
     std::vector<EnabledInteraction> scratch;
-    const std::vector<EnabledInteraction>* enabled = &cache.enabled();
+    const std::vector<EnabledInteraction>* enabled = &cache_.enabled();
     if (enabled->empty()) {
       result.reason = StopReason::kDeadlock;
       finishStats(result);
@@ -81,7 +73,7 @@ RunResult SequentialEngine::run(GlobalState start, const RunOptions& options) {
     if (options.recordTrace) {
       result.trace.events.push_back(labels_.event(*system_, step, ei.connector, ei.mask));
     }
-    cache.updateAfterExecute(result.finalState, ei);
+    cache_.updateAfterExecute(result.finalState, ei);
     if (options.stopWhen && options.stopWhen(result.finalState)) {
       result.reason = StopReason::kPredicate;
       finishStats(result);

@@ -37,7 +37,9 @@ struct RunOptions : EngineOptions {
 /// Single-threaded reference engine.
 class SequentialEngine final : public Engine {
  public:
-  /// The system must outlive the engine.
+  /// The system must outlive the engine and must not change while the
+  /// engine lives: the engine builds its enabled-set cache once and resets
+  /// it at the start of every run.
   SequentialEngine(const System& system, SchedulingPolicy& policy);
 
   /// Runs from the system's initial state.
@@ -57,6 +59,7 @@ class SequentialEngine final : public Engine {
  private:
   const System* system_;
   SchedulingPolicy* policy_;
+  EnabledInteractionCache cache_;
   RunOptions defaults_;
   RunStats stats_;
   TraceLabels labels_;

@@ -141,15 +141,7 @@ class Worker {
 }  // namespace
 
 MultiThreadEngine::MultiThreadEngine(const System& system, SchedulingPolicy& policy)
-    : system_(&system), policy_(&policy) {
-  system.validate();
-  // Warm every lazy index and program while still single-threaded: run()
-  // only evaluates them from the engine thread, but the build must not
-  // race with a concurrently constructed sibling engine sharing the
-  // System. Compiled programs are skipped when the interpreter escape
-  // hatch is active: that path must not depend on the compiler building.
-  system.warmIndices();
-}
+    : system_(&validatedWarm(system)), policy_(&policy), cache_(system) {}
 
 RunResult MultiThreadEngine::run(const EngineOptions& options) {
   MtOptions full = defaults_;
@@ -185,8 +177,7 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
   snapshot.components.resize(n);
   for (std::size_t i = 0; i < n; ++i) workers[i]->snapshot(snapshot.components[i]);
 
-  EnabledInteractionCache cache(system);
-  cache.reset(snapshot);
+  cache_.reset(snapshot);
 
   // Per-cycle buffers, reused so that elements keep their storage: the
   // enabled set's copy (the batch [0, chosen), then the candidates left),
@@ -202,7 +193,7 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
     // One scheduling cycle (RunStats::scanRounds): scan, pick a batch,
     // dispatch, re-synchronize.
     ++stats_.scanRounds;
-    const std::span<const EnabledInteraction> cached = cache.enabled();
+    const std::span<const EnabledInteraction> cached = cache_.enabled();
     if (cached.empty()) {
       result.reason = StopReason::kDeadlock;
       break;
@@ -278,7 +269,7 @@ RunResult MultiThreadEngine::run(const MtOptions& options) {
           snapshot.components[static_cast<std::size_t>(inst)]);
     }
     // Only the dispatched instances changed, so they are the dirty set.
-    cache.update(snapshot, dispatched);
+    cache_.update(snapshot, dispatched);
   }
 
   workers.clear();  // stops and joins every worker thread

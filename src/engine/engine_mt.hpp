@@ -42,7 +42,9 @@ struct MtOptions : EngineOptions {
 
 class MultiThreadEngine final : public Engine {
  public:
-  /// The system must outlive the engine.
+  /// The system must outlive the engine and must not change while the
+  /// engine lives: the engine builds its enabled-set cache once and resets
+  /// it at the start of every run.
   MultiThreadEngine(const System& system, SchedulingPolicy& policy);
 
   RunResult run(const MtOptions& options);
@@ -59,6 +61,7 @@ class MultiThreadEngine final : public Engine {
  private:
   const System* system_;
   SchedulingPolicy* policy_;
+  EnabledInteractionCache cache_;
   MtOptions defaults_;
   RunStats stats_;
   TraceLabels labels_;

@@ -1,14 +1,13 @@
 #include "shard/engine_sharded.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <barrier>
 #include <chrono>
 #include <exception>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -22,8 +21,8 @@ namespace {
 // Telemetry (src/obs): counts only, never steers — traces stay
 // bit-identical with observability on, off, or compiled out. Per-shard
 // metrics ("shard.<s>.*") are registered lazily at run end because the
-// shard count is per-engine; everything below is flushed at barrier
-// completions or after the join, never on the per-interaction hot path.
+// shard count is per-engine; everything below is flushed after the join,
+// never on the per-interaction hot path.
 const obs::Counter g_runs("engine.sharded.runs");
 const obs::Counter g_steps("engine.sharded.steps");
 const obs::Counter g_epochs("engine.sharded.epochs");
@@ -60,37 +59,39 @@ bool eventBefore(const Event& a, const Event& b) {
          std::tie(b.epoch, b.phase, b.shard, b.seq);
 }
 
+/// Wall time of the epoch barrier's last completion, when this thread ran
+/// it: the thread's barrier wait includes it, and its idle time must not.
+thread_local std::uint64_t t_coordinateNs = 0;
+
 /// Per-shard worker bookkeeping. `local` and `cross` are the engine's
 /// enabled-set caches over this shard's local connectors and owned cross
 /// connectors: the local one is updated after every local step, so the
 /// policy picks from it in place; the cross one is updated at plan time.
+/// The worker thread writes only the local-phase fields; everything else
+/// is written in the epoch barrier's completion, while every worker waits.
 struct Worker {
   EnabledInteractionCache* local = nullptr;
   EnabledInteractionCache* cross = nullptr;
   std::unique_ptr<SchedulingPolicy> policy;
 
   // Instances this shard dirtied during the epoch (cross + local
-  // executions). Written only by the owning worker; read by every worker
-  // during the next plan phase to refresh cross-connector caches.
+  // executions), read by the next plan to refresh every shard's
+  // cross-connector caches.
   std::vector<int> dirtyLog;
 
-  // Instances of this shard dirtied by cross-shard executions (possibly
-  // performed by another shard's worker). Guarded by `mutex`, which
-  // doubles as the lock on the shard's members' state during the cross
-  // phase.
-  std::mutex mutex;
+  // Instances of this shard dirtied by cross-shard and stolen executions
+  // (whoever owned them); the local phase drains them into `local`.
   std::vector<int> crossDirty;
 
-  // Published at plan time, read by the barrier completion while every
-  // worker waits: views into `cross`, which only this worker's plan phase
-  // changes. One candidate per owned cross connector with an enabled
-  // interaction.
+  // The plan's output for the conflict resolver: views into `cross`,
+  // which only the next plan changes. One candidate per owned cross
+  // connector with an enabled interaction.
   std::vector<const EnabledInteraction*> crossCandidates;
   std::size_t localEnabledCount = 0;
 
-  // Published at plan time alongside the candidates when this shard has
-  // more enabled local work than its quota can cover: the length of a
-  // bounded prefix of `local` that idle shards may steal.
+  // Set at plan time alongside the candidates when this shard has more
+  // enabled local work than its quota can cover: the length of a bounded
+  // prefix of `local` that idle shards may steal.
   std::size_t stealable = 0;
 
   std::uint64_t localExecuted = 0;   // this epoch
@@ -98,57 +99,33 @@ struct Worker {
   std::uint64_t stolenExecuted = 0;  // this epoch (as thief, on victims' members)
   std::vector<Event> events;
 
-  // Instances whose shared activity cell this worker raised from zero in
+  // Instances whose shared activity cell this shard raised from zero in
   // the current load window (sparse reset: the rebalancer zeroes exactly
   // these at window close instead of sweeping all n counters).
   std::vector<int> activityTouched;
 
-  // Owner-only wall-clock accumulators (nanoseconds), read after the
-  // join; populated only while timing is active (see `timed` below).
+  // Wall-clock accumulators (nanoseconds), read after the join; populated
+  // only while timing is active (see `timed` below).
   std::uint64_t planNs = 0;
   std::uint64_t crossNs = 0;
   std::uint64_t localNs = 0;
   std::uint64_t idleNs = 0;
-  std::uint64_t lockWaitNs = 0;
 
-  // Scratch.
-  std::vector<int> drained;
-  std::vector<int> planDirty;     // every shard's dirty log, at plan time
-  std::vector<std::mutex*> held;  // cross-phase locks; capacity >= shard count
+  // The first error of this shard's bootstrap or local phase; the next
+  // barrier completion stops the run.
+  std::exception_ptr error;
 };
 
-/// Ordered shard locks over reused storage: `lock` acquires a mutex and
-/// records it, and the destructor releases every recorded one, also when
-/// an execution throws. `held` must have capacity for every lock taken,
-/// so recording one never allocates.
-class ShardLocks {
- public:
-  explicit ShardLocks(std::vector<std::mutex*>& held) : held_(held) {}
-  ShardLocks(const ShardLocks&) = delete;
-  ShardLocks& operator=(const ShardLocks&) = delete;
-  ~ShardLocks() {
-    for (std::mutex* m : held_) m->unlock();
-    held_.clear();
-  }
-  void lock(std::mutex& m) {
-    m.lock();
-    held_.push_back(&m);
-  }
-
- private:
-  std::vector<std::mutex*>& held_;
-};
-
-/// A cross candidate accepted at the plan barrier. `interaction` points
-/// into its owner's `cross` set, which only the next plan phase changes.
+/// A cross candidate accepted by the conflict resolver. `interaction`
+/// points into its owner's `cross` set, which only the next plan changes.
 struct AcceptedCross {
   const EnabledInteraction* interaction = nullptr;
   int crossIndex = 0;  // into ShardedSystem::crossConnectors()
 };
 
-/// A work-stealing assignment resolved at the plan barrier: `thief`
-/// executes one of `victim`'s enabled local interactions during the cross
-/// phase, under the victim's lock. `interaction` points into the victim's
+/// A work-stealing assignment made by the conflict resolver: `thief`
+/// executes one of `victim`'s enabled local interactions in the cross
+/// work, with its own policy. `interaction` points into the victim's
 /// `local` set, which only the victim's local phase changes.
 struct StolenLocal {
   const EnabledInteraction* interaction = nullptr;
@@ -190,10 +167,10 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   system.warmIndices();
   require(system.indicesWarm(), "ShardedEngine: indices must be warm before workers start");
 
-  // One state for every shard. Workers write disjoint components: their
-  // own members in the local phase, footprint-disjoint interactions under
-  // the involved shards' locks in the cross phase. Foreign members are
-  // read only in the plan phase, while nobody writes.
+  // One state for every shard. The parallel local phases write disjoint
+  // components, each shard its own members. Everything that reads or
+  // writes another shard's members (plan, cross and stolen executions)
+  // runs in the epoch barrier's completion, while every worker waits.
   GlobalState state = initialState(system);
 
   // Adaptive-scheduling switches. K=1 degenerates to the sequential loop,
@@ -206,10 +183,10 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   stats_ = ShardedStats{};
   stats_.shards.resize(K);
   g_runs.add();
-  // Wall-clock timing (phase spans, barrier-wait, lock-wait) is read only
-  // when someone can observe it: the obs runtime toggle is on or a trace
-  // sink is installed. Sampled once per run; epoch-grained, so the cost
-  // when active is a handful of clock reads per barrier crossing.
+  // Wall-clock timing (phase spans, barrier wait) is read only when
+  // someone can observe it: the obs runtime toggle is on or a trace sink
+  // is installed. Sampled once per run; epoch-grained, so the cost when
+  // active is a few clock reads per shard and epoch.
 #if defined(CBIP_NO_OBS)
   obs::TraceLog* const sink = nullptr;
   const bool timed = false;
@@ -227,11 +204,10 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     w->policy = options.policyFactory ? options.policyFactory(s)
                                       : std::make_unique<RandomPolicy>(
                                             shardSeed(options.seed, s));
-    w->held.reserve(K);
     workers.push_back(std::move(w));
   }
 
-  // ---- shared epoch state (all transitions ride the barriers) ----
+  // ---- shared epoch state (written in the barrier's completion) ----
   const GlobalState placeholder;  // handed to policies; see ShardedOptions
   std::uint64_t epoch = 0;
   std::uint64_t executedTotal = 0;
@@ -245,12 +221,11 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   std::vector<std::size_t> cursor;
   std::vector<std::uint64_t> localQuota(K, 0);
   std::vector<char> instanceUsed(system.instanceCount(), 0);
-  // Rebalancer load window (epoch-grained, maintained at barrier
-  // completions): per-shard executed steps and per-instance activity.
-  // The activity vector is shared, but within an epoch every cell is
-  // written by at most one thread (local phase: the owner; cross phase:
-  // under the instance's shard mutex, on footprint-disjoint interactions),
-  // and the barriers order epochs — no data race.
+  // Rebalancer load window (epoch-grained, maintained in the barrier's
+  // completion): per-shard executed steps and per-instance activity. The
+  // activity vector is shared, but a local phase writes only its own
+  // shard's cells, and the barrier orders it against the completion's
+  // cross executions — no data race.
   std::vector<std::uint64_t> windowLoad(K, 0);
   std::vector<std::uint32_t> activity(rebalanceOn ? system.instanceCount() : 0, 0);
   std::uint64_t windowEpochs = 0;
@@ -268,18 +243,12 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   std::vector<double> predicted;
   std::vector<ShardedSystem::Move> moves;
   bool migrated = false;  // set after a migration; the next plan checks the caches
-  std::atomic<bool> abort{false};
-  std::mutex errorMutex;
-  std::exception_ptr firstError;
-
-  const auto capture = [&]() {
-    const std::scoped_lock lock(errorMutex);
-    if (!firstError) firstError = std::current_exception();
-    abort.store(true, std::memory_order_relaxed);
-  };
+  // Scratch: every shard's dirty log of the last epoch, for the plan.
+  std::vector<int> planDirty;
+  std::exception_ptr coordinateError;  // raised in the barrier's completion
 
   // Load-window activity bump for one executed instance (rebalanceOn
-  // only). The zero-crossing goes to the executing worker's sparse reset
+  // only). The zero-crossing goes to the executing shard's sparse reset
   // list; see the race note at `activity`.
   const auto bumpActivity = [&](Worker& w, int inst) {
     std::uint32_t& cell = activity[static_cast<std::size_t>(inst)];
@@ -287,12 +256,11 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     ++cell;
   };
 
-  // Plan resolution: runs on one thread at the plan barrier.
-  const auto resolvePlan = [&]() noexcept {
+  // Plan resolution, after every shard's plan.
+  const auto resolvePlan = [&] {
     accepted.clear();
     stolen.clear();
     std::fill(localQuota.begin(), localQuota.end(), 0);
-    if (abort.load(std::memory_order_relaxed)) return;
     const std::uint64_t remaining = options.maxSteps - executedTotal;
     // Deterministic conflict resolution over all published cross-shard
     // candidates: connector order, greedy instance-disjoint.
@@ -343,10 +311,10 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     // Work stealing: hand shards with no enabled local work a segment of
     // an overloaded shard's published surplus, footprint-disjoint against
     // the accepted crosses and each other (instanceUsed covers both), to
-    // execute during the cross phase under the victim's lock. Pure
-    // function of the published plan data — deterministic, and every
-    // stolen interaction commutes with the rest of the epoch, so the
-    // serialized trace stays a valid sequential schedule.
+    // execute in the cross work. Pure function of the plan data —
+    // deterministic, and every stolen interaction commutes with the rest
+    // of the epoch, so the serialized trace stays a valid sequential
+    // schedule.
     if (stealOn && budget > 0) {
       cursor.assign(K, 0);
       for (std::size_t thief = 0; thief < K && budget > 0; ++thief) {
@@ -385,18 +353,21 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     }
   };
 
-  // Epoch bookkeeping: runs on one thread at the end-of-epoch barrier.
-  const auto closeEpoch = [&]() noexcept {
+  // Epoch bookkeeping, first in the barrier's completion. The bootstrap
+  // barrier closes no epoch; it only decides whether the first one runs.
+  const auto closeEpoch = [&] {
+    const bool failed = std::any_of(workers.begin(), workers.end(),
+                                    [](const auto& w) { return w->error != nullptr; });
     if (bootstrap) {
       bootstrap = false;
+      stop = failed || options.maxSteps == 0;
       return;
     }
     migrated = false;  // consumed by the plan phase that just ran
     std::uint64_t epochExec = accepted.size();
     for (const auto& w : workers) epochExec += w->localExecuted + w->stolenExecuted;
     executedTotal += epochExec;
-    // Per-shard load accounting (single-threaded here: the barrier
-    // completion runs on exactly one thread while the others wait).
+    // Per-shard load accounting.
     ++stats_.epochs;
     bool anyIdle = false;
     for (std::size_t s = 0; s < K; ++s) {
@@ -415,7 +386,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       }
     }
     if (anyIdle) ++stats_.stalledEpochs;
-    if (abort.load(std::memory_order_relaxed)) {
+    if (failed) {
       stop = true;
     } else if (executedTotal >= options.maxSteps) {
       reason = StopReason::kStepLimit;
@@ -519,12 +490,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
         predicted[maxShard] -= static_cast<double>(g.activity);
       }
       if (!moves.empty()) {
-        try {
-          ss.migrate(moves);
-        } catch (...) {
-          capture();
-          return;
-        }
+        ss.migrate(moves);
         ++stats_.rebalanceDecisions;
         stats_.componentsMoved += moves.size();
         stats_.shards[maxShard].migratedOut += moves.size();
@@ -543,10 +509,6 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       w->activityTouched.clear();
     }
   };
-
-  std::barrier planBarrier(static_cast<std::ptrdiff_t>(K), resolvePlan);
-  std::barrier crossBarrier(static_cast<std::ptrdiff_t>(K), []() noexcept {});
-  std::barrier epochBarrier(static_cast<std::ptrdiff_t>(K), closeEpoch);
 
   const auto planPhase = [&](std::size_t s) {
     Worker& w = *workers[s];
@@ -577,11 +539,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       // (The local cache never needs this pass: only cross executions and
       // this shard's own local executions can dirty it, and both update
       // it within the epoch.)
-      w.planDirty.clear();
-      for (const auto& t : workers) {
-        w.planDirty.insert(w.planDirty.end(), t->dirtyLog.begin(), t->dirtyLog.end());
-      }
-      cross.update(state, w.planDirty);
+      cross.update(state, planDirty);
     }
     // One candidate per enabled cross connector. Its footprint is all its
     // instances whatever the mask, so at most one of its interactions can
@@ -599,80 +557,56 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       w.crossCandidates.push_back(&list[pick]);
     }
     w.localEnabledCount = local.enabled().size();
-    // Publish a bounded surplus segment for work stealing when this shard
+    // Offer a bounded surplus segment for work stealing when this shard
     // has more enabled local work than one epoch's quota can drain. The
     // segment is a deterministic prefix (connector-list order) of the
-    // enabled set; the plan barrier hands footprint-disjoint entries to
-    // idle shards.
+    // enabled set; the resolver hands footprint-disjoint entries to idle
+    // shards.
     w.stealable = stealOn && w.localEnabledCount > options.epochBatch
                       ? std::min<std::size_t>(2 * options.epochBatch, w.localEnabledCount)
                       : 0;
   };
 
+  // Executes one interaction of the cross work for shard `w`: the accepted
+  // crosses it owns and the interactions it steals. The choice comes from
+  // `w`'s policy; the instances go to `w`'s dirty log and to their own
+  // shard's cross-dirty queue.
+  const auto fireCross = [&](Worker& w, const EnabledInteraction& ei) {
+    const auto [pick, choice] = w.policy->pick(system, placeholder, std::span(&ei, 1));
+    require(pick == 0, "SchedulingPolicy returned out-of-range interaction");
+    execute(system, state, ei, choice);
+    for (int inst : ss.connectorInstances(ei.connector)) {
+      w.dirtyLog.push_back(inst);
+      workers[static_cast<std::size_t>(ss.shardOf(inst))]->crossDirty.push_back(inst);
+      if (rebalanceOn) bumpActivity(w, inst);
+    }
+  };
+
+  // Shard `s`'s cross work: its accepted crosses in accepted order, then
+  // its stolen interactions in assignment order. Events serialize the
+  // stolen ones after every accepted cross (seq offset).
   const auto crossPhase = [&](std::size_t s) {
     Worker& w = *workers[s];
-    w.dirtyLog.clear();  // every shard finished reading it during plan
     w.localExecuted = 0;
     w.crossExecuted = 0;
     w.stolenExecuted = 0;
     for (std::size_t idx = 0; idx < accepted.size(); ++idx) {
       const AcceptedCross& entry = accepted[idx];
-      const ShardedSystem::CrossConnector& x =
-          ss.crossConnectors()[static_cast<std::size_t>(entry.crossIndex)];
-      if (x.owner != static_cast<int>(s)) continue;
-      // Transition choices come from the owner's policy, consumed in
-      // deterministic accepted order.
-      const EnabledInteraction& ei = *entry.interaction;
-      const auto [pick, choice] = w.policy->pick(system, placeholder, std::span(&ei, 1));
-      require(pick == 0, "SchedulingPolicy returned out-of-range interaction");
-      // Ordered locking of every involved shard (ascending shard id,
-      // deadlock-free): serializes access to their members and the
-      // dirty-queue pushes against the other accepted crosses sharing a
-      // shard. The locks are released on scope exit, so an EvalError out
-      // of execute (rethrown after the run) cannot leave a mutex held and
-      // wedge the other owners.
-      {
-        ShardLocks locks(w.held);
-        const std::uint64_t lockT0 = timed ? obs::nowNanos() : 0;
-        for (int t : x.shards) locks.lock(workers[static_cast<std::size_t>(t)]->mutex);
-        if (timed) w.lockWaitNs += obs::nowNanos() - lockT0;
-        execute(system, state, ei, choice);
-        for (int inst : ss.connectorInstances(ei.connector)) {
-          w.dirtyLog.push_back(inst);
-          workers[static_cast<std::size_t>(ss.shardOf(inst))]->crossDirty.push_back(inst);
-          if (rebalanceOn) bumpActivity(w, inst);
-        }
+      if (ss.crossConnectors()[static_cast<std::size_t>(entry.crossIndex)].owner !=
+          static_cast<int>(s)) {
+        continue;
       }
+      const EnabledInteraction& ei = *entry.interaction;
+      fireCross(w, ei);
       ++w.crossExecuted;
       if (options.recordTrace) {
         w.events.push_back(Event{epoch, 0, 0, idx, ei.connector, ei.mask});
       }
     }
-    // Stolen work: execute the victims' surplus local interactions this
-    // shard was assigned at the plan barrier, under the victim's lock.
-    // Footprint-disjoint against everything else in the epoch, so the
-    // victim's own local phase (after the cross barrier) sees consistent
-    // members and refreshes its cache through crossDirty just like for a
-    // cross execution. Events serialize after the accepted crosses (seq
-    // offset), in assignment order.
     for (std::size_t j = 0; j < stolen.size(); ++j) {
-      const StolenLocal& st = stolen[j];
-      if (st.thief != static_cast<int>(s)) continue;
-      Worker& victim = *workers[static_cast<std::size_t>(st.victim)];
-      const EnabledInteraction& ei = *st.interaction;
-      const auto [pick, choice] = w.policy->pick(system, placeholder, std::span(&ei, 1));
-      require(pick == 0, "SchedulingPolicy returned out-of-range interaction");
-      {
-        const std::uint64_t lockT0 = timed ? obs::nowNanos() : 0;
-        const std::scoped_lock lock(victim.mutex);
-        if (timed) w.lockWaitNs += obs::nowNanos() - lockT0;
-        execute(system, state, ei, choice);
-        for (int inst : ss.connectorInstances(ei.connector)) {
-          w.dirtyLog.push_back(inst);
-          victim.crossDirty.push_back(inst);
-          if (rebalanceOn) bumpActivity(w, inst);
-        }
-      }
+      if (stolen[j].thief != static_cast<int>(s)) continue;
+      const EnabledInteraction& ei = *stolen[j].interaction;
+      fireCross(w, ei);
       ++w.stolenExecuted;
       if (options.recordTrace) {
         w.events.push_back(Event{epoch, 0, 0, accepted.size() + j, ei.connector, ei.mask});
@@ -683,13 +617,11 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
   const auto localPhase = [&](std::size_t s) {
     Worker& w = *workers[s];
     EnabledInteractionCache& local = *w.local;
-    // Refresh local connectors dirtied by this epoch's cross executions.
-    {
-      const std::scoped_lock lock(w.mutex);
-      w.drained.assign(w.crossDirty.begin(), w.crossDirty.end());
+    // Refresh local connectors dirtied by this epoch's cross work.
+    if (!w.crossDirty.empty()) {
+      local.update(state, w.crossDirty);
       w.crossDirty.clear();
     }
-    if (!w.drained.empty()) local.update(state, w.drained);
     // Shard-local run loop: the sequential engine's step loop confined to
     // this shard's members.
     const std::uint64_t quota = localQuota[s];
@@ -707,7 +639,7 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
       }
       ++w.localExecuted;
       // Cross connectors read foreign members, so they are refreshed only
-      // in the next plan phase, through the dirty log.
+      // in the next plan, through the dirty log.
       for (int inst : ss.connectorInstances(ei.connector)) {
         w.dirtyLog.push_back(inst);
         if (rebalanceOn) bumpActivity(w, inst);
@@ -716,77 +648,107 @@ RunResult ShardedEngine::run(const ShardedOptions& options) {
     }
   };
 
-  const auto guarded = [&](auto&& phase) {
-    if (abort.load(std::memory_order_relaxed)) return;
+  // Phase bracket: accumulates the phase's wall time into shard `s`'s
+  // `acc` and, with a sink installed, emits one complete-span on that
+  // shard's track — the epoch timeline chrome://tracing renders.
+  const auto bracket = [&](const char* name, std::size_t s, std::uint64_t Worker::* acc,
+                           auto&& body) {
+    if (!timed) {
+      body();
+      return;
+    }
+    const std::uint64_t t0 = obs::nowNanos();
+    body();
+    const std::uint64_t t1 = obs::nowNanos();
+    workers[s].get()->*acc += t1 - t0;
+    if (sink != nullptr) sink->complete(name, "epoch", static_cast<int>(s), t0, t1);
+  };
+
+  // The epoch barrier's completion: the serial part of every epoch, on
+  // one thread while every worker waits. It closes the epoch that ended,
+  // then plans every shard in shard order, resolves the plan and runs
+  // every shard's cross work in shard order. Each policy sees its picks
+  // in the order a worker of its own would make them: plan, cross work,
+  // then (after the barrier) local steps.
+  const auto coordinate = [&]() noexcept {
+    const std::uint64_t t0 = timed ? obs::nowNanos() : 0;
     try {
-      phase();
+      closeEpoch();
+      if (!stop) {
+        planDirty.clear();
+        for (const auto& w : workers) {
+          planDirty.insert(planDirty.end(), w->dirtyLog.begin(), w->dirtyLog.end());
+          w->dirtyLog.clear();
+        }
+        for (std::size_t s = 0; s < K; ++s) {
+          bracket("plan", s, &Worker::planNs, [&] { planPhase(s); });
+        }
+        resolvePlan();
+        for (std::size_t s = 0; s < K; ++s) {
+          bracket("cross", s, &Worker::crossNs, [&] { crossPhase(s); });
+        }
+      }
     } catch (...) {
-      capture();
+      coordinateError = std::current_exception();
+      stop = true;
+    }
+    if (timed) t_coordinateNs = obs::nowNanos() - t0;
+  };
+  std::barrier epochBarrier(static_cast<std::ptrdiff_t>(K), coordinate);
+
+  // One worker: bootstrap, then the local phase of every epoch. Errors
+  // stay with the worker; the next completion stops the run.
+  const auto work = [&](std::size_t s) {
+    Worker& w = *workers[s];
+    if (sink != nullptr) sink->setThreadName(static_cast<int>(s), "shard " + std::to_string(s));
+    const auto guarded = [&](auto&& phase) {
+      try {
+        phase();
+      } catch (...) {
+        w.error = std::current_exception();
+      }
+    };
+    const auto wait = [&] {
+      const std::uint64_t t0 = timed ? obs::nowNanos() : 0;
+      epochBarrier.arrive_and_wait();
+      if (timed) w.idleNs += obs::nowNanos() - t0 - std::exchange(t_coordinateNs, 0);
+    };
+    // Bootstrap: settle initial tau steps of this shard's members so
+    // offers reflect stable states (mirrors SequentialEngine).
+    guarded([&] {
+      for (int inst : ss.shard(s).members) {
+        const auto i = static_cast<std::size_t>(inst);
+        runInternal(*system.instance(i).type, state.components[i]);
+      }
+    });
+    wait();
+    while (!stop) {
+      bracket("local", s, &Worker::localNs, [&] { guarded([&] { localPhase(s); }); });
+      wait();
     }
   };
 
   {
+    // Shard 0 works on the calling thread.
     std::vector<std::jthread> threads;
-    threads.reserve(K);
-    for (std::size_t s = 0; s < K; ++s) {
-      threads.emplace_back([&, s] {
-        Worker& w = *workers[s];
-        if (sink != nullptr) {
-          sink->setThreadName(static_cast<int>(s), "shard " + std::to_string(s));
-        }
-        // Phase bracket: accumulates the phase's wall time into `acc` and,
-        // with a sink installed, emits one complete-span on this shard's
-        // track — the epoch timeline chrome://tracing renders.
-        const auto bracket = [&](const char* name, std::uint64_t Worker::* acc,
-                                 auto&& body) {
-          if (!timed) {
-            body();
-            return;
-          }
-          const std::uint64_t t0 = obs::nowNanos();
-          body();
-          const std::uint64_t t1 = obs::nowNanos();
-          w.*acc += t1 - t0;
-          if (sink != nullptr && name != nullptr) {
-            sink->complete(name, "epoch", static_cast<int>(s), t0, t1);
-          }
-        };
-        // Bootstrap: settle initial tau steps of this shard's members so
-        // offers reflect stable states (mirrors SequentialEngine).
-        guarded([&] {
-          for (int inst : ss.shard(s).members) {
-            const auto i = static_cast<std::size_t>(inst);
-            runInternal(*system.instance(i).type, state.components[i]);
-          }
-        });
-        epochBarrier.arrive_and_wait();  // completion: bootstrap no-op
-        if (options.maxSteps == 0) return;
-        while (true) {
-          bracket("plan", &Worker::planNs, [&] { guarded([&] { planPhase(s); }); });
-          bracket(nullptr, &Worker::idleNs,
-                  [&] { planBarrier.arrive_and_wait(); });  // completion: resolvePlan
-          bracket("cross", &Worker::crossNs, [&] { guarded([&] { crossPhase(s); }); });
-          bracket(nullptr, &Worker::idleNs, [&] { crossBarrier.arrive_and_wait(); });
-          bracket("local", &Worker::localNs, [&] { guarded([&] { localPhase(s); }); });
-          bracket(nullptr, &Worker::idleNs,
-                  [&] { epochBarrier.arrive_and_wait(); });  // completion: closeEpoch
-          if (stop) break;
-        }
-      });
-    }
+    threads.reserve(K - 1);
+    for (std::size_t s = 1; s < K; ++s) threads.emplace_back(work, s);
+    work(0);
   }  // join
 
-  if (firstError) std::rethrow_exception(firstError);
+  if (coordinateError) std::rethrow_exception(coordinateError);
+  for (const auto& w : workers) {
+    if (w->error) std::rethrow_exception(w->error);
+  }
 
-  // Fold the owner-only timing accumulators into the run stats, then
-  // flush everything to the telemetry registry (no-op when disabled).
+  // Fold the timing accumulators into the run stats, then flush
+  // everything to the telemetry registry (no-op when disabled).
   for (std::size_t s = 0; s < K; ++s) {
     ShardedStats::Shard& sh = stats_.shards[s];
     sh.planNs = workers[s]->planNs;
     sh.crossNs = workers[s]->crossNs;
     sh.localNs = workers[s]->localNs;
     sh.idleNs = workers[s]->idleNs;
-    sh.lockWaitNs = workers[s]->lockWaitNs;
   }
   stats_.steps = executedTotal;
   stats_.scanRounds = stats_.epochs;

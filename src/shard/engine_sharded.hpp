@@ -1,58 +1,60 @@
-// Sharded BIP engine: one worker thread per shard of a partitioned
-// component graph.
+// Sharded BIP engine: one worker per shard of a partitioned component
+// graph, shard 0 on the calling thread.
 //
 // Where the multithreaded engine (engine/engine_mt.hpp) pays a
-// message-round handshake per *interaction*, the sharded engine pays
-// three synchronization barriers per *epoch* of up to
-// shardCount * epochBatch interactions: shard-local interactions (the
-// overwhelming majority under a good partition, see shard/partition.hpp)
-// execute entirely inside their shard — enabled-set maintenance, policy
-// choice, data transfer and transition firing all touch only the shard's
-// own members, with no locks.
+// message-round handshake per *interaction*, the sharded engine pays one
+// barrier per *epoch* of up to shardCount * epochBatch interactions.
+// Shard-local interactions (the overwhelming majority under a good
+// partition, see shard/partition.hpp) execute in parallel, each entirely
+// inside its shard — enabled-set maintenance, policy choice, data transfer
+// and transition firing all touch only the shard's own members. Everything
+// else runs serially, in the barrier's completion, and no lock is taken.
 //
-// All shards share one GlobalState and the core semantics: each worker
+// All shards share one GlobalState and the core semantics: each shard
 // keeps two EnabledInteractionCaches, one over its local connectors and
-// one over the cross connectors it owns, and executes through `execute`.
-// Workers write disjoint components; a shard's members are read by another
-// worker only in the plan phase, while nobody writes, or under the
-// shard's lock.
+// one over the cross connectors it owns (cross-shard connectors are owned
+// by their lowest involved shard), and executes through `execute`.
 //
-// Cross-shard interactions are coordinated by an epoch-based conflict
-// scheduler with no global lock:
+// An epoch is the parallel local phase followed by the serial
+// coordination of the next epoch:
 //
-//   plan    Nobody writes. Every shard refreshes the enabled sets of the
-//           connectors it owns (cross-shard connectors are owned by their
-//           lowest involved shard) from the dirty-instance logs of the
-//           previous epoch, and publishes its cross-shard candidates, one
-//           per enabled connector (where a broadcast has several masks
-//           enabled, the shard's policy picks one).
-//           [barrier: one thread deterministically resolves conflicts —
-//           candidates sorted by connector, greedily accepted while their
-//           instance footprints stay disjoint — and deals out per-shard
-//           step quotas for the local phase.]
+//   local   Every worker drains its shard's cross-dirty queue into its
+//           local cache, then runs up to its quota of shard-local
+//           interactions: pick via its own seeded policy from the local
+//           enabled set in place, execute, and update the cache.
+//           [barrier; its completion runs, on one thread while every
+//           worker waits, the four steps below.]
 //
-//   cross   Owners execute the accepted cross-shard interactions. Each
-//           acquires the involved shards' mutexes in ascending shard
-//           order (ordered two-shard locking in the common case; ordered
-//           k-shard locking for wider connectors, deadlock-free by the
-//           total order), executes it, and queues the dirtied instances
-//           to the affected shards. [barrier]
+//   close   Count the epoch's executed interactions (0 executed means
+//           global deadlock), stop on an error, the step limit or
+//           deadlock, and run the online rebalancer.
 //
-//   local   Every shard drains its dirty queue into its local cache, then
-//           runs up to its quota of shard-local interactions: pick via its
-//           own seeded policy from the local enabled set in place,
-//           execute, and update the cache.
-//           [barrier: count the epoch's executed interactions; 0 executed
-//           means global deadlock.]
+//   plan    For every shard in shard order: refresh the enabled sets of
+//           its owned cross connectors from every shard's dirty log of the
+//           last epoch, and offer one cross candidate per enabled
+//           connector (where a broadcast has several masks enabled, the
+//           shard's policy picks one).
 //
-// Because every interaction executed within one epoch has a pairwise
-// disjoint instance footprint against the concurrent ones (accepted
-// crosses by construction; locals by shard-locality), the epoch's
-// interactions serialize: cross interactions in accepted order followed
-// by each shard's local sequence is a valid sequential schedule with an
-// identical final state. The differential suite (tests/test_sharded.cpp)
-// replays exactly that schedule through SequentialEngine. With a single
-// shard the engine degenerates to the sequential loop and its traces are
+//   resolve Candidates sorted by connector are greedily accepted while
+//           their instance footprints stay disjoint; per-shard step quotas
+//           are dealt for the local phase, and idle shards are assigned
+//           footprint-disjoint surplus local work of overloaded shards.
+//
+//   cross   For every shard in shard order: execute its accepted crosses
+//           in accepted order, then the work it steals in assignment
+//           order, each with its own policy's choice, and queue the
+//           dirtied instances to their shards.
+//
+// Each policy thus sees its picks in the order a worker of its own would
+// make them: plan, cross work, local steps. Because every interaction
+// executed within one epoch has an instance footprint disjoint from the
+// others that could run concurrently with it (accepted crosses by
+// construction; locals by shard-locality), the epoch's interactions
+// serialize: cross interactions in accepted order followed by each
+// shard's local sequence is a valid sequential schedule with an identical
+// final state. The differential suite (tests/test_sharded.cpp) replays
+// exactly that schedule through SequentialEngine. With a single shard the
+// engine degenerates to the sequential loop and its traces are
 // bit-identical to SequentialEngine under the same seeded policy.
 #pragma once
 
@@ -69,8 +71,8 @@ namespace cbip::shard {
 
 /// Scheduler-behaviour statistics for the last run(). Extends the common
 /// RunStats core (steps, scanRounds = epochs, wallNs) with epoch-grained
-/// scheduler and migration detail (all writes happen at barrier
-/// completions or after the join, never on the per-interaction hot path)
+/// scheduler and migration detail (all writes happen in the barrier's
+/// completion or after the join, never on the per-interaction hot path)
 /// and is always collected — unlike the src/obs counters these are part of
 /// the engine's functional result, so tests can assert scheduler behaviour
 /// (idle shards, stalled epochs, quota waste, migration counts) without
@@ -87,7 +89,7 @@ struct ShardedStats : RunStats {
   std::uint64_t rebalanceDecisions = 0;  ///< load-window checks that migrated
   std::uint64_t componentsMoved = 0;     ///< instances migrated across shards
   std::uint64_t stealEvents = 0;         ///< local interactions executed by a
-                                         ///< thief shard during a cross phase
+                                         ///< thief shard in the cross work
 
   struct Shard {
     std::uint64_t steps = 0;        ///< localSteps + crossSteps + stolenSteps
@@ -103,12 +105,16 @@ struct ShardedStats : RunStats {
     std::uint64_t migratedOut = 0;  ///< instances migrated out of this shard
     // Wall-clock phase breakdown in nanoseconds; zero unless timing was
     // active during the run (observability enabled or a trace sink
-    // installed; always zero in CBIP_NO_OBS builds).
+    // installed; always zero in CBIP_NO_OBS builds). The barrier's
+    // completion times each shard's plan and cross work.
     std::uint64_t planNs = 0;
     std::uint64_t crossNs = 0;
     std::uint64_t localNs = 0;
-    std::uint64_t idleNs = 0;      ///< barrier-wait time between phases
-    std::uint64_t lockWaitNs = 0;  ///< cross-phase shard-mutex acquisition
+    std::uint64_t idleNs = 0;  ///< barrier wait, less the completion this
+                               ///< shard's thread ran
+    /// Always 0: the engine takes no locks. Kept while the perfbench
+    /// `shard.lock_wait_ns` row and the `cbip stats` JSON read it.
+    std::uint64_t lockWaitNs = 0;
   };
   std::vector<Shard> shards;  ///< indexed by shard id
 };
@@ -119,8 +125,8 @@ struct ShardedOptions : EngineOptions {
   /// Seed for the default per-shard scheduling policies.
   std::uint64_t seed = 0;
   /// Upper bound on shard-local interactions one shard executes per
-  /// epoch. Larger values amortize the per-epoch barriers; 1 globally
-  /// synchronizes every step.
+  /// epoch. Larger values amortize the epoch barrier and its serial
+  /// coordination over more steps; 1 globally synchronizes every step.
   std::uint64_t epochBatch = 8;
   /// Online rebalancing: every rebalanceInterval epochs, migrate members
   /// of a persistently overloaded shard (load > rebalanceTolerance x the
@@ -132,10 +138,10 @@ struct ShardedOptions : EngineOptions {
   std::uint64_t rebalanceInterval = 8;  ///< epochs per load window
   double rebalanceTolerance = 1.5;      ///< trigger: maxLoad > tol * avgLoad
   /// Work stealing for load bursts: shards with no enabled local work
-  /// execute surplus local interactions of overloaded shards during the
-  /// cross phase, under the victim's lock (the existing ordered locking
-  /// discipline). Plan-time assignment, footprint-disjoint against
-  /// everything else in the epoch — deterministic and replay-safe.
+  /// execute surplus local interactions of overloaded shards in the
+  /// serial cross work, with the thief's policy. Plan-time assignment,
+  /// footprint-disjoint against everything else in the epoch —
+  /// deterministic and replay-safe.
   bool workStealing = true;
   /// Scheduling policy per shard. Default: RandomPolicy(seed) for shard 0
   /// — making a one-shard run bit-identical to SequentialEngine with

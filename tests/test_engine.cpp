@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "compile_switch.hpp"
@@ -248,23 +249,36 @@ TEST(MultiThreadEngine, DataTransferMatchesSequential) {
 /// Two rendezvous pairs whose shared action divides by a countdown: every
 /// firing computes x := x + 100 / d, then d := d - 1, so the fourth
 /// firing of a component divides by zero — inside a worker thread on the
-/// MT and sharded engines.
-System countdownPairs() {
+/// MT and sharded engines. With `inGuard`, the transition is also guarded
+/// by 100 / d > 0, so the enabled-set update after a component's third
+/// firing raises first. With `oneShot`, the second pair moves to a
+/// location with no transition on its first firing, so the enabled set
+/// where the first pair raises differs from the initial one.
+System countdownPairs(bool inGuard = false, bool oneShot = false) {
   using expr::Assign;
   using expr::Expr;
   using expr::VarRef;
-  auto t = std::make_shared<AtomicType>("Countdown");
-  const int l = t->addLocation("l");
-  const int x = t->addVariable("x", 0);
-  const int d = t->addVariable("d", 3);
-  const int p = t->addPort("p");
-  t->addTransition(l, p, Expr::top(),
-                   {Assign{VarRef{0, x}, Expr::local(x) + Expr::lit(100) / Expr::local(d)},
-                    Assign{VarRef{0, d}, Expr::local(d) - Expr::lit(1)}},
-                   l);
-  t->setInitialLocation(l);
+  const auto makeType = [&](const std::string& name, bool loop) {
+    auto t = std::make_shared<AtomicType>(name);
+    const int l = t->addLocation("l");
+    const int done = loop ? l : t->addLocation("done");
+    const int x = t->addVariable("x", 0);
+    const int d = t->addVariable("d", 3);
+    const int p = t->addPort("p");
+    t->addTransition(l, p,
+                     inGuard ? Expr::lit(100) / Expr::local(d) > Expr::lit(0) : Expr::top(),
+                     {Assign{VarRef{0, x}, Expr::local(x) + Expr::lit(100) / Expr::local(d)},
+                      Assign{VarRef{0, d}, Expr::local(d) - Expr::lit(1)}},
+                     done);
+    t->setInitialLocation(l);
+    return t;
+  };
+  const auto countdown = makeType("Countdown", true);
+  const auto once = oneShot ? makeType("Once", false) : countdown;
+  const int p = countdown->portIndex("p");
   System sys;
   for (int k = 0; k < 2; ++k) {
+    const auto& t = k == 0 ? countdown : once;
     const int a = sys.addInstance("a" + std::to_string(k), t);
     const int b = sys.addInstance("b" + std::to_string(k), t);
     Connector c("sync" + std::to_string(k));
@@ -388,6 +402,50 @@ TEST(MultiThreadEngine, TauDivergenceSurfacesFromRun) {
     MtOptions opt;
     opt.maxSteps = 100;
     engine.run(opt);
+  });
+}
+
+/// A raising run on `make`'s engine, then a short run on the same engine
+/// that raises nowhere, must equal that short run on a fresh engine (the
+/// countdown model with a one-shot pair, raising in the action or in the
+/// guard, on both evaluation paths): the enabled-set cache the engine
+/// keeps across runs is reset, whatever state the raise left it in.
+void expectRunAfterRaisingRunMatchesFresh(
+    const std::function<std::unique_ptr<Engine>(const System&, SchedulingPolicy&)>& make) {
+  for (const bool inGuard : {false, true}) {
+    const System sys = countdownPairs(inGuard, true);
+    for (const bool compiled : {true, false}) {
+      SCOPED_TRACE(std::string(inGuard ? "guard" : "action") +
+                   (compiled ? " compiled" : " interpreted"));
+      const CompileSwitch path(compiled);
+      RandomPolicy policy(5);
+      const std::unique_ptr<Engine> engine = make(sys, policy);
+      EngineOptions raising;
+      raising.maxSteps = 100;
+      EXPECT_THROW(engine->run(raising), EvalError);
+      // Two steps: no countdown fires a third time, so nothing raises.
+      EngineOptions brief;
+      brief.maxSteps = 2;
+      RandomPolicy freshPolicy = policy;
+      const RunResult fresh = make(sys, freshPolicy)->run(brief);
+      const RunResult again = engine->run(brief);
+      EXPECT_EQ(again.steps, 2u);
+      EXPECT_EQ(again.steps, fresh.steps);
+      EXPECT_EQ(traceHash(again.trace), traceHash(fresh.trace));
+      EXPECT_EQ(hashState(again.finalState), hashState(fresh.finalState));
+    }
+  }
+}
+
+TEST(SequentialEngine, RunAfterRaisingRunMatchesFreshEngine) {
+  expectRunAfterRaisingRunMatchesFresh([](const System& sys, SchedulingPolicy& policy) {
+    return std::make_unique<SequentialEngine>(sys, policy);
+  });
+}
+
+TEST(MultiThreadEngine, RunAfterRaisingRunMatchesFreshEngine) {
+  expectRunAfterRaisingRunMatchesFresh([](const System& sys, SchedulingPolicy& policy) {
+    return std::make_unique<MultiThreadEngine>(sys, policy);
   });
 }
 

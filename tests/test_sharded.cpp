@@ -450,6 +450,80 @@ TEST(ShardedEngine, RejectsMalformedPartition) {
   EXPECT_THROW(ShardedEngine(sys, Partition({0, -1, 0}, 2)), ModelError);
 }
 
+/// `k` rendezvous pairs of countdown components; every firing computes
+/// x := x + 100 / d, then d := d - 1, so a component's fourth firing
+/// divides by zero in its action. With `inGuard`, the connector guard
+/// 100 / d > 0 over the first end's exported d raises first, when the
+/// plan after a pair's third firing refreshes the connector.
+System countdownPairs(std::size_t k, bool inGuard) {
+  auto t = std::make_shared<AtomicType>("Countdown");
+  const int l = t->addLocation("l");
+  const int x = t->addVariable("x", 0);
+  const int d = t->addVariable("d", 3);
+  const int p = t->addPort("p", {d});
+  t->addTransition(l, p, Expr::top(),
+                   {expr::Assign{expr::VarRef{0, x},
+                                 Expr::local(x) + Expr::lit(100) / Expr::local(d)},
+                    expr::Assign{expr::VarRef{0, d}, Expr::local(d) - Expr::lit(1)}},
+                   l);
+  t->setInitialLocation(l);
+  System sys;
+  for (std::size_t j = 0; j < k; ++j) {
+    const int a = sys.addInstance("a" + std::to_string(j), t);
+    const int b = sys.addInstance("b" + std::to_string(j), t);
+    Connector c("sync" + std::to_string(j));
+    c.addSynchron(PortRef{a, p});
+    c.addSynchron(PortRef{b, p});
+    if (inGuard) c.setGuard(Expr::lit(100) / Expr::var(0, 0) > Expr::lit(0));
+    sys.addConnector(std::move(c));
+  }
+  sys.validate();
+  return sys;
+}
+
+TEST(ShardedEngine, CoordinatorErrorsSurfaceFromRun) {
+  // Pair j joins shard j to shard j+1 (mod k), so every connector is
+  // cross-shard: its guard is evaluated in the plan and its action runs
+  // in the cross work, both in the epoch barrier's completion. The error
+  // must leave run() with its message and no worker left waiting, and the
+  // engine must run again like a fresh one.
+  for (const bool inGuard : {true, false}) {
+    for (const std::size_t k : {2u, 4u}) {
+      const System sys = countdownPairs(k, inGuard);
+      std::vector<int> shardOf;
+      for (std::size_t j = 0; j < k; ++j) {
+        shardOf.push_back(static_cast<int>(j));
+        shardOf.push_back(static_cast<int>((j + 1) % k));
+      }
+      for (const bool compiled : {true, false}) {
+        SCOPED_TRACE(std::string(inGuard ? "plan" : "cross") + " k=" + std::to_string(k) +
+                     (compiled ? " compiled" : " interpreted"));
+        const CompileSwitch path(compiled);
+        ShardedEngine engine(sys, Partition(shardOf, k));
+        ShardedOptions opt;
+        opt.maxSteps = 100;
+        opt.seed = 5;
+        opt.rebalance = false;  // keep every connector cross-shard
+        try {
+          engine.run(opt);
+          ADD_FAILURE() << "expected EvalError from run()";
+        } catch (const EvalError& e) {
+          EXPECT_STREQ(e.what(), "division by zero");
+        }
+        // Each epoch fires every pair once; two epochs raise nowhere.
+        opt.maxSteps = 2 * k;
+        const RunResult again = engine.run(opt);
+        ShardedEngine freshEngine(sys, Partition(shardOf, k));
+        const RunResult fresh = freshEngine.run(opt);
+        EXPECT_EQ(again.steps, 2 * k);
+        EXPECT_EQ(again.steps, fresh.steps);
+        EXPECT_EQ(traceHash(again.trace), traceHash(fresh.trace));
+        EXPECT_EQ(hashState(again.finalState), hashState(fresh.finalState));
+      }
+    }
+  }
+}
+
 // ---- online rebalancing + work stealing ----
 
 TEST(Rebalancing, MigratePreservesStateAndEnabledSets) {
